@@ -44,6 +44,7 @@ from .trees import (
     simulate_statistic_batch,
 )
 from .urns import (
+    _SEQUENCES,
     Pmf,
     empirical_pmf,
     exact_pmf_dp,
@@ -83,7 +84,8 @@ def _add_urn_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--b0", default="1")
     parser.add_argument("--offset", type=int, default=0)
     parser.add_argument("--initial", default="1,1", help="multi: comma counts per color")
-    parser.add_argument("--sequence", default="thue-morse", help="seq: driving sequence name")
+    parser.add_argument("--sequence", choices=sorted(_SEQUENCES), default="thue_morse",
+                        help="seq: driving sequence name")
     parser.add_argument("--ells", default="1,2", help="seq: reinforcement per sequence value")
 
 

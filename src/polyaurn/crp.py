@@ -19,11 +19,10 @@ a pseudo-root of weight theta_bar/a whose subtree never spawns tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .urns import Pmf, draw_color, exact_pmf_dp, triangular, with_white_immigration
+from .urns import Pmf, _num, draw_color, exact_pmf_dp, triangular, with_white_immigration
 
 __all__ = [
     "CrpParams",
@@ -38,16 +37,6 @@ __all__ = [
     "table_count_urn",
     "table_count_pmf",
 ]
-
-
-def _num(x):
-    if isinstance(x, bool):
-        raise TypeError("bool is not a parameter")
-    if isinstance(x, (int, str, Fraction)):
-        return Fraction(x)
-    if isinstance(x, float):
-        return x
-    raise TypeError(f"unsupported parameter {x!r}")
 
 
 @dataclass(frozen=True)

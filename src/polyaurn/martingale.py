@@ -106,15 +106,22 @@ def conditional_tail_variance(
 ) -> np.ndarray:
     """Var(M_far - M_N | state at N) = g_far^2 E[W_far^2 | W_N] - M_N^2,
     exact via the conditional rising-moment products from N to N_far."""
-    sigma = float(spec.sigma)
-    w = np.asarray(W_N, dtype=float) / sigma
+    return _conditional_variance(np.asarray(W_N, dtype=float), *_tail_norm(spec, N, N_far))
+
+
+def _tail_norm(spec: UrnSpec, N: int, N_far: int) -> tuple:
+    """(g_N, g_far, lp1, lp2, sigma), lp_s = log P_s from N to N_far."""
     lp1 = log_product_ratio(spec, N_far, 1, start=N)
     lp2 = log_product_ratio(spec, N_far, 2, start=N)
     g_N = math.exp(-log_product_ratio(spec, N, 1))
-    g_far = g_N * math.exp(-lp1)
+    return g_N, g_N * math.exp(-lp1), lp1, lp2, float(spec.sigma)
+
+
+def _conditional_variance(W_N: np.ndarray, g_N, g_far, lp1, lp2, sigma) -> np.ndarray:
+    """g_far^2 E[W_far^2 | W_N] - M_N^2 with M_N = g_N * W_N."""
+    w = W_N / sigma
     second = sigma**2 * (w * (w + 1.0) * math.exp(lp2) - w * math.exp(lp1))
-    M_N = g_N * sigma * w
-    return g_far**2 * second - M_N**2
+    return g_far**2 * second - (g_N * W_N) ** 2
 
 
 @dataclass(frozen=True)
@@ -149,15 +156,13 @@ class TailSumReport:
 def _tail_worker(seed: int, count: int, spec_json: str, N: int, N_far: int,
                  norm: tuple) -> list[float]:
     spec = spec_from_json(spec_json)
-    (g_N, g_far, lp1, lp2, sigma, scale_plugin) = norm
+    tail, scale_plugin = norm
+    g_N, g_far = tail[:2]
     W_N, W_far = simulate_white_batch(spec, [N, N_far], count, seed)
     M_N = g_N * W_N
     M_far = g_far * W_far
     D = M_far - M_N
-    w = W_N / sigma
-    second = sigma**2 * (w * (w + 1.0) * math.exp(lp2) - w * math.exp(lp1))
-    cond_var = g_far**2 * second - M_N**2
-    z_cond = D / np.sqrt(cond_var)
+    z_cond = D / np.sqrt(_conditional_variance(W_N, *tail))
     z_plug = scale_plugin * (M_N - M_far) / np.sqrt(M_far)
     out = []
     for z in (z_cond, z_plug):
@@ -182,13 +187,9 @@ def tail_sum_experiment(
         raise ValueError("need 0 < N < N_far")
     cst = asymptotic_constants(spec)
     sigma = float(spec.sigma)
-    lp1 = log_product_ratio(spec, N_far, 1, start=N)
-    lp2 = log_product_ratio(spec, N_far, 2, start=N)
-    g_N = math.exp(-log_product_ratio(spec, N, 1))
-    g_far = g_N * math.exp(-lp1)
     beta = math.sqrt(cst.Lambda) / (sigma * math.sqrt(cst.kappa))
     scale_plugin = N ** (cst.Lambda / 2.0) * beta
-    norm = (g_N, g_far, lp1, lp2, sigma, scale_plugin)
+    norm = (_tail_norm(spec, N, N_far), scale_plugin)
     rows = run_blocks(
         _tail_worker,
         n_reps,

@@ -31,7 +31,7 @@ from .specialfn import (
     rising_factorial,
     stirling2,
 )
-from .urns import Pmf, UrnSpec, ell_at, total_balls, totals_list
+from .urns import Pmf, UrnSpec, schedule
 
 __all__ = [
     "product_ratio",
@@ -69,19 +69,6 @@ def _scaled_start(spec: UrnSpec):
 # finite-time products
 
 
-def _exact_step_totals(spec: UrnSpec, N: int) -> tuple[list[int], int]:
-    """Integer totals t_j = T_j * d for a common denominator d."""
-    d = 1
-    for v in (spec.sigma, *spec.initial, *(spec.phase_ells or ()), *(spec.sequence_ells or ())):
-        d = math.lcm(d, v.denominator)
-    t = int(spec.total_initial * d)
-    out = []
-    for i in range(1, N + 1):
-        out.append(t)
-        t += int((spec.sigma + ell_at(spec, i)) * d)
-    return out, d
-
-
 def product_ratio(spec: UrnSpec, N: int, s: int, mode: str = "auto"):
     """P_s(N) = prod_{j=0}^{N-1} (T_j + s*sigma) / T_j.
 
@@ -95,14 +82,10 @@ def product_ratio(spec: UrnSpec, N: int, s: int, mode: str = "auto"):
     if mode == "exact" and not spec.is_exact:
         raise ValueError("exact mode requires rational spec parameters")
     if exact:
-        totals, d = _exact_step_totals(spec, N)
-        shift = int(s * spec.sigma * d)
-        num = 1
-        den = 1
-        for t in totals:
-            num *= t + shift
-            den *= t
-        return Fraction(num, den)
+        sched = schedule(spec, N)
+        shift = int(s * spec.sigma * sched.d)
+        totals = sched.totals[:N].tolist()
+        return Fraction(math.prod(t + shift for t in totals), math.prod(totals))
     return math.exp(log_product_ratio(spec, N, s))
 
 
@@ -115,19 +98,10 @@ def log_product_ratio(spec: UrnSpec, N: int, s, start: int = 0) -> float:
     if count == 0 or s == 0:
         return 0.0
     shift = float(s) * float(spec.sigma)
-    if spec.sequence_name is None:
-        p = spec.period
-        adds = np.array([float(spec.sigma + e) for e in spec.phase_ells])
-        adds = np.roll(adds, -(start % p))
-        reps = -(-count // p)
-        increments = np.tile(adds, reps)[: count - 1] if count > 1 else np.array([])
-        totals = np.empty(count)
-        totals[0] = float(total_balls(spec, start))
-        if count > 1:
-            totals[1:] = totals[0] + np.cumsum(increments)
-    else:
-        totals = np.array(totals_list(spec, N)[start:], dtype=float)
-    return float(np.sum(np.log1p(shift / totals)))
+    sched = schedule(spec, N)
+    x = sched.real(sched.totals[start:N])
+    np.divide(shift, x, out=x)
+    return float(np.sum(np.log1p(x, out=x)))
 
 
 def rising_factorial_moment(spec: UrnSpec, N: int, s: int, mode: str = "auto"):

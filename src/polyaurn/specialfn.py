@@ -1,7 +1,6 @@
 """Special-function kernels used by the exact and asymptotic urn machinery.
 
-Everything here is elementary and dependency-free: a Lanczos log-gamma,
-a reciprocal gamma that is total on the reals (exactly zero at the poles),
+Everything here is elementary and dependency-free: a guarded log-gamma,
 rising/falling factorials that work on exact rationals as well as floats,
 and the combinatorial number triangles (Lah, Stirling second kind) needed
 to convert between moment families.
@@ -10,108 +9,24 @@ to convert between moment families.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
     "log_gamma",
-    "gamma_fn",
-    "reciprocal_gamma",
-    "log_beta",
-    "beta_fn",
-    "sinpi",
     "rising_factorial",
     "falling_factorial",
     "lah_number",
     "stirling2",
 ]
 
-# Lanczos approximation, g = 7, 9 terms.  Standard double-precision
-# coefficient set (Godfrey); relative error below 1e-15 on Re(x) >= 0.5,
-# which clears the 1e-13 contract with margin.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
 
 def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0.
-
-    Relative accuracy ~1e-15; guarded against the poles at 0, -1, -2, ...
-    For 0 < x < 0.5 the recurrence log Gamma(x) = log Gamma(x+1) - log x
-    keeps the Lanczos kernel in its accurate range.
-    """
+    """Natural log of the Gamma function for x > 0 (math.lgamma), guarded
+    against the poles at 0, -1, -2, ... and against NaN."""
     x = float(x)
     if x <= 0.0 or math.isnan(x):
         raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if math.isinf(x):
-        return math.inf
-    if x < 0.5:
-        return log_gamma(x + 1.0) - math.log(x)
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for k in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0 via exp(log_gamma). Overflows for x > ~171."""
-    return math.exp(log_gamma(x))
-
-
-def sinpi(x: float) -> float:
-    """sin(pi*x) with range reduction so integer x gives exactly 0.
-
-    Direct math.sin(math.pi*x) loses relative accuracy for large x and is
-    not exactly zero at integers; reducing modulo 2 first fixes both.
-    """
-    x = float(x)
-    r = math.fmod(x, 2.0)  # same sign as x, |r| < 2
-    if r == math.floor(r):
-        return 0.0
-    return math.sin(math.pi * r)
-
-
-def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x), total on the reals.
-
-    Exactly 0.0 at x = 0, -1, -2, ... (the poles of Gamma); the reflection
-    formula Gamma(x)Gamma(1-x) = pi/sin(pi x) handles x <= 0.5:
-
-        1/Gamma(x) = Gamma(1-x) * sin(pi x) / pi
-    """
-    x = float(x)
-    if x > 0.5:
-        return math.exp(-log_gamma(x))
-    s = sinpi(x)
-    if s == 0.0:
-        return 0.0
-    # log-space to survive large |x|: Gamma(1-x) overflows early otherwise
-    lg = log_gamma(1.0 - x)
-    magnitude = lg + math.log(abs(s)) - math.log(math.pi)
-    return math.copysign(math.exp(magnitude), s)
-
-
-def log_beta(a: float, b: float) -> float:
-    """log Beta(a,b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b)."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
-
-
-def beta_fn(a: float, b: float) -> float:
-    return math.exp(log_beta(a, b))
+    return math.lgamma(x)
 
 
 def rising_factorial(x, s: int):
@@ -167,16 +82,3 @@ def stirling2(s: int, r: int) -> int:
     if r == 0:
         return 0
     return r * stirling2(s - 1, r) + stirling2(s - 1, r - 1)
-
-
-def as_fraction(x) -> Fraction:
-    """Coerce int/str/Fraction (and float only if exactly representable intent
-    is explicit) to Fraction. Floats are rejected to avoid silently blessing
-    binary artifacts as exact values."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot treat {x!r} as an exact rational; pass int, str, or Fraction")

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .urns import UrnSpec, branch_urn, draw_color, polya_young, triangular
+from .urns import UrnSpec, _num, branch_urn, draw_color, polya_young, triangular
 
 __all__ = [
     "TreeFamily",
@@ -46,16 +46,6 @@ __all__ = [
     "simulate_statistic_batch",
     "simulate_branch_profile_batch",
 ]
-
-
-def _num(x):
-    if isinstance(x, bool):
-        raise TypeError("bool is not a tree parameter")
-    if isinstance(x, (int, str, Fraction)):
-        return Fraction(x)
-    if isinstance(x, float):
-        return x
-    raise TypeError(f"unsupported parameter {x!r}")
 
 
 @dataclass(frozen=True)
@@ -251,20 +241,9 @@ class Forest:
             if parent is not None and self.is_root[parent]
         )
 
-    def branch_sizes(self, m: int = 0) -> list[int]:
-        """Subtree sizes of root m's direct children."""
-        sizes = self.subtree_sizes()
-        root = self.index_of(("root", m))
-        return [sizes[i] for i, parent in enumerate(self.parents) if parent == root]
-
 
 # ---------------------------------------------------------------------------
 # urn correspondences
-
-
-def _check_birth(p: int, N: int, j: int) -> None:
-    if not 1 <= j <= N:
-        raise ValueError("node birth time must lie in 1..N")
 
 
 def descendants_urn(family: TreeFamily, p: int, j: int) -> UrnSpec:

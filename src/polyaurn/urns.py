@@ -15,8 +15,6 @@ exact DP over white-draw counts linear in state.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, replace
@@ -24,8 +22,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-from .rng import spawn_generator
 
 __all__ = [
     "UrnSpec",
@@ -39,6 +35,8 @@ __all__ = [
     "thue_morse_index",
     "total_balls",
     "totals_list",
+    "Schedule",
+    "schedule",
     "ell_at",
     "immigration_at",
     "apply_draw",
@@ -57,12 +55,8 @@ __all__ = [
 def _num(x):
     """Numeric coercion: ints/strings become Fractions (exact); floats stay floats."""
     if isinstance(x, bool):
-        raise TypeError("bool is not a valid urn parameter")
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+        raise TypeError("bool is not a valid model parameter")
+    if isinstance(x, (int, str, Fraction)):
         return Fraction(x)
     if isinstance(x, float):
         return x
@@ -301,43 +295,72 @@ def immigration_at(spec: UrnSpec, i: int):
     return spec.white_immigration[(i - 1) % spec.period]
 
 
-def _row_sum(spec: UrnSpec, color: int, i: int):
-    """Total added to the urn at step i when `color` is drawn (deterministic
-    by balance: independent of color for every supported spec)."""
-    if spec.kind == "branch":
-        return sum(spec.matrices[color]) + ell_at(spec, i)
-    return spec.sigma + ell_at(spec, i) + immigration_at(spec, i)
+@dataclass(frozen=True)
+class Schedule:
+    """Deterministic step schedule up to step N, as integers over one common
+    denominator d: totals[j] = d*T_j for j = 0..N; ells and imm hold
+    d*ell_at(i) and d*immigration_at(i) over one cycle of steps i = 1, 2, ...,
+    which repeats to cover steps 1..N.  The arrays are int64 while every
+    value stays below 2**53 and hold Python ints beyond, so they never wrap."""
+
+    d: int
+    exact: bool
+    totals: np.ndarray
+    ells: np.ndarray
+    imm: np.ndarray
+
+    def real(self, values) -> np.ndarray:
+        """values/d as float64, correctly rounded."""
+        return np.asarray(values / self.d, dtype=float)
+
+    def total(self, j: int):
+        """T_j: a Fraction for exact specs, a float otherwise."""
+        t = int(self.totals[j])
+        return Fraction(t, self.d) if self.exact else t / self.d
+
+
+def _per_step(row: np.ndarray, N: int) -> np.ndarray:
+    """A one-cycle row repeated over steps 1..N."""
+    return np.tile(row, -(-N // len(row)))[:N]
+
+
+def schedule(spec: UrnSpec, N: int) -> Schedule:
+    """Step schedule of `spec` for steps 1..N.
+
+    ell_at and immigration_at are read over one cycle (the period, or all N
+    steps for a sequence-driven spec); the totals are the running sum of the
+    per-step additions, which by balance do not depend on the drawn color."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    cycle = max(N, 1) if spec.sequence_name is not None else spec.period
+    base = Fraction(sum(spec.matrices[0]) if spec.kind == "branch" else spec.sigma)
+    ells = [Fraction(ell_at(spec, i)) for i in range(1, cycle + 1)]
+    imms = [Fraction(immigration_at(spec, i)) for i in range(1, cycle + 1)]
+    t0 = Fraction(spec.total_initial)
+    values = [t0, base, *map(Fraction, spec.initial), *ells, *imms]
+    d = math.lcm(*(v.denominator for v in values))
+    d_ells = [int(v * d) for v in ells]
+    d_imms = [int(v * d) for v in imms]
+    d_adds = [int(base * d) + e + m for e, m in zip(d_ells, d_imms)]
+    big = max(abs(v) for v in (d, int(t0 * d), *d_ells, *d_imms, *d_adds))
+    dtype = np.int64 if big * (N + 1) < 2**53 else object
+    totals = np.empty(N + 1, dtype=dtype)
+    totals[0] = int(t0 * d)
+    totals[1:] = _per_step(np.array(d_adds, dtype=dtype), N)
+    np.cumsum(totals, out=totals)
+    return Schedule(d, spec.is_exact, totals, np.array(d_ells, dtype=dtype),
+                    np.array(d_imms, dtype=dtype))
 
 
 def total_balls(spec: UrnSpec, N: int):
     """Total mass T_N after N steps (T_0 = sum of initial counts)."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    total = spec.total_initial
-    if spec.kind == "branch":
-        base = sum(spec.matrices[0])
-        return total + N * base + (N // spec.period) * spec.ell
-    if spec.sequence_name is not None:
-        extra = sum(ell_at(spec, i) for i in range(1, N + 1))
-        return total + N * spec.sigma + extra
-    p = spec.period
-    n, k = divmod(N, p)
-    cycle = sum(spec.phase_ells)
-    head = sum(spec.phase_ells[:k])
-    total = total + N * spec.sigma + n * cycle + head
-    if spec.white_immigration is not None:
-        total = total + n * sum(spec.white_immigration) + sum(spec.white_immigration[:k])
-    return total
+    return schedule(spec, N).total(N)
 
 
 def totals_list(spec: UrnSpec, N: int) -> list:
     """[T_0, T_1, ..., T_{N-1}]: the totals seen by steps 1..N."""
-    out = []
-    total = spec.total_initial
-    for i in range(1, N + 1):
-        out.append(total)
-        total = total + _row_sum(spec, 0, i)
-    return out
+    sched = schedule(spec, N)
+    return [sched.total(j) for j in range(N)]
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +449,8 @@ def simulate_white_batch(
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     sigma = float(spec.sigma)
     W = np.full(n_reps, float(spec.initial[0]))
-    total = float(spec.total_initial)
+    sched = schedule(spec, N)
+    totals, imms = (sched.real(v).tolist() for v in (sched.totals, _per_step(sched.imm, N)))
     out = []
     if checkpoints and checkpoints[0] == 0:
         out.append(W.copy())
@@ -434,11 +458,9 @@ def simulate_white_batch(
     pending = list(checkpoints)
     for i in range(1, N + 1):
         u = rng.random(n_reps)
-        W += sigma * (u * total <= W)
-        imm = immigration_at(spec, i)
-        if imm:
-            W += float(imm)
-        total += float(_row_sum(spec, 0, i))
+        W += sigma * (u * totals[i - 1] <= W)
+        if imms[i - 1]:
+            W += imms[i - 1]
         if pending and i == pending[0]:
             out.append(W.copy())
             pending.pop(0)
@@ -453,31 +475,27 @@ def simulate_counts_batch(spec: UrnSpec, N: int, n_reps: int, seed: int) -> np.n
         rows = np.array([[float(v) for v in row] for row in spec.matrices])
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     counts = np.tile([float(c) for c in spec.initial], (n_reps, 1))
-    total = float(spec.total_initial)
     sigma = float(spec.sigma) if spec.sigma is not None else 0.0
+    sched = schedule(spec, N)
+    totals, ells, imms = (sched.real(v).tolist() for v in
+                          (sched.totals, _per_step(sched.ells, N), _per_step(sched.imm, N)))
     idx = np.arange(n_reps)
     for i in range(1, N + 1):
         u = rng.random(n_reps)
-        x = (u * total)[:, None]
+        x = (u * totals[i - 1])[:, None]
         cum = np.cumsum(counts, axis=1)
         color = (cum < x).sum(axis=1)
         color = np.minimum(color, spec.colors - 1)
         if rows is None:
             counts[idx, color] += sigma
-            ell = float(ell_at(spec, i))
-            if ell:
-                counts[:, -1] += ell
-            imm = float(immigration_at(spec, i))
-            if imm:
-                counts[:, 0] += imm
         else:
             counts += rows[color]
-            ell = float(ell_at(spec, i))
-            if ell:
-                counts[:, -1] += ell
-            if counts.min() < -1e-9:
-                raise ValueError(f"urn became untenable at step {i}")
-        total += float(_row_sum(spec, 0, i))
+        if ells[i - 1]:
+            counts[:, -1] += ells[i - 1]
+        if imms[i - 1]:
+            counts[:, 0] += imms[i - 1]
+        if rows is not None and counts.min() < -1e-9:
+            raise ValueError(f"urn became untenable at step {i}")
     return counts
 
 
@@ -529,17 +547,6 @@ class Pmf:
         keys = set(mine) | set(theirs)
         return 0.5 * float(sum(abs(float(mine.get(k, 0)) - float(theirs.get(k, 0))) for k in keys))
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["value", "probability"])
-        for x, p in zip(self.support, self.probs):
-            if isinstance(p, Fraction):
-                writer.writerow([x, f"{p.numerator}/{p.denominator}"])
-            else:
-                writer.writerow([x, repr(p)])
-        return buf.getvalue()
-
 
 def empirical_pmf(samples: Iterable) -> Pmf:
     counts: dict = {}
@@ -570,34 +577,51 @@ def exact_pmf_dp(spec: UrnSpec, N: int, mode: str = "auto") -> Pmf:
     increment of sigma exactly on color-0 draws, which holds for every
     two-color py_like spec (including immigration variants).
 
-    Exact mode keeps all probabilities as Fractions and the result sums to 1
-    exactly; float mode is noted on the Pmf by its float probabilities.
+    Both modes run one two-slice update over the draw count.  Exact mode
+    carries integer path weights (d*white and d*(T - white) per step, d the
+    schedule's common denominator) and divides once by prod_j d*T_j, so the
+    result sums to 1 exactly; float mode carries float64 probabilities.
     """
     if spec.kind != "py_like" or spec.colors != 2:
         raise ValueError("exact_pmf_dp supports two-color py_like specs")
     exact = _resolve_mode(spec, N, mode)
-    one = Fraction(1) if exact else 1.0
-    w0 = spec.initial[0] if exact else float(spec.initial[0])
-    sigma = spec.sigma if exact else float(spec.sigma)
-    probs = [one]
-    total = spec.total_initial if exact else float(spec.total_initial)
-    imm_acc = w0 * 0
-    for i in range(1, N + 1):
-        nxt = [one * 0] * (len(probs) + 1)
-        for k, pk in enumerate(probs):
-            if pk == 0:
-                continue
-            white = w0 + k * sigma + imm_acc
-            pw = white / total
-            nxt[k + 1] += pk * pw
-            nxt[k] += pk * (1 - pw)
+    sched = schedule(spec, N)
+    # imm[i]: immigration into color 0 before step i+1
+    imm = np.concatenate(([0], np.cumsum(_per_step(sched.imm, N))))
+    if exact:
+        d = sched.d
+        totals = sched.totals.tolist()
+        imm = imm.tolist()
+        w0 = int(spec.initial[0] * d)
+        draws = np.arange(N + 1, dtype=object) * int(spec.sigma * d)
+        probs = np.ones(1, dtype=object)
+    else:
+        totals = sched.real(sched.totals).tolist()
+        imm = sched.real(imm).tolist()
+        w0 = float(spec.initial[0])
+        draws = np.arange(N + 1) * float(spec.sigma)
+        probs = np.ones(1)
+    for i in range(N):
+        white = w0 + draws[: i + 1] + imm[i]
+        if exact:
+            up, stay = white, totals[i] - white
+        else:
+            up = white / totals[i]
+            stay = 1 - up
+        nxt = np.zeros(i + 2, dtype=probs.dtype)
+        nxt[1:] = probs * up
+        nxt[:-1] += probs * stay
         probs = nxt
-        imm = immigration_at(spec, i)
-        imm_acc = imm_acc + (imm if exact else float(imm))
-        total = total + (_row_sum(spec, 0, i) if exact else float(_row_sum(spec, 0, i)))
+    support = (w0 + draws + imm[N]).tolist()
+    if exact:
+        den = math.prod(totals[:N])
+        support = [Fraction(w, d) for w in support]
+        probs = [Fraction(q, den) for q in probs]
+    else:
+        probs = probs.tolist()
     # unreachable counts (e.g. "all draws black" when the black side starts
     # empty) carry probability exactly 0 in both arithmetic modes; drop them
-    kept = [(w0 + k * sigma + imm_acc, q) for k, q in enumerate(probs) if q != 0]
+    kept = [(w, q) for w, q in zip(support, probs) if q != 0]
     pmf = Pmf(tuple(w for w, _ in kept), tuple(q for _, q in kept))
     pmf.check_total(tol=1e-9)
     return pmf

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from polyaurn.cli import run
+from polyaurn.urns import exact_pmf_dp, sequence_urn
 
 
 def run_to_file(tmp_path, argv, name="out.txt"):
@@ -53,6 +54,16 @@ def test_urn_exact_pmf_fractions(tmp_path):
     probs = [Fraction(row[1]) for row in rows]
     assert sum(probs) == 1
     assert all(q > 0 for q in probs)
+
+
+def test_urn_exact_sequence_family_defaults(tmp_path):
+    code, text = run_to_file(
+        tmp_path, ["urn-exact", "--family", "seq", "--N", "3", "--pmf", "--mode", "exact"]
+    )
+    assert code == 0
+    rows = [line.split(",") for line in text.strip().splitlines()[3:]]
+    law = exact_pmf_dp(sequence_urn("thue_morse", 1, (1, 2), 1, 1), 3)
+    assert {Fraction(w): Fraction(q) for w, q in rows} == law.as_dict()
 
 
 def test_config_echo_includes_resolved_seed(tmp_path):
@@ -130,6 +141,9 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         run(["urn-exact", "--N", "2", "--no-such-flag"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["urn-exact", "--family", "seq", "--sequence", "thue-morse", "--N", "2"])
     assert exc.value.code == 2
 
 

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyaurn.crp import CrpParams, table_count_urn
 from polyaurn.urns import (
     Pmf,
+    branch_urn,
     empirical_pmf,
     enumerate_histories,
     exact_pmf_dp,
     marginal_pmf,
     multicolor_polya_young,
     polya_young,
+    schedule,
     sequence_urn,
     simulate,
     simulate_counts_batch,
@@ -22,6 +25,7 @@ from polyaurn.urns import (
     spec_to_json,
     thue_morse_index,
     total_balls,
+    totals_list,
     triangular,
     with_white_immigration,
 )
@@ -84,11 +88,18 @@ def test_dp_matches_enumeration_offsets_and_triangular():
         polya_young(2, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), 1),
         triangular(2, 1, 1, 2, 1, 1),
         triangular(3, 2, 1, 3, 2, 1, offset=2),
+        triangular(2, 1, Fraction(1, 3), Fraction(7, 5), 1, 2, offset=1),
+        table_count_urn(CrpParams(Fraction(1, 3), Fraction(2, 5), 3)),
+        polya_young(3, 2, 2, Fraction(9, 4), Fraction(3, 4)),
     ]
     for spec in specs:
         for N in range(1, 7):
             en = marginal_pmf(enumerate_histories(spec, N), 0)
             assert exact_pmf_dp(spec, N).as_dict() == en.as_dict()
+        # float mode runs the same update in float64
+        exact, flt = exact_pmf_dp(spec, 60, "exact"), exact_pmf_dp(spec, 60, "float")
+        assert flt.support == pytest.approx([float(w) for w in exact.support], rel=1e-15)
+        assert flt.probs == pytest.approx([float(q) for q in exact.probs], rel=1e-12, abs=1e-12)
 
 
 def test_zero_refresh_reduces_to_classical_polya():
@@ -142,6 +153,28 @@ def test_simulate_trajectory_consistency():
         assert sum(cur) == total_balls(STD, i)
         # color 0 moves by sigma exactly when color 0 was drawn
         assert cur[0] - prev[0] in (0, 1)
+    # the same conservation for one spec of every kind; the float spec's
+    # denominator 2**55 takes d*T_N past 2**63, which the schedule must hold
+    floats = polya_young(1, 0.1, 0.1, 1.0, 1.0)
+    specs = [
+        (polya_young(3, 1, 2, 1, 1, offset=1), 40),
+        (triangular(2, 1, Fraction(1, 3), Fraction(7, 5), 1, 2, offset=1), 40),
+        (multicolor_polya_young(3, 1, 2, (1, 2, 1)), 40),
+        (sequence_urn("thue_morse", 1, (1, 2), 1, 1), 40),
+        (with_white_immigration(triangular(2, 1, 1, 1, 1, 1), [0, 1]), 40),
+        (branch_urn(1, 2, 1, 4), 40),
+        (floats, 10_000),
+    ]
+    for spec, N in specs:
+        states = simulate(spec, N, seed=11, record=True)
+        assert sum(states[-1].counts) == pytest.approx(total_balls(spec, N), rel=1e-12)
+        for state, T in zip(states, totals_list(spec, N + 1), strict=True):
+            if spec.is_exact:
+                assert sum(state.counts) == T
+            else:
+                assert sum(state.counts) == pytest.approx(T, rel=1e-12)
+    assert schedule(floats, 10_000).totals[-1] > 2**63
+    assert total_balls(floats, 10_000) == float(2 + 20_000 * Fraction(0.1))
 
 
 def test_simulate_deterministic_per_seed():
