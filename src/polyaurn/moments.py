@@ -17,6 +17,7 @@ series cancels catastrophically for moderate arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -331,83 +332,102 @@ def _density_series_params(spec: UrnSpec):
     return cst, c, shifts, step, log_pref
 
 
-def limit_density(spec: UrnSpec, x, tol: float = 1e-12, max_terms: int = 10_000):
-    """Density of the per-period-normalized limit law at x (scalar or array).
+# The series stops after a window of terms below _TOL * |partial sum|;
+# _MAX_TERMS bounds its length, and density_cutoff stops at the first probe
+# with f(x)*(1+x)^2 below _CUTOFF_THRESHOLD.
+_TOL = 1e-12
+_MAX_TERMS = 10_000
+_CUTOFF_THRESHOLD = 1e-13
 
-    f(x) = A * sum_j (-1)^j / j! * prod_l rgamma(shift_l - j*delta/psi)
-               * x^(j + w0/sigma - 1),
-    an entire alternating series whose partial terms dwarf the result for
-    moderate x; evaluated with mpmath at a working precision raised until the
-    observed cancellation leaves at least 15 significant digits.
+
+class _DensitySeries:
+    """The limit density of one spec as f(x) = A * x^(c-1) * sum_j coef_j x^j,
+    coef_j = (-1)^j / j! * prod_l rgamma(shift_l - j*step), c = w0/sigma.
+
+    The coefficients do not depend on x, so each working precision keeps one
+    list, grown a term at a time as evaluations reach further.  With every
+    shift_l = n_l/D and step = m/D over one common denominator D, the
+    argument of rgamma returns to its residue class every r terms shifted
+    down by the integer q (step = q/r), so rgamma(a - q) = rgamma(a) *
+    prod_{i=1..q} (a - i) makes coef_j an integer ratio times coef_{j-r}.
+    One mp.rgamma call per shift and residue class seeds the lists.
     """
-    import mpmath as mp
 
-    cst, c, shifts, step, log_pref = _density_series_params(spec)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(xs)
-    for idx, xv in enumerate(xs):
-        if xv < 0:
-            out[idx] = 0.0
-            continue
-        if xv == 0.0:
-            if c > 1:
-                out[idx] = 0.0
-                continue
-            raise ValueError("density at 0 needs w0/sigma > 1")
-        j_min = int(xv ** (1.0 / (1.0 - cst.Lambda))) + 5
-        q_step, r_step = step.numerator, step.denominator
+    def __init__(self, spec: UrnSpec):
+        cst, self.c, shifts, step, self.log_pref = _density_series_params(spec)
+        self.Lambda = cst.Lambda
+        self.q, self.r = step.numerator, step.denominator
+        D = math.lcm(self.r, *(sh.denominator for sh in shifts))
+        self.D, self.m = D, self.q * (D // self.r)
+        self.nums = [sh.numerator * (D // sh.denominator) for sh in shifts]
         # adjacent shifts sit one step apart, so the sign-flip zeros of the
         # reciprocal-Gamma factors suppress runs of consecutive terms; only a
         # window longer than a full residue cycle proves actual convergence
-        small_needed = 2 * (len(shifts) + r_step) + 3
+        self.small_needed = 2 * (len(shifts) + self.r) + 3
+        self.coefs: dict[int, list] = {}
+        self.cutoff: float | None = None
+        self.grid: tuple | None = None  # (upper, points, xs, ws, smooth values)
+
+    def _extend(self, coefs: list) -> None:
+        """Append coef_j, j = len(coefs), at the current working precision."""
+        import mpmath as mp
+
+        j = len(coefs)
+        if j < self.r:
+            val = mp.mpf(-1 if j % 2 else 1) / mp.factorial(j)
+            for n in self.nums:
+                a = Fraction(n - j * self.m, self.D)
+                val *= mp.rgamma(mp.mpf(a.numerator) / a.denominator)
+        else:
+            num = -1 if self.r % 2 else 1
+            for n in self.nums:
+                prev = n - (j - self.r) * self.m
+                for i in range(1, self.q + 1):
+                    num *= prev - i * self.D
+            den = self.D ** (self.q * len(self.nums)) * math.perm(j, self.r)
+            val = coefs[j - self.r] * num / den
+        coefs.append(val)
+
+    def value(self, xv: float, power) -> float:
+        """A * sum_j coef_j xv^j * xv^power for xv > 0, at a working precision
+        raised until the observed cancellation leaves at least 15 digits."""
+        import mpmath as mp
+
+        j_min = int(xv ** (1.0 / (1.0 - self.Lambda))) + 5
+        if j_min + self.small_needed > _MAX_TERMS:
+            raise RuntimeError(
+                f"density series at x={xv} with Lambda={self.Lambda:.6g} needs about "
+                f"{j_min + self.small_needed} terms, more than {_MAX_TERMS}"
+            )
         dps = 30
         while True:
             with mp.workdps(dps + 10):
-                A = mp.e ** mp.mpf(log_pref)
+                coefs = self.coefs.setdefault(dps, [])
+                A = mp.e ** mp.mpf(self.log_pref)
                 x_mp = mp.mpf(xv)
-                # term_j = x^j/j! * prod_l rgamma(shift_l - j*step), all
-                # maintained by multiplicative recurrences: the base gains
-                # x/(j+1) per term, and the Gamma argument returns to the
-                # same residue class every r_step terms shifted down by the
-                # integer q_step, so rgamma(z - q) = rgamma(z) * prod (z-i).
-                # Arguments stay exact Fractions; one mp.rgamma call per
-                # residue class seeds each ring.
-                rings = [[None] * r_step for _ in shifts]
-                base = mp.mpf(1)
+                tol, tiny = mp.mpf(_TOL), mp.mpf(1e-300)
+                xpow = mp.mpf(1)
                 total = mp.mpf(0)
                 peak = mp.mpf(0)
                 small = 0
                 converged = False
-                for j in range(max_terms):
-                    term = base
-                    cls = j % r_step
-                    for l, sh in enumerate(shifts):
-                        if j < r_step:
-                            a = sh - j * step
-                            val = mp.rgamma(mp.mpf(a.numerator) / a.denominator)
-                        else:
-                            prev = sh - (j - r_step) * step
-                            val = rings[l][cls]
-                            for i in range(1, q_step + 1):
-                                ai = prev - i
-                                val *= mp.mpf(ai.numerator) / ai.denominator
-                        rings[l][cls] = val
-                        term *= val
-                    if j % 2:
-                        term = -term
+                for j in range(_MAX_TERMS):
+                    if j == len(coefs):
+                        self._extend(coefs)
+                    term = coefs[j] * xpow
                     total += term
-                    base *= x_mp / (j + 1)
+                    xpow *= x_mp
                     mag = abs(term)
                     peak = max(peak, mag)
                     if j >= j_min:
-                        bound = tol * max(abs(total), mp.mpf(1e-300))
+                        bound = tol * max(abs(total), tiny)
                         small = small + 1 if mag < bound else 0
-                        if small >= small_needed:
+                        if small >= self.small_needed:
                             converged = True
                             break
                 if not converged:
                     raise RuntimeError(
-                        f"density series at x={xv} did not settle in {max_terms} terms"
+                        f"density series at x={xv} did not settle in {_MAX_TERMS} terms"
                     )
                 cancelled = mp.log10(peak / abs(total)) if total != 0 and peak > 0 else 0
                 if cancelled > dps - 15:
@@ -417,37 +437,73 @@ def limit_density(spec: UrnSpec, x, tol: float = 1e-12, max_terms: int = 10_000)
                         )
                     dps = max(int(cancelled) + 30, dps + 40)
                     continue
-                val = A * total * x_mp ** (c - 1)
-                out[idx] = float(val)
-                break
+                return float(A * total * x_mp ** power)
+
+
+@functools.lru_cache(maxsize=8)
+def _series(spec: UrnSpec) -> _DensitySeries:
+    # a handful of specs: callers visit one spec for a few calls in a row
+    return _DensitySeries(spec)
+
+
+def limit_density(spec: UrnSpec, x):
+    """Density of the per-period-normalized limit law at x (scalar or array).
+
+    f(x) = A * sum_j (-1)^j / j! * prod_l rgamma(shift_l - j*delta/psi)
+               * x^(j + w0/sigma - 1),
+    an entire alternating series whose partial terms dwarf the result for
+    moderate x; evaluated with mpmath at a working precision raised until the
+    observed cancellation leaves at least 15 significant digits.
+    """
+    series = _series(spec)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros_like(xs)
+    for idx, xv in enumerate(xs):
+        if xv < 0 or (xv == 0.0 and series.c > 1):
+            continue
+        if xv == 0.0:
+            raise ValueError("density at 0 needs w0/sigma > 1")
+        out[idx] = series.value(float(xv), series.c - 1)
     return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
 
-def density_cutoff(spec: UrnSpec, threshold: float = 1e-13) -> float:
-    """Smallest probed x with f(x)*(1+x)^2 below threshold.
+def density_cutoff(spec: UrnSpec) -> float:
+    """Smallest probed x with f(x)*(1+x)^2 below 1e-13.
 
     Evaluating the density gets exponentially more expensive in the far tail
     (the series cancellation grows like x^(1/(1-Lambda))), so quadratures stop
     where the integrand mass is already negligible instead of at a fixed
     multiple of the mean.
     """
-    mu1 = limit_moments(spec, 1, "per_period")[0]
-    x = mu1 + 1.0
-    while x < 1000.0:
-        if limit_density(spec, x) * (1.0 + x) ** 2 < threshold:
-            return x
-        x *= 1.2
-    return x
+    series = _series(spec)
+    if series.cutoff is None:
+        x = limit_moments(spec, 1, "per_period")[0] + 1.0
+        while x < 1000.0 and limit_density(spec, x) * (1.0 + x) ** 2 >= _CUTOFF_THRESHOLD:
+            x *= 1.2
+        series.cutoff = x
+    return series.cutoff
 
 
 def tilted_density_moment(spec: UrnSpec, s: float, upper: float | None = None,
                           points: int = 400) -> float:
-    """Quadrature moment integral x^s f(x) dx of the limit density, using
-    Gauss-Legendre panels; mostly a validation helper."""
+    """Quadrature moment integral x^s f(x) dx of the limit density over
+    [0, upper]; mostly a validation helper.
+
+    Gauss-Jacobi nodes carry the weight x^(c-1), c = w0/sigma, and integrate
+    the smooth part f(x)/x^(c-1), so a density unbounded at 0 (c < 1) loses
+    no mass there.  The node values are kept for the next order on the same
+    grid.
+    """
+    series = _series(spec)
     if upper is None:
         upper = density_cutoff(spec)
-    nodes, weights = np.polynomial.legendre.leggauss(points)
-    xs = 0.5 * upper * (nodes + 1.0)
-    ws = 0.5 * upper * weights
-    fs = limit_density(spec, xs)
-    return float(np.sum(ws * fs * xs**s))
+    if series.grid is None or series.grid[:2] != (upper, points):
+        from scipy.special import roots_jacobi
+
+        nodes, weights = roots_jacobi(points, 0.0, series.c - 1.0)
+        xs = 0.5 * upper * (nodes + 1.0)
+        ws = (0.5 * upper) ** series.c * weights
+        gs = np.array([series.value(float(xv), 0) for xv in xs])
+        series.grid = (upper, points, xs, ws, gs)
+    _, _, xs, ws, gs = series.grid
+    return float(np.sum(ws * gs * xs**s))

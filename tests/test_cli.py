@@ -162,6 +162,23 @@ def test_verify_subcommands_pass(tmp_path):
         assert read_json(text)["results"]["status"] == "ok"
 
 
+def test_verify_density_on_singular_spec(tmp_path):
+    # w0/sigma = 1/2: the density is unbounded at 0
+    code, text = run_to_file(
+        tmp_path, ["verify", "--family", "py", "--sigma", "2", "--what", "density"]
+    )
+    assert code == 0
+    assert read_json(text)["results"]["status"] == "ok"
+
+
+def test_urn_limit_unsettled_density_exits_1(capsys):
+    code = run(["urn-limit", "--family", "py", "--p", "2", "--ell", "1/2",
+                "--density-grid", "8"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "x=8.0 with Lambda=0.8 needs about 32790 terms" in err
+
+
 def test_tail_sum_payload_fields(tmp_path):
     code, text = run_to_file(
         tmp_path,

@@ -3,7 +3,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import integrate
+
+from polyaurn import moments
+from polyaurn.laws import decomposition_for
 
 from polyaurn.specialfn import rising_factorial
 from polyaurn.urns import (
@@ -36,6 +42,8 @@ from polyaurn.urns import multicolor_polya_young
 STD = polya_young(2, 1, 1, 1, 1)
 TRI = triangular(2, 1, 1, 2, 1, 1)
 PY312 = polya_young(3, 1, 2, 1, 1)
+SINGULAR = polya_young(1, 2, 1, 1, 1)  # w0/sigma = 1/2: density unbounded at 0
+STALLED = polya_young(2, 1, Fraction(1, 2), 1, 1)  # Lambda = 4/5
 
 
 def test_product_ratio_frozen():
@@ -229,3 +237,77 @@ def test_density_quadrature_recovers_mass_and_mean():
     q1 = tilted_density_moment(STD, 1, upper=upper, points=120)
     assert q0 == pytest.approx(1.0, abs=1e-7)
     assert q1 == pytest.approx(limit_moments(STD, 1)[0], rel=1e-7)
+
+
+def test_density_series_values_do_not_depend_on_call_order():
+    xs = np.linspace(0.3, 10.5, 13)
+    moments._series.cache_clear()
+    cold = limit_density(STD, xs).tolist()
+    moments._series.cache_clear()
+    backward = limit_density(STD, xs[::-1])[::-1].tolist()
+    moments._series.cache_clear()
+    density_cutoff(STD)
+    assert limit_density(STD, xs).tolist() == cold == backward
+    # more specs than the cache holds evict STD; a rebuilt series agrees
+    first = moments._series(STD)
+    for k in range(moments._series.cache_info().maxsize + 1):
+        limit_density(polya_young(1, 1, 1, k + 1, 1), 1.0)
+    assert moments._series(STD) is not first
+    assert limit_density(STD, xs).tolist() == cold
+
+
+def test_density_series_fails_fast_when_it_cannot_settle():
+    # about x^(1/(1-Lambda)) = 8^5 terms are needed, more than the series allows
+    moments._series.cache_clear()
+    with pytest.raises(RuntimeError, match=r"x=8.0 with Lambda=0.8 needs about 32790 terms"):
+        limit_density(STALLED, 8.0)
+    assert not any(moments._series(STALLED).coefs.values())
+    with pytest.raises(RuntimeError, match="Lambda=0.8"):
+        density_cutoff(STALLED)
+
+
+def test_singular_density_quadrature_recovers_moments():
+    mus = limit_moments(SINGULAR, 2, "per_period")
+    assert tilted_density_moment(SINGULAR, 0, points=20) == pytest.approx(1.0, abs=1e-6)
+    assert tilted_density_moment(SINGULAR, 1, points=20) == pytest.approx(mus[0], rel=1e-6)
+    assert tilted_density_moment(SINGULAR, 2, points=20) == pytest.approx(mus[1], rel=1e-6)
+
+
+def _factorized_density(spec, x):
+    """Density at x of scale * Beta * GenGamma from decomposition_for, by
+    quadrature over the Beta factor, whose weight u^(a-1) (1-u)^(b-1) the
+    QAWS rule integrates exactly."""
+    dec = decomposition_for(spec)
+    assert dec.label == "beta_gengamma" and len(dec.law.children) == 2
+    (a, b), (ga, gb) = (law.params for law in dec.law.children)
+    log_norm = (math.log(gb) - math.lgamma(ga / gb)
+                - math.lgamma(a) - math.lgamma(b) + math.lgamma(a + b))
+
+    def gen_gamma_part(u):
+        if u == 0.0:
+            return 0.0
+        log_y = math.log(x / (dec.scale * u))
+        return math.exp(log_norm + (ga - 1) * log_y - math.exp(min(gb * log_y, 700.0))) / (
+            dec.scale * u
+        )
+
+    val, _ = integrate.quad(gen_gamma_part, 0.0, 1.0, weight="alg", wvar=(a - 1, b - 1),
+                            epsabs=0.0, epsrel=1e-11, limit=200)
+    return val
+
+
+_RATIONALS = [Fraction(1, 3), Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(7, 3)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    p=st.integers(min_value=1, max_value=2),
+    sigma=st.sampled_from([Fraction(1, 2), 1, Fraction(3, 2), 2]),
+    w0=st.sampled_from(_RATIONALS),
+    b0=st.sampled_from(_RATIONALS),
+    x=st.floats(min_value=0.05, max_value=6.0),
+)
+def test_limit_density_matches_beta_gengamma_factorization(p, sigma, w0, b0, x):
+    # ell = sigma leaves one GenGamma factor next to the Beta factor
+    spec = polya_young(p, sigma, sigma, w0, b0)
+    assert limit_density(spec, x) == pytest.approx(_factorized_density(spec, x), rel=1e-9)
