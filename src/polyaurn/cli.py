@@ -1,8 +1,10 @@
 """Command-line surface: simulate the processes, print exact moments and
 limit constants, and run the closed-form verifiers.
 
-Every run echoes its fully resolved configuration (including the master
-seed) in the output, so a result file is reproducible from its own header.
+Every run echoes its fully resolved configuration in the output: the
+settings it read (including the master seed) and, for the urn subcommands,
+the model spec its flags resolved to, so a result file is reproducible from
+its own header.
 Exact quantities print as "num/den"; float mode prints 15 significant
 digits.  Exit codes: 0 success, 1 domain or verification failure, 2 usage.
 """
@@ -25,6 +27,7 @@ from .moments import (
     limit_density,
     limit_moments,
     raw_moments,
+    tilted_density_moment,
 )
 from .rng import resolve_master_seed
 from .stirling import (
@@ -53,10 +56,11 @@ from .urns import (
     sequence_urn,
     simulate_counts_batch,
     simulate_white_batch,
+    spec_to_json,
     triangular,
 )
 
-CSV_SCHEMA_VERSION = 1
+CSV_SCHEMA_VERSION = 2
 
 
 def _fmt(x, mode: str) -> str:
@@ -89,12 +93,24 @@ def _add_urn_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ells", default="1,2", help="seq: reinforcement per sequence value")
 
 
-def _add_common_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master seed (default: POLYA_SEED or 0)")
-    parser.add_argument("--mode", choices=["exact", "float"], default="exact")
+# the dests of the model flags, which the echo replaces with `model`
+_URN_PARSER = argparse.ArgumentParser(add_help=False)
+_add_urn_args(_URN_PARSER)
+_URN_KEYS = frozenset(vars(_URN_PARSER.parse_args([])))
+
+
+def _add_common_args(parser: argparse.ArgumentParser, reads: tuple) -> None:
+    """Output options for every subcommand; --seed, --mode and --threads only
+    where the subcommand `reads` them."""
+    if "seed" in reads:
+        parser.add_argument("--seed", type=int, default=None,
+                            help="master seed (default: POLYA_SEED or 0)")
+    if "mode" in reads:
+        parser.add_argument("--mode", choices=["exact", "float"], default="exact")
     parser.add_argument("--format", choices=["csv", "json"], default=None)
     parser.add_argument("--output", default=None, help="path (default: stdout)")
-    parser.add_argument("--threads", type=int, default=1)
+    if "threads" in reads:
+        parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--config", default=None, help="JSON file with flag defaults")
 
 
@@ -114,21 +130,28 @@ def _spec_from_args(args) -> "UrnSpec":
 
 
 def _resolved_config(args) -> dict:
+    """The settings the run read.  Once a spec is built, the model flags give
+    way to `model`, the spec as `spec_to_json` writes it."""
     skip = {"func", "config", "output"}
+    if hasattr(args, "model"):
+        skip |= _URN_KEYS
     out = {}
     for key, value in sorted(vars(args).items()):
         if key in skip or value is None:
             continue
-        out[key] = value if isinstance(value, (int, float, str, bool)) else str(value)
+        if key == "model":
+            value = json.loads(spec_to_json(value))
+        out[key] = value if isinstance(value, (int, float, str, bool, dict)) else str(value)
     return out
 
 
 def _emit(args, rows=None, header=None, payload=None) -> None:
-    """CSV (header + rows) or JSON (payload); both carry version and config."""
+    """Rows under a header, or a payload dict; CSV by default for rows, JSON
+    for a payload.  Both formats carry the version, schema and config."""
+    fmt = args.format = args.format or ("json" if rows is None else "csv")
     config = _resolved_config(args)
-    fmt = args.format or ("json" if payload is not None and rows is None else "csv")
     if fmt == "json":
-        body = payload if payload is not None else [dict(zip(header, row)) for row in rows]
+        body = payload if rows is None else [dict(zip(header, row)) for row in rows]
         text = json.dumps(
             {"version": __version__, "schema": CSV_SCHEMA_VERSION,
              "config": config, "results": body},
@@ -139,7 +162,7 @@ def _emit(args, rows=None, header=None, payload=None) -> None:
             f"# version={__version__} schema={CSV_SCHEMA_VERSION}",
             f"# config={json.dumps(config, default=str)}",
         ]
-        if payload is not None and rows is None:
+        if rows is None:
             header = ["key", "value"]
             rows = sorted(payload.items())
         lines.append(",".join(header))
@@ -161,7 +184,7 @@ def _pmf_rows(pmf: Pmf, mode: str):
 
 
 def cmd_constants(args) -> int:
-    spec = _spec_from_args(args)
+    spec = args.model
     c = asymptotic_constants(spec)
     payload = {
         "psi": float(c.psi),
@@ -176,20 +199,19 @@ def cmd_constants(args) -> int:
 
 
 def cmd_urn_exact(args) -> int:
-    spec = _spec_from_args(args)
+    spec = args.model
     if args.pmf:
-        pmf = exact_pmf_dp(spec, args.N, mode=args.mode if args.mode == "exact" else "float")
+        pmf = exact_pmf_dp(spec, args.N, mode=args.mode)
         _emit(args, rows=_pmf_rows(pmf, args.mode), header=["value", "probability"])
         return 0
-    mode = "exact" if args.mode == "exact" else "float"
-    moments = raw_moments(spec, args.N, args.moments, mode=mode)
+    moments = raw_moments(spec, args.N, args.moments, mode=args.mode)
     rows = [(s, _fmt(m, args.mode)) for s, m in enumerate(moments, start=1)]
     _emit(args, rows=rows, header=["s", "moment"])
     return 0
 
 
 def cmd_urn_sim(args) -> int:
-    spec = _spec_from_args(args)
+    spec = args.model
     seed = args.seed = resolve_master_seed(args.seed)
     if spec.kind == "py_like" and spec.colors == 2:
         samples = simulate_white_batch(spec, [args.N], args.replicates, seed)[0]
@@ -201,7 +223,7 @@ def cmd_urn_sim(args) -> int:
 
 
 def cmd_urn_limit(args) -> int:
-    spec = _spec_from_args(args)
+    spec = args.model
     rows = []
     mom = limit_moments(spec, args.smax, normalization=args.normalization)
     for s in range(1, args.smax + 1):
@@ -214,7 +236,7 @@ def cmd_urn_limit(args) -> int:
 
 
 def cmd_tail_sum(args) -> int:
-    spec = _spec_from_args(args)
+    spec = args.model
     seed = args.seed = resolve_master_seed(args.seed)
     report = tail_sum_experiment(spec, args.N, args.far, args.replicates, seed,
                                  threads=args.threads)
@@ -229,7 +251,6 @@ def cmd_tail_sum(args) -> int:
         "tail_sd": report.tail_sd,
         "tail_variance_at_N": tail_variance(spec, args.N),
     }
-    args.format = args.format or "json"
     _emit(args, payload=payload)
     return 0
 
@@ -306,7 +327,6 @@ def cmd_crp(args) -> int:
             "tree_ell": _fmt(ell, args.mode),
             "tree_beta": None if beta is None else _fmt(beta, args.mode),
         }
-        args.format = args.format or "json"
         _emit(args, payload=payload)
         return 0
     seed = args.seed = resolve_master_seed(args.seed)
@@ -317,25 +337,21 @@ def cmd_crp(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _spec_from_args(args)
+    spec = args.model
     if args.tol is None:
         args.tol = 1e-6 if args.what == "density" else 1e-9
     if args.what == "decomposition":
         report = verify_decomposition(spec, smax=args.smax)
+        worst = report.max_rel_error
         payload = {
             "label": report.label,
             "expected_scale": report.expected_scale,
             "fitted_scale": report.fitted_scale,
             "scale_rel_error": report.scale_rel_error,
             "moment_rel_errors": report.moment_rel_errors,
-            "max_rel_error": report.max_rel_error,
-            "tolerance": args.tol,
-            "status": "ok" if report.max_rel_error < args.tol else "fail",
+            "max_rel_error": worst,
         }
-        args.format = args.format or "json"
-        _emit(args, payload=payload)
-        return 0 if payload["status"] == "ok" else 1
-    if args.what == "martingale":
+    elif args.what == "martingale":
         worst = 0.0
         for N in (1, 2, 5, 10, 100, 1000):
             expect = sum(
@@ -345,25 +361,18 @@ def cmd_verify(args) -> int:
                 raw_moments(spec, N, 1, mode="float")[0]
             )
             worst = max(worst, abs(expect / float(spec.initial[0]) - 1.0))
-        payload = {"max_rel_error": worst, "tolerance": args.tol,
-                   "status": "ok" if worst < args.tol else "fail"}
-        args.format = args.format or "json"
-        _emit(args, payload=payload)
-        return 0 if payload["status"] == "ok" else 1
-    # density: integrate the limit density against 1, x, x^2 and compare
-    from .moments import tilted_density_moment
-
-    mom = limit_moments(spec, 2, normalization="per_period")
-    errs = {
-        "mass": abs(tilted_density_moment(spec, 0) - 1.0),
-        "mean": abs(tilted_density_moment(spec, 1) / mom[0] - 1.0),
-        "second": abs(tilted_density_moment(spec, 2) / mom[1] - 1.0),
-    }
-    status = "ok" if max(errs.values()) < args.tol else "fail"
-    payload = {**{k: format(v, ".6g") for k, v in errs.items()},
-               "tolerance": args.tol, "status": status}
-    args.format = args.format or "json"
-    _emit(args, payload=payload)
+        payload = {"max_rel_error": worst}
+    else:  # density: integrate the limit density against 1, x, x^2 and compare
+        mom = limit_moments(spec, 2, normalization="per_period")
+        errs = {
+            "mass": abs(tilted_density_moment(spec, 0) - 1.0),
+            "mean": abs(tilted_density_moment(spec, 1) / mom[0] - 1.0),
+            "second": abs(tilted_density_moment(spec, 2) / mom[1] - 1.0),
+        }
+        worst = max(errs.values())
+        payload = {k: format(v, ".6g") for k, v in errs.items()}
+    status = "ok" if worst < args.tol else "fail"
+    _emit(args, payload={**payload, "tolerance": args.tol, "status": status})
     return 0 if status == "ok" else 1
 
 
@@ -380,23 +389,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.command_parsers = {}
 
-    def add(name, fn, urn=True):
+    def add(name, fn, urn=True, reads=()):
         sp = sub.add_parser(name)
         if urn:
             _add_urn_args(sp)
-        _add_common_args(sp)
+        _add_common_args(sp, reads)
         sp.set_defaults(func=fn)
         parser.command_parsers[name] = sp
         return sp
 
     add("constants", cmd_constants)
 
-    sp = add("urn-exact", cmd_urn_exact)
+    sp = add("urn-exact", cmd_urn_exact, reads=("mode",))
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--moments", type=int, default=2)
     sp.add_argument("--pmf", action="store_true", help="emit the distribution instead")
 
-    sp = add("urn-sim", cmd_urn_sim)
+    sp = add("urn-sim", cmd_urn_sim, reads=("seed", "mode"))
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--replicates", type=int, default=10_000)
 
@@ -406,12 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
                     default="family")
     sp.add_argument("--density-grid", default=None, help="comma list of x values")
 
-    sp = add("tail-sum", cmd_tail_sum)
+    sp = add("tail-sum", cmd_tail_sum, reads=("seed", "threads"))
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--far", type=int, required=True)
     sp.add_argument("--replicates", type=int, default=10_000)
 
-    sp = add("tree-sim", cmd_tree_sim, urn=False)
+    sp = add("tree-sim", cmd_tree_sim, urn=False, reads=("seed", "mode"))
     sp.add_argument("--tree-family", choices=["recursive", "dary", "gport"],
                     default="recursive")
     sp.add_argument("--p", type=int, default=1)
@@ -430,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--compare", action="store_true",
                     help="append total-variation distance to the matching urn law")
 
-    sp = add("stirling", cmd_stirling, urn=False)
+    sp = add("stirling", cmd_stirling, urn=False, reads=("seed", "mode"))
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--p", type=int, default=2)
     sp.add_argument("--t", type=int, default=1)
@@ -439,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="urn-law")
     sp.add_argument("--replicates", type=int, default=10_000)
 
-    sp = add("crp", cmd_crp, urn=False)
+    sp = add("crp", cmd_crp, urn=False, reads=("seed", "mode"))
     sp.add_argument("--a", default="1/2")
     sp.add_argument("--theta", default="1/2")
     sp.add_argument("--theta-bar", default=None)
@@ -478,6 +487,8 @@ def run(argv=None) -> int:
         sub.set_defaults(**defaults)
         args = parser.parse_args(argv)
     try:
+        if hasattr(args, "family"):  # an urn subcommand: resolve its model once
+            args.model = _spec_from_args(args)
         return args.func(args)
     except (ValueError, TypeError, ZeroDivisionError, NotImplementedError,
             RuntimeError, OverflowError) as exc:

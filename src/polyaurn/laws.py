@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .moments import LimitConstants, asymptotic_constants, limit_moments
+from .moments import asymptotic_constants, limit_moments
 from .specialfn import log_gamma
 from .urns import UrnSpec
 

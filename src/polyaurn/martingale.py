@@ -33,8 +33,7 @@ from .moments import (
     log_product_ratio,
 )
 from .rng import fsum_rows, run_blocks
-from .specialfn import rising_factorial
-from .urns import UrnSpec, simulate_white_batch, spec_from_json, spec_to_json
+from .urns import UrnSpec, simulate_white_batch
 
 __all__ = [
     "martingale_value",
@@ -153,9 +152,8 @@ class TailSumReport:
     tail_sd: float  # sqrt(s^2_{N+1} - s^2_{N_far+1})
 
 
-def _tail_worker(seed: int, count: int, spec_json: str, N: int, N_far: int,
+def _tail_worker(seed: int, count: int, spec: UrnSpec, N: int, N_far: int,
                  norm: tuple) -> list[float]:
-    spec = spec_from_json(spec_json)
     tail, scale_plugin = norm
     g_N, g_far = tail[:2]
     W_N, W_far = simulate_white_batch(spec, [N, N_far], count, seed)
@@ -196,7 +194,7 @@ def tail_sum_experiment(
         block_size,
         master_seed,
         threads=threads,
-        worker_args=(spec_to_json(spec), N, N_far, norm),
+        worker_args=(spec, N, N_far, norm),
     )
     sums = fsum_rows(rows)
     cond = _moments_from_sums(sums[0:4], n_reps)

@@ -396,7 +396,9 @@ class _DensitySeries:
 
     def value(self, xv: float, power) -> float:
         """A * sum_j coef_j xv^j * xv^power for xv > 0, at a working precision
-        raised until the observed cancellation leaves at least 15 digits."""
+        raised until the observed cancellation leaves at least 15 digits.
+        Terms stop counting against an absolute floor of 1e-300, so a sum
+        that settles below it is rounding noise and returns 0.0."""
         import mpmath as mp
 
         j_min = int(xv ** (1.0 / (1.0 - self.Lambda))) + 5
@@ -436,7 +438,9 @@ class _DensitySeries:
                         raise RuntimeError(
                             f"density series at x={xv} did not settle in {_MAX_TERMS} terms"
                         )
-                    cancelled = mp.log10(peak / abs(total)) if total != 0 and peak > 0 else 0
+                    if abs(total) < tiny:
+                        return 0.0
+                    cancelled = mp.log10(peak / abs(total)) if peak > 0 else 0
                     if cancelled > dps - 15:
                         if dps > 4000:
                             raise RuntimeError(

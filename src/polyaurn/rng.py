@@ -1,6 +1,6 @@
 """Deterministic seed derivation and order-independent parallel reduction.
 
-Replicate i of any experiment uses seed derived as mix64(master_seed, i).
+Block i of any experiment uses the seed derive_seed(master_seed, i).
 Work is partitioned into fixed-size blocks whose seeds depend only on the
 block index, never on the execution schedule, so results are bit-identical
 for any thread or process count.
@@ -13,33 +13,22 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
-__all__ = ["mix64", "derive_seed", "spawn_generator", "run_blocks", "resolve_master_seed"]
+__all__ = ["derive_seed", "run_blocks", "resolve_master_seed"]
 
 _MASK64 = (1 << 64) - 1
 
 
-def mix64(seed: int, index: int) -> int:
-    """SplitMix64 finalizer applied to (seed + golden-ratio * (index+1)).
+def derive_seed(master_seed: int, index: int) -> int:
+    """SplitMix64 finalizer applied to (master_seed + golden-ratio * (index+1)).
 
     A documented, reproducible 64-bit mixing function: the avalanche constants
     are the standard SplitMix64 ones, so any independent implementation of
     SplitMix64 reproduces the stream.
     """
-    z = (int(seed) + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = (int(master_seed) + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
-
-
-def derive_seed(master_seed: int, index: int) -> int:
-    return mix64(master_seed, index)
-
-
-def spawn_generator(master_seed: int, index: int) -> np.random.Generator:
-    """PCG64 generator for replicate/block `index` under `master_seed`."""
-    return np.random.Generator(np.random.PCG64(derive_seed(master_seed, index)))
 
 
 def resolve_master_seed(explicit: int | None = None) -> int:
@@ -54,17 +43,8 @@ def resolve_master_seed(explicit: int | None = None) -> int:
 
 def block_ranges(total: int, block_size: int) -> list[tuple[int, int, int]]:
     """Fixed partition of range(total) into (block_index, start, stop) triples."""
-    if total <= 0:
-        return []
-    out = []
-    start = 0
-    index = 0
-    while start < total:
-        stop = min(start + block_size, total)
-        out.append((index, start, stop))
-        start = stop
-        index += 1
-    return out
+    starts = range(0, total, block_size)
+    return [(index, start, min(start + block_size, total)) for index, start in enumerate(starts)]
 
 
 def run_blocks(
@@ -87,12 +67,9 @@ def run_blocks(
     jobs = [(derive_seed(master_seed, idx), stop - start) for idx, start, stop in blocks]
     if threads <= 1 or len(jobs) <= 1:
         return [worker(seed, count, *worker_args) for seed, count in jobs]
-    results = [None] * len(jobs)
     with ProcessPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(worker, seed, count, *worker_args) for seed, count in jobs]
-        for i, fut in enumerate(futures):
-            results[i] = fut.result()
-    return results
+        return [fut.result() for fut in futures]
 
 
 def fsum_rows(rows: Iterable[Sequence[float]]) -> list[float]:

@@ -558,6 +558,12 @@ def empirical_pmf(samples: Iterable) -> Pmf:
     return Pmf(tuple(support), tuple(Fraction(counts[s], n) for s in support))
 
 
+# mode="auto" runs exact arithmetic up to about 1 s of work.  Measured on
+# polya_young(2, 1, 1, 1, 1), 2-vCPU host: exact 0.013 s at N = 200, 0.43 s
+# at 800, 0.82 s at 1,000 and 1.4 s at 1,200; float 0.015 s at 1,200.
+_AUTO_EXACT_MAX_N = 1_000
+
+
 def _resolve_mode(spec: UrnSpec, N: int, mode: str) -> bool:
     """True = exact rational arithmetic."""
     if mode == "exact":
@@ -567,7 +573,7 @@ def _resolve_mode(spec: UrnSpec, N: int, mode: str) -> bool:
     if mode == "float":
         return False
     if mode == "auto":
-        return spec.is_exact and N <= 10_000
+        return spec.is_exact and N <= _AUTO_EXACT_MAX_N
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -627,12 +633,15 @@ def exact_pmf_dp(spec: UrnSpec, N: int, mode: str = "auto") -> Pmf:
     return pmf
 
 
-def enumerate_histories(spec: UrnSpec, N: int, guard: int = 10_000_000) -> Pmf:
+_ENUM_GUARD = 10_000_000
+
+
+def enumerate_histories(spec: UrnSpec, N: int) -> Pmf:
     """Joint law of the count vector after N steps by brute-force enumeration
     of all color sequences.  Exact when the spec is; the cost guard rejects
-    colors**N above `guard`."""
-    if spec.colors**N > guard:
-        raise ValueError(f"enumeration of {spec.colors}**{N} histories exceeds guard {guard}")
+    colors**N above _ENUM_GUARD."""
+    if spec.colors**N > _ENUM_GUARD:
+        raise ValueError(f"enumeration of {spec.colors}**{N} histories exceeds guard {_ENUM_GUARD}")
     exact = spec.is_exact
     one = Fraction(1) if exact else 1.0
     acc: dict[tuple, object] = {}

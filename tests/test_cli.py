@@ -1,12 +1,22 @@
 """End-to-end checks of the command-line surface."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polyaurn.cli import run
-from polyaurn.urns import exact_pmf_dp, sequence_urn
+from polyaurn.urns import (
+    exact_pmf_dp,
+    multicolor_polya_young,
+    polya_young,
+    sequence_urn,
+    spec_to_json,
+    triangular,
+)
 
 
 def run_to_file(tmp_path, argv, name="out.txt"):
@@ -31,7 +41,7 @@ def test_constants_json(tmp_path):
     assert float(res["psi"]) == 3.0
     assert float(res["lambda"]) == pytest.approx(2 / 3, rel=1e-12)
     assert float(res["kappa"]) == pytest.approx(1.0468191689798676, rel=1e-12)
-    assert doc["config"]["p"] == 2
+    assert doc["config"]["model"]["period"] == 2
 
 
 def test_urn_exact_moments_exact_strings(tmp_path):
@@ -99,7 +109,7 @@ def test_config_file_supplies_defaults(tmp_path):
     assert code == 0
     rows = text.strip().splitlines()
     assert rows[-1].startswith("3,")
-    assert json.loads(rows[1].split("=", 1)[1])["p"] == 2
+    assert json.loads(rows[1].split("=", 1)[1])["model"]["period"] == 2
 
 
 def test_config_does_not_override_explicit_flags(tmp_path):
@@ -110,7 +120,7 @@ def test_config_does_not_override_explicit_flags(tmp_path):
         ["urn-exact", "--family", "py", "--N", "2", "--p", "3", "--config", str(cfg)],
     )
     assert code == 0
-    assert json.loads(text.splitlines()[1].split("=", 1)[1])["p"] == 3
+    assert json.loads(text.splitlines()[1].split("=", 1)[1])["model"]["period"] == 3
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -232,3 +242,89 @@ def test_crp_seating_payload(tmp_path):
     assert res["new_table"] == "5/13"
     assert res["bar"] is None
     assert res["tree_alpha"] == "1" and res["tree_ell"] == "1"
+
+
+# the model flags of the urn subcommands; the echo replaces them with `model`
+URN_FLAGS = {"family", "p", "sigma", "ell", "ell1", "ell2", "w0", "b0", "offset", "initial",
+             "sequence", "ells"}
+URN_RUNS = {
+    "constants": [],
+    "urn-exact": ["--N", "3"],
+    "urn-sim": ["--N", "3", "--replicates", "20"],
+    "urn-limit": ["--smax", "2"],
+    "tail-sum": ["--N", "2", "--far", "4", "--replicates", "16"],
+    "verify": ["--what", "martingale"],
+}
+RATIOS = st.sampled_from(["1", "2", "1/2", "3/2"])
+
+
+@st.composite
+def model_flags(draw):
+    """Model flags of one urn family, and the spec they describe."""
+    family = draw(st.sampled_from(["py", "tri", "multi", "seq"]))
+    p = draw(st.integers(1, 3))
+    sigma, ell, ell2, w0, b0 = (draw(RATIOS) for _ in range(5))
+    F = Fraction
+    if family == "py":
+        flags = ["--p", str(p), "--ell", ell, "--w0", w0, "--b0", b0]
+        spec = polya_young(p, F(sigma), F(ell), F(w0), F(b0))
+    elif family == "tri":
+        flags = ["--p", str(p), "--ell1", ell, "--ell2", ell2, "--w0", w0, "--b0", b0]
+        spec = triangular(p, F(sigma), F(ell), F(ell2), F(w0), F(b0))
+    elif family == "multi":
+        initial = draw(st.lists(RATIOS, min_size=2, max_size=4))
+        flags = ["--p", str(p), "--ell", ell, "--initial", ",".join(initial)]
+        spec = multicolor_polya_young(p, F(sigma), F(ell), [F(v) for v in initial])
+    else:
+        flags = ["--sequence", "thue_morse", "--ells", f"{ell},{ell2}", "--w0", w0, "--b0", b0]
+        spec = sequence_urn("thue_morse", F(sigma), (F(ell), F(ell2)), F(w0), F(b0))
+    return ["--family", family, "--sigma", sigma, *flags], spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(sorted(URN_RUNS)), model=model_flags())
+# a multicolour model must echo none of the two-colour flags
+@example(command="urn-sim", model=(["--family", "multi", "--initial", "2,1,1"],
+                                   multicolor_polya_young(1, 1, 1, (2, 1, 1))))
+def test_sweep_urn_subcommands_echo_the_model_that_ran(command, model):
+    flags, spec = model
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([command, *flags, *URN_RUNS[command]])
+    if code == 1:  # a documented domain error, e.g. no limit constants for seq
+        assert err.getvalue().startswith("error: ")
+        return
+    assert code == 0
+    text = out.getvalue()
+    config = (json.loads(text) if text.startswith("{")
+              else {"config": json.loads(text.splitlines()[1].split("=", 1)[1])})["config"]
+    assert config["model"] == json.loads(spec_to_json(spec))
+    assert not URN_FLAGS & set(config)
+
+
+# flags a subcommand does not read, and so does not register
+REMOVED_FLAGS = [
+    *((command, flag) for command in ("constants", "urn-limit", "verify")
+      for flag in ("--seed", "--mode", "--threads")),
+    ("urn-exact", "--seed"), ("urn-exact", "--threads"), ("urn-sim", "--threads"),
+    ("tail-sum", "--mode"), ("tree-sim", "--threads"), ("stirling", "--threads"),
+    ("crp", "--threads"),
+]
+REQUIRED = {"urn-exact": ["--N", "2"], "urn-sim": ["--N", "2"],
+            "tail-sum": ["--N", "2", "--far", "4"], "tree-sim": ["--N", "3"],
+            "stirling": ["--N", "3"], "verify": ["--what", "martingale"]}
+
+
+def test_flags_a_subcommand_does_not_read_exit_2(tmp_path):
+    assert len(REMOVED_FLAGS) == 16
+    cfg = tmp_path / "cfg.json"
+    for command, flag in REMOVED_FLAGS:
+        value = "float" if flag == "--mode" else "2"
+        argv = [command, *REQUIRED.get(command, [])]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + [flag, value])
+        assert exc.value.code == 2, (command, flag)
+        cfg.write_text(json.dumps({flag[2:]: value}))
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--config", str(cfg)])
+        assert exc.value.code == 2, (command, flag, "config")

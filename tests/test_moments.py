@@ -275,6 +275,12 @@ def test_density_series_fails_fast_when_it_cannot_settle():
         density_cutoff(STALLED)
 
 
+def test_density_below_the_series_floor_is_zero():
+    # the sum settles under the 1e-300 floor its terms are compared against,
+    # so what is left (about -4e-315 here) is rounding noise, not a density
+    assert limit_density(polya_young(1, 1, 1, 1, 1), 75.0) == 0.0
+
+
 def test_singular_density_quadrature_recovers_moments():
     mus = limit_moments(SINGULAR, 2, "per_period")
     assert tilted_density_moment(SINGULAR, 0, points=20) == pytest.approx(1.0, abs=1e-6)

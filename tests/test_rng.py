@@ -10,7 +10,6 @@ from polyaurn.rng import (
     derive_seed,
     resolve_master_seed,
     run_blocks,
-    spawn_generator,
 )
 
 
@@ -24,14 +23,6 @@ def test_derive_seed_frozen_values():
 def test_derive_seed_distinct_across_indices():
     seen = {derive_seed(7, i) for i in range(2000)}
     assert len(seen) == 2000
-
-
-def test_spawn_generator_reproducible():
-    a = spawn_generator(99, 3).random(5)
-    b = spawn_generator(99, 3).random(5)
-    c = spawn_generator(99, 4).random(5)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
 
 
 def test_block_ranges_partition():

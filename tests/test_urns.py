@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyaurn.crp import CrpParams, table_count_urn
 from polyaurn.urns import (
+    _AUTO_EXACT_MAX_N,
     Pmf,
     branch_urn,
     empirical_pmf,
@@ -31,6 +32,13 @@ from polyaurn.urns import (
 )
 
 STD = polya_young(2, 1, 1, 1, 1)
+
+
+def test_auto_mode_is_exact_up_to_the_cutoff():
+    at = exact_pmf_dp(STD, _AUTO_EXACT_MAX_N)
+    above = exact_pmf_dp(STD, _AUTO_EXACT_MAX_N + 1)
+    assert all(isinstance(q, Fraction) for q in at.probs)
+    assert all(isinstance(q, float) for q in above.probs)
 
 
 def test_constructor_validation():
