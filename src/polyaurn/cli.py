@@ -295,6 +295,8 @@ def cmd_tree_sim(args) -> int:
 
 
 def cmd_stirling(args) -> int:
+    if args.what != "simulate":
+        args.seed = None  # only the simulation draws; the echo names no seed
     if args.what == "count":
         _emit(args, payload={"count": stirling_count(args.d, args.p, args.t, args.N)})
         return 0
@@ -315,6 +317,7 @@ def cmd_crp(args) -> int:
     params = CrpParams(Fraction(args.a), Fraction(args.theta), args.p,
                        Fraction(args.theta_bar) if args.theta_bar else None)
     if args.tables is not None:
+        args.seed = None  # seating probabilities are exact; the echo names no seed
         sizes = [int(s) for s in args.tables.split(",") if s.strip()]
         probs, fresh, bar = seating_probabilities(params, sizes, sum(sizes) + args.bar_count,
                                                   args.bar_count)

@@ -10,14 +10,13 @@ gives mixed rising moments in the multicolor model.
 
 Limit constants use the Gamma function on the grid r/psi + z, r = 0..p-1,
 where psi is the number of steps per unit of scaled time and z the scaled
-initial mass.  The limit density is an alternating series over reciprocal
-Gamma values; it is evaluated in adaptive arbitrary precision because the
-series cancels catastrophically for moderate arguments.
+initial mass.  The same Gamma products, continued to complex orders, are the
+Mellin transform of the limit law; the limit density inverts it along a
+vertical contour through the saddle point, in float64.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -303,210 +302,115 @@ def limit_mixed_moment(spec: UrnSpec, svec) -> float:
 # ---------------------------------------------------------------------------
 # limit density
 
-
-def _density_series_params(spec: UrnSpec):
-    """Series data for the limit density.
-
-    shifts and step are exact rationals: the reciprocal-Gamma arguments
-    shift - j*step feed a sum whose cancellation can run to hundreds of
-    digits, so they must be formed at working precision, not in float64.
-    """
-    cst = asymptotic_constants(spec)
-    c = float(_scaled_start(spec))
-    sigma = spec.sigma if spec.is_exact else Fraction(float(spec.sigma))
-    ell1 = spec.ell1 if spec.ell1 is not None else 0 * sigma
-    ell2 = spec.ell2 if spec.ell2 is not None else spec.ell
-    if not spec.is_exact:
-        ell1 = Fraction(float(ell1))
-        ell2 = Fraction(float(ell2))
-    sigma_unit = sigma + ell1
-    psi = spec.period + (ell2 - ell1) / sigma_unit
-    step = (sigma / sigma_unit) / psi
-    b0_scaled = spec.initial[-1] / (sigma_unit * psi)
-    if not spec.is_exact:
-        b0_scaled = Fraction(float(spec.initial[-1])) / (sigma_unit * psi)
-    shifts = [Fraction(lam) / psi + b0_scaled for lam in range(cst.period)]
-    log_pref = -log_gamma(c)
-    for r in range(cst.period):
-        log_pref += log_gamma(r / cst.psi + cst.z)
-    return cst, c, shifts, step, log_pref
-
-
-# The series stops after a window of terms below _TOL * |partial sum|;
-# _MAX_TERMS bounds its length, and density_cutoff stops at the first probe
-# with f(x)*(1+x)^2 below _CUTOFF_THRESHOLD.  Between evaluations a series
-# keeps at most _KEEP_TERMS coefficients (about 1 MB at 30-70 digits; a grid
-# to the cutoff of a benchmark spec needs up to 2,568); the highest
-# precisions go first.
-_TOL = 1e-12
-_MAX_TERMS = 10_000
+# density_cutoff stops at the first probe with f(x)*(1+x)^2 below this.
 _CUTOFF_THRESHOLD = 1e-13
-_KEEP_TERMS = 4096
+# The trapezoid rule on the contour.  With step h, the first pole of M(u)
+# a distance d left of the line costs about exp(-2*pi*d/h); ending the range
+# at T drops about exp(-pi*(1-Lambda)*T/2).  Both are held to exp(-_LOG_ERR).
+# Without the pole term, 8 of 300 fresh benchmark specs missed the 1e-9 gate.
+# The step also resolves the Gaussian bump at the saddle with _PER_SD nodes
+# per standard deviation, and the range spans at least _SD_SPAN of them.
+_LOG_ERR = 40.0
+_PER_SD = 4.0
+_SD_SPAN = 12.0
+# The bisection stops within this fraction of the distance to the pole, or
+# at adjacent floats; the contour need not pass exactly through the saddle.
+_SADDLE_TOL = 1e-6
 
 
-class _DensitySeries:
-    """The limit density of one spec as f(x) = A * x^(c-1) * sum_j coef_j x^j,
-    coef_j = (-1)^j / j! * prod_l rgamma(shift_l - j*step), c = w0/sigma.
+def _saddle(shift: np.ndarray, scale: np.ndarray, sign: np.ndarray, log_x: float) -> float:
+    """The real root u0 of phi'(u) = sum_k sign_k * scale_k *
+    digamma(shift_k + scale_k*u) - log x above the pole u = -shift_0, by
+    bisection.  phi is convex (a cumulant generating function plus a linear
+    term), and its derivative runs from -inf at the pole to +inf."""
+    from scipy.special import digamma
 
-    The coefficients do not depend on x, so each working precision keeps one
-    list, grown a term at a time as evaluations reach further.  With every
-    shift_l = n_l/D and step = m/D over one common denominator D, the
-    argument of rgamma returns to its residue class every r terms shifted
-    down by the integer q (step = q/r), so rgamma(a - q) = rgamma(a) *
-    prod_{i=1..q} (a - i) makes coef_j an integer ratio times coef_{j-r}.
-    One mp.rgamma call per shift and residue class seeds the lists.  Lists
-    beyond _KEEP_TERMS are dropped whenever an evaluation leaves a precision
-    and rebuilt, to the same digits, when needed again.
+    def slope(u):
+        return sign * scale @ digamma(shift + scale * u) - log_x
+
+    pole = -shift[0]
+    lo, width = pole, 1.0
+    while slope(lo + width) < 0.0:
+        lo, width = lo + width, 2.0 * width
+    hi = lo + width
+    while hi - lo > _SADDLE_TOL * (hi - pole) and lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
+    if lo == pole:
+        raise ValueError(f"no saddle right of the pole at u = {pole:.6g}")
+    return 0.5 * (lo + hi)
+
+
+def _mellin_density(spec: UrnSpec, x: float, tilt: float = 0.0) -> float:
+    """x^tilt * f(x) for x > 0, by Mellin-Barnes inversion of the moments.
+
+    The limit law has moments of Gamma type: with a_r = r/psi + z,
+    step = delta/psi and c = w0/sigma, M(u) = E[X^(u-1)]
+    = Gamma(c+u-1)/Gamma(c) * prod_r Gamma(a_r)/Gamma(a_r+(u-1)*step), so
+    f(x) = (1/2pi) int M(u0+it) x^-(u0+it) dt on any line right of the first
+    pole of M (u = 1-c unless the rest mass is 0).  On the line |M| decays
+    like exp(-pi*(1-Lambda)*|t|/2).  The line runs through the real saddle of
+    phi(u) = log M(u) - u*log x, so the integrand is a bump of height
+    exp(phi(u0)) with no cancellation, and the trapezoid rule in t converges
+    geometrically (Trefethen & Weideman 2014).
     """
+    from scipy.special import loggamma, polygamma
 
-    def __init__(self, spec: UrnSpec):
-        cst, self.c, shifts, step, self.log_pref = _density_series_params(spec)
-        self.Lambda = cst.Lambda
-        self.q, self.r = step.numerator, step.denominator
-        D = math.lcm(self.r, *(sh.denominator for sh in shifts))
-        self.D, self.m = D, self.q * (D // self.r)
-        self.nums = [sh.numerator * (D // sh.denominator) for sh in shifts]
-        # adjacent shifts sit one step apart, so the sign-flip zeros of the
-        # reciprocal-Gamma factors suppress runs of consecutive terms; only a
-        # window longer than a full residue cycle proves actual convergence
-        self.small_needed = 2 * (len(shifts) + self.r) + 3
-        self.coefs: dict[int, list] = {}
-        self.cutoff: float | None = None
-        self.grid: tuple | None = None  # (upper, points, xs, ws, smooth values)
-
-    def _extend(self, coefs: list) -> None:
-        """Append coef_j, j = len(coefs), at the current working precision."""
-        import mpmath as mp
-
-        j = len(coefs)
-        if j < self.r:
-            val = mp.mpf(-1 if j % 2 else 1) / mp.factorial(j)
-            for n in self.nums:
-                a = Fraction(n - j * self.m, self.D)
-                val *= mp.rgamma(mp.mpf(a.numerator) / a.denominator)
-        else:
-            num = -1 if self.r % 2 else 1
-            for n in self.nums:
-                prev = n - (j - self.r) * self.m
-                for i in range(1, self.q + 1):
-                    num *= prev - i * self.D
-            den = self.D ** (self.q * len(self.nums)) * math.perm(j, self.r)
-            val = coefs[j - self.r] * num / den
-        coefs.append(val)
-
-    def value(self, xv: float, power) -> float:
-        """A * sum_j coef_j xv^j * xv^power for xv > 0, at a working precision
-        raised until the observed cancellation leaves at least 15 digits.
-        Terms stop counting against an absolute floor of 1e-300, so a sum
-        that settles below it is rounding noise and returns 0.0."""
-        import mpmath as mp
-
-        j_min = int(xv ** (1.0 / (1.0 - self.Lambda))) + 5
-        if j_min + self.small_needed > _MAX_TERMS:
-            raise RuntimeError(
-                f"density series at x={xv} with Lambda={self.Lambda:.6g} needs about "
-                f"{j_min + self.small_needed} terms, more than {_MAX_TERMS}"
-            )
-        try:
-            dps = 30
-            while True:
-                with mp.workdps(dps + 10):
-                    coefs = self.coefs.setdefault(dps, [])
-                    A = mp.e ** mp.mpf(self.log_pref)
-                    x_mp = mp.mpf(xv)
-                    tol, tiny = mp.mpf(_TOL), mp.mpf(1e-300)
-                    xpow = mp.mpf(1)
-                    total = mp.mpf(0)
-                    peak = mp.mpf(0)
-                    small = 0
-                    converged = False
-                    for j in range(_MAX_TERMS):
-                        if j == len(coefs):
-                            self._extend(coefs)
-                        term = coefs[j] * xpow
-                        total += term
-                        xpow *= x_mp
-                        mag = abs(term)
-                        peak = max(peak, mag)
-                        if j >= j_min:
-                            bound = tol * max(abs(total), tiny)
-                            small = small + 1 if mag < bound else 0
-                            if small >= self.small_needed:
-                                converged = True
-                                break
-                    if not converged:
-                        raise RuntimeError(
-                            f"density series at x={xv} did not settle in {_MAX_TERMS} terms"
-                        )
-                    if abs(total) < tiny:
-                        return 0.0
-                    cancelled = mp.log10(peak / abs(total)) if peak > 0 else 0
-                    if cancelled > dps - 15:
-                        if dps > 4000:
-                            raise RuntimeError(
-                                f"density at x={xv} needs more than 4000 digits"
-                            )
-                        self._trim()
-                        dps = max(int(cancelled) + 30, dps + 40)
-                        continue
-                    return float(A * total * x_mp ** power)
-        finally:
-            self._trim()
-
-    def _trim(self) -> None:
-        held = sum(map(len, self.coefs.values()))
-        for dps in sorted(self.coefs, reverse=True):
-            if held <= _KEEP_TERMS:
-                break
-            held -= len(self.coefs.pop(dps))
-
-
-# Sized from measured reuse.  In the benchmark's shuffled limit_density mix
-# (seeds 1-40), 97% of the returns to a shared spec within one pass come
-# after fewer than 32 other specs (median 9, most 44); a return in a later
-# pass comes after more than 32, but for fresh draws that equal a shared
-# spec.  Criterion 6 and `verify --what density` call on one spec back to back.
-@functools.lru_cache(maxsize=32)
-def _series(spec: UrnSpec) -> _DensitySeries:
-    return _DensitySeries(spec)
+    cst = asymptotic_constants(spec)
+    if cst.Lambda >= 1.0:
+        raise ValueError(f"no density route at Lambda = {cst.Lambda:.6g} >= 1")
+    c = float(_scaled_start(spec))
+    a = np.arange(cst.period) / cst.psi + cst.z
+    step = cst.delta / cst.psi
+    # the Gamma arguments of M(u) are shift + scale*u: numerator first, so
+    # the signed scale is the slope of each term's digamma in phi'
+    shift = np.concatenate(([c - 1.0], a - step))
+    scale = np.concatenate(([1.0], np.full(cst.period, step)))
+    sign = np.concatenate(([1.0], np.full(cst.period, -1.0)))
+    log_const = sum(map(math.lgamma, a)) - math.lgamma(c)
+    # With rest mass 0, a_0 = step*c and Gamma(step*(c+u-1)) cancels the pole
+    # of Gamma(c+u-1) at u = 1-c (for delta = 1, the next p-1 too).  Rewrite
+    # each such Gamma(v)/Gamma(step*v) as step*Gamma(v+1)/Gamma(step*v+1), so
+    # that u = -shift_0 is the first true pole of M.
+    while (hit := np.flatnonzero(np.abs(shift[1:] - step * shift[0]) < 1e-9)).size:
+        shift[[0, 1 + hit[0]]] += 1.0
+        log_const += math.log(step)
+    log_x = math.log(x)
+    u0 = _saddle(shift, scale, sign, log_x)
+    kappa2 = sign * scale**2 @ polygamma(1, shift + scale * u0)
+    sd = 1.0 / math.sqrt(kappa2)
+    h = min(sd / _PER_SD, 2.0 * math.pi * (u0 + shift[0]) / _LOG_ERR)
+    span = max(_SD_SPAN * sd, 2.0 * _LOG_ERR / (math.pi * (1.0 - cst.Lambda)))
+    t = h * np.arange(int(span / h) + 1)
+    log_m = sign @ loggamma(shift[:, None] + scale[:, None] * (u0 + 1j * t))
+    bump = np.exp(log_m[1:] - log_m[0] - 1j * t[1:] * log_x).real
+    log_peak = log_m[0].real + log_const + (tilt - u0) * log_x
+    return math.exp(log_peak) * h / (2.0 * math.pi) * (1.0 + 2.0 * bump.sum())
 
 
 def limit_density(spec: UrnSpec, x):
-    """Density of the per-period-normalized limit law at x (scalar or array).
-
-    f(x) = A * sum_j (-1)^j / j! * prod_l rgamma(shift_l - j*delta/psi)
-               * x^(j + w0/sigma - 1),
-    an entire alternating series whose partial terms dwarf the result for
-    moderate x; evaluated with mpmath at a working precision raised until the
-    observed cancellation leaves at least 15 significant digits.
-    """
-    series = _series(spec)
+    """Density of the per-period-normalized limit law at x (scalar or array),
+    by Mellin-Barnes inversion of the limit moments (see _mellin_density);
+    float64 throughout, for every Lambda < 1."""
+    c = float(_scaled_start(spec))
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(xs)
     for idx, xv in enumerate(xs):
-        if xv < 0 or (xv == 0.0 and series.c > 1):
+        if xv < 0 or (xv == 0.0 and c > 1):
             continue
         if xv == 0.0:
             raise ValueError("density at 0 needs w0/sigma > 1")
-        out[idx] = series.value(float(xv), series.c - 1)
+        out[idx] = _mellin_density(spec, float(xv))
     return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
 
 def density_cutoff(spec: UrnSpec) -> float:
-    """Smallest probed x with f(x)*(1+x)^2 below 1e-13.
-
-    Evaluating the density gets exponentially more expensive in the far tail
-    (the series cancellation grows like x^(1/(1-Lambda))), so quadratures stop
+    """Smallest probed x with f(x)*(1+x)^2 below 1e-13: quadratures stop
     where the integrand mass is already negligible instead of at a fixed
-    multiple of the mean.
-    """
-    series = _series(spec)
-    if series.cutoff is None:
-        x = limit_moments(spec, 1, "per_period")[0] + 1.0
-        while x < 1000.0 and series.value(x, series.c - 1) * (1.0 + x) ** 2 >= _CUTOFF_THRESHOLD:
-            x *= 1.2
-        series.cutoff = x
-    return series.cutoff
+    multiple of the mean."""
+    x = limit_moments(spec, 1, "per_period")[0] + 1.0
+    while x < 1000.0 and _mellin_density(spec, x) * (1.0 + x) ** 2 >= _CUTOFF_THRESHOLD:
+        x *= 1.2
+    return x
 
 
 def tilted_density_moment(spec: UrnSpec, s: float, upper: float | None = None,
@@ -516,19 +420,15 @@ def tilted_density_moment(spec: UrnSpec, s: float, upper: float | None = None,
 
     Gauss-Jacobi nodes carry the weight x^(c-1), c = w0/sigma, and integrate
     the smooth part f(x)/x^(c-1), so a density unbounded at 0 (c < 1) loses
-    no mass there.  The node values are kept for the next order on the same
-    grid.
+    no mass there.
     """
-    series = _series(spec)
+    from scipy.special import roots_jacobi
+
+    c = float(_scaled_start(spec))
     if upper is None:
         upper = density_cutoff(spec)
-    if series.grid is None or series.grid[:2] != (upper, points):
-        from scipy.special import roots_jacobi
-
-        nodes, weights = roots_jacobi(points, 0.0, series.c - 1.0)
-        xs = 0.5 * upper * (nodes + 1.0)
-        ws = (0.5 * upper) ** series.c * weights
-        gs = np.array([series.value(float(xv), 0) for xv in xs])
-        series.grid = (upper, points, xs, ws, gs)
-    _, _, xs, ws, gs = series.grid
+    nodes, weights = roots_jacobi(points, 0.0, c - 1.0)
+    xs = 0.5 * upper * (nodes + 1.0)
+    ws = (0.5 * upper) ** c * weights
+    gs = np.array([_mellin_density(spec, float(xv), 1.0 - c) for xv in xs])
     return float(np.sum(ws * gs * xs**s))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polyaurn.cli import run
+from polyaurn.moments import limit_density
 from polyaurn.urns import (
     exact_pmf_dp,
     multicolor_polya_young,
@@ -181,12 +182,28 @@ def test_verify_density_on_singular_spec(tmp_path):
     assert read_json(text)["results"]["status"] == "ok"
 
 
-def test_urn_limit_unsettled_density_exits_1(capsys):
-    code = run(["urn-limit", "--family", "py", "--p", "2", "--ell", "1/2",
-                "--density-grid", "8"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "x=8.0 with Lambda=0.8 needs about 32790 terms" in err
+def test_urn_limit_density_beyond_the_series_reach(tmp_path):
+    # Lambda = 4/5: the reciprocal-Gamma series would need about 8^5 terms here
+    code, text = run_to_file(tmp_path, ["urn-limit", "--family", "py", "--p", "2",
+                                        "--ell", "1/2", "--density-grid", "8"])
+    assert code == 0
+    row = text.strip().splitlines()[-1].split(",")
+    spec = polya_young(2, 1, Fraction(1, 2), 1, 1)
+    assert row[:2] == ["density", "8"]
+    assert row[2] == format(limit_density(spec, 8.0), ".15g")
+
+
+@pytest.mark.parametrize("model", [
+    ["--family", "multi", "--p", "2", "--initial", "1,1,1"],
+    ["--p", "2", "--b0", "0"],
+    ["--family", "multi", "--p", "2", "--initial", "1,0,0"],
+], ids=["multi_1_1_1", "py_b0_0", "multi_1_0_0"])
+def test_verify_density_rest_mass(tmp_path, model):
+    # the rest mass is every color but color 0, not the last color; when it
+    # is 0 the first pole of the density's Mellin transform cancels
+    code, text = run_to_file(tmp_path, ["verify", *model, "--what", "density"])
+    assert code == 0
+    assert read_json(text)["results"]["status"] == "ok"
 
 
 def test_tail_sum_payload_fields(tmp_path):
@@ -222,6 +239,18 @@ def test_stirling_count_payload(tmp_path):
     )
     assert code == 0
     assert read_json(text)["results"]["count"] == 280
+
+
+def test_seed_is_echoed_only_where_it_is_used(tmp_path):
+    args = ["--d", "1", "--p", "2", "--t", "1", "--N", "5", "--seed", "5"]
+    _, text = run_to_file(tmp_path, ["stirling", "--what", "count"] + args, "c.json")
+    assert "seed" not in read_json(text)["config"]
+    _, text = run_to_file(tmp_path, ["stirling", "--what", "simulate", "--replicates", "50"]
+                          + args, "s.csv")
+    assert json.loads(text.splitlines()[1].split("=", 1)[1])["seed"] == 5
+    _, text = run_to_file(tmp_path, ["crp", "--a", "1/2", "--theta", "1/2", "--p", "2",
+                                     "--tables", "3,2", "--seed", "5"], "t.json")
+    assert "seed" not in read_json(text)["config"]
 
 
 def test_stirling_urn_law_matches_enumeration(tmp_path):

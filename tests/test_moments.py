@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
-from polyaurn import moments
+from density_reference import reference_density
 from polyaurn.laws import decomposition_for
 
 from polyaurn.specialfn import rising_factorial
@@ -43,7 +43,6 @@ STD = polya_young(2, 1, 1, 1, 1)
 TRI = triangular(2, 1, 1, 2, 1, 1)
 PY312 = polya_young(3, 1, 2, 1, 1)
 SINGULAR = polya_young(1, 2, 1, 1, 1)  # w0/sigma = 1/2: density unbounded at 0
-STALLED = polya_young(2, 1, Fraction(1, 2), 1, 1)  # Lambda = 4/5
 
 
 def test_product_ratio_frozen():
@@ -241,43 +240,21 @@ def test_density_quadrature_recovers_mass_and_mean():
 
 def test_density_series_values_do_not_depend_on_call_order():
     xs = np.linspace(0.3, 10.5, 13)
-    moments._series.cache_clear()
-    cold = limit_density(STD, xs).tolist()
-    moments._series.cache_clear()
-    backward = limit_density(STD, xs[::-1])[::-1].tolist()
-    moments._series.cache_clear()
-    density_cutoff(STD)
-    assert limit_density(STD, xs).tolist() == cold == backward
-    # more specs than the cache holds evict STD; a rebuilt series agrees
-    first = moments._series(STD)
-    for k in range(moments._series.cache_info().maxsize + 1):
-        limit_density(polya_young(1, 1, 1, k + 1, 1), 1.0)
-    assert moments._series(STD) is not first
-    assert limit_density(STD, xs).tolist() == cold
+    forward = [reference_density(STD, x) for x in xs]
+    assert [reference_density(STD, x) for x in xs[::-1]][::-1] == forward
+    assert limit_density(STD, xs[::-1])[::-1].tolist() == limit_density(STD, xs).tolist()
+    assert limit_density(STD, xs) == pytest.approx(forward, rel=1e-9)
 
 
-def test_density_series_keeps_few_coefficients_between_calls():
+def test_reference_series_frozen_far_tail_value():
     # x = 16 on STD climbs to 151 digits with 4,113 terms at each precision
-    moments._series.cache_clear()
-    assert limit_density(STD, 16.0) == 4.874789285212977e-67
-    held = moments._series(STD).coefs
-    assert sum(map(len, held.values())) <= moments._KEEP_TERMS
-    assert limit_density(STD, 16.0) == 4.874789285212977e-67
-
-
-def test_density_series_fails_fast_when_it_cannot_settle():
-    # about x^(1/(1-Lambda)) = 8^5 terms are needed, more than the series allows
-    moments._series.cache_clear()
-    with pytest.raises(RuntimeError, match=r"x=8.0 with Lambda=0.8 needs about 32790 terms"):
-        limit_density(STALLED, 8.0)
-    assert not any(moments._series(STALLED).coefs.values())
-    with pytest.raises(RuntimeError, match="Lambda=0.8"):
-        density_cutoff(STALLED)
+    assert reference_density(STD, 16.0) == 4.874789285212977e-67
+    assert limit_density(STD, 16.0) == pytest.approx(4.874789285212977e-67, rel=1e-9)
 
 
 def test_density_below_the_series_floor_is_zero():
-    # the sum settles under the 1e-300 floor its terms are compared against,
-    # so what is left (about -4e-315 here) is rounding noise, not a density
+    # the density is about exp(-1400) here, far below the smallest double;
+    # the series left rounding noise of about -4e-315 in its place
     assert limit_density(polya_young(1, 1, 1, 1, 1), 75.0) == 0.0
 
 
@@ -326,3 +303,58 @@ def test_limit_density_matches_beta_gengamma_factorization(p, sigma, w0, b0, x):
     # ell = sigma leaves one GenGamma factor next to the Beta factor
     spec = polya_young(p, sigma, sigma, w0, b0)
     assert limit_density(spec, x) == pytest.approx(_factorized_density(spec, x), rel=1e-9)
+
+
+# Out of the series' reach: Lambda > 2/3 (the five criterion-1 grid specs
+# (p, sigma, ell) it could not settle), a float spec whose step is no short
+# rational, and a three-colour spec, whose rest mass is every color but 0.
+BEYOND_THE_SERIES = [
+    polya_young(2, 1, Fraction(1, 2), 1, 1),
+    polya_young(2, 2, 1, 1, 1),
+    polya_young(3, 1, 1, 1, 1),
+    polya_young(3, 1, Fraction(1, 2), 1, 1),
+    polya_young(3, 2, 1, 1, 1),
+    polya_young(1, 0.7, 0.3, 0.9, 1.3),
+    multicolor_polya_young(2, 1, 1, (1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("spec", BEYOND_THE_SERIES, ids=[
+    "py2_1_half", "py2_2_1", "py3_1_1", "py3_1_half", "py3_2_1", "py_float", "multi3"])
+def test_density_quadrature_beyond_the_series(spec):
+    mus = limit_moments(spec, 2, "per_period")
+    assert tilted_density_moment(spec, 0) == pytest.approx(1.0, abs=1e-6)
+    assert tilted_density_moment(spec, 1) == pytest.approx(mus[0], rel=1e-6)
+    assert tilted_density_moment(spec, 2) == pytest.approx(mus[1], rel=1e-6)
+
+
+_ELLS = [Fraction(1, 3), Fraction(1, 2), 1, Fraction(3, 2), 2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(min_value=1, max_value=3),
+    sigma=st.sampled_from([Fraction(1, 2), 1, Fraction(3, 2), 2]),
+    ells=st.tuples(st.sampled_from(_ELLS), st.sampled_from(_ELLS)),
+    triangular_family=st.booleans(),
+    w0=st.sampled_from(_RATIONALS),
+    b0=st.sampled_from([0] + _RATIONALS),
+    x=st.floats(min_value=0.05, max_value=8.0),
+)
+# with b0 = 0 the pole of Gamma(c+u-1) at u = 1-c cancels (for p = 2 and
+# ell1 = 0, the next one too), so the saddle can lie left of 1-c
+@example(p=1, sigma=1, ells=(1, 1), triangular_family=False, w0=1, b0=0, x=0.05)
+@example(p=2, sigma=1, ells=(1, 1), triangular_family=False, w0=1, b0=0, x=0.5)
+@example(p=2, sigma=1, ells=(Fraction(1, 2), 1), triangular_family=True, w0=1, b0=0, x=0.3)
+def test_limit_density_matches_the_reference_series(p, sigma, ells, triangular_family,
+                                                     w0, b0, x):
+    if triangular_family:
+        spec = triangular(p, sigma, *ells, w0, b0)
+    else:
+        spec = polya_young(p, sigma, ells[0], w0, b0)
+    try:
+        ref = reference_density(spec, x)
+    except RuntimeError:  # more terms or digits than the series allows
+        return
+    # the series returns 0.0 for a sum that settles below its 1e-300 floor
+    assert limit_density(spec, x) == pytest.approx(ref, rel=1e-9, abs=1e-300)
