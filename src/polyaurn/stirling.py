@@ -191,20 +191,29 @@ def simulate_block_counts(
     _check_params(d, p, t)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     words = np.zeros((n_reps, 0), dtype=np.int32)
-    rows = np.arange(n_reps)[:, None]
     for i in range(1, N + 1):
         L = words.shape[1]
         gap = rng.integers(0, L + 1, size=n_reps)[:, None]
-        cols = np.arange(L + d)[None, :]
-        src = np.where(cols < gap, cols, np.maximum(cols - d, 0))
-        vals = words[rows, np.minimum(src, max(L - 1, 0))] if L else np.zeros(
-            (n_reps, L + d), dtype=np.int32
-        )
-        words = np.where((cols >= gap) & (cols < gap + d), np.int32(i), vals)
-        if i % p == 0:
-            marks = np.full((n_reps, t), np.int32(-i))
-            words = np.hstack([words, marks])
-    return np.array([block_count(row) for row in words], dtype=np.int64)
+        cols = np.arange(L + d)
+        new = np.full((n_reps, L + d + (t if i % p == 0 else 0)), -i, dtype=np.int32)
+        new[:, :L] = words
+        np.copyto(new[:, :L + d], np.int32(i), where=cols >= gap)
+        np.copyto(new[:, d:L + d], words, where=cols[:L] >= gap)
+        words = new
+    return _block_counts(words, N)
+
+
+def _block_counts(words: np.ndarray, N: int) -> np.ndarray:
+    """`block_count` of every row of a word matrix over the symbols -N..N: a
+    block ends at column c when the last positions of the symbols in columns
+    0..c reach no further than c."""
+    last = np.zeros((len(words), 2 * N + 1), dtype=np.int32)
+    rows, columns = np.arange(len(words)), np.arange(words.shape[1], dtype=np.int32)
+    for c in columns:
+        last[rows, words[:, c] + N] = c
+    reach = np.take_along_axis(last, words + np.int32(N), axis=1)
+    np.maximum.accumulate(reach, axis=1, out=reach)
+    return (reach == columns).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

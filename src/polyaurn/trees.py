@@ -30,7 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .urns import UrnSpec, _num, branch_urn, draw_color, polya_young, triangular
+from .urns import (UrnSpec, _cumulative_draw, _num, branch_urn, draw_color, polya_young,
+                   triangular)
 
 __all__ = [
     "TreeFamily",
@@ -44,7 +45,6 @@ __all__ = [
     "outdegree_urn",
     "branch_profile_urn",
     "simulate_statistic_batch",
-    "simulate_branch_profile_batch",
 ]
 
 
@@ -301,22 +301,18 @@ def _slot_schedule(p: int, N: int, mode: str, bar: bool):
     return labels
 
 
-def simulate_statistic_batch(
-    family: TreeFamily,
-    p: int,
-    N: int,
-    n_reps: int,
-    seed: int,
-    statistic: tuple,
-    mode: str = "standard",
-    bar_beta=None,
-) -> np.ndarray:
+def simulate_statistic_batch(family: TreeFamily, p: int, N: int, n_reps: int, seed: int,
+                             statistic: tuple, mode: str = "standard", bar_beta=None) -> np.ndarray:
     """Grow n_reps forests and return one integer statistic per replicate.
 
     statistic is ("descendants", j), ("root_descendants", m),
-    ("outdegree", j), or ("table_count",).  The growth loop works on a static
-    slot layout (one slot per scheduled entity), with per-replicate weights,
-    and uses the same cumulative draw rule as the scalar engine.
+    ("outdegree", j), or ("table_count",).  In crp mode, ("branch_profile",
+    max_size) returns an (n_reps, max_size+1) matrix instead: column m counts
+    the root-0 branches of size m, column 0 those beyond max_size.
+    The growth loop keeps one slot per scheduled entity, with the weights
+    held column-major as a (slots, n_reps) array.  Step i draws with the
+    scalar engine's cumulative rule as one running sum over the slots before
+    node i only: every later slot still has weight 0.
     """
     kind = statistic[0]
     labels = _slot_schedule(p, N, mode, bar_beta is not None)
@@ -326,35 +322,35 @@ def simulate_statistic_batch(
     bar_slot = slot_of.get(("bar",), -1)
 
     rng = np.random.Generator(np.random.PCG64(int(seed)))
-    weights = np.zeros((n_reps, M))
-    if bar_beta is not None:
-        weights[:, bar_slot] = float(bar_beta)
+    weights = np.zeros((M, n_reps))
     if mode == "crp":
-        weights[:, slot_of[("root", 0)]] = float(family.ell)
+        weights[slot_of[("root", 0)]] = float(family.ell)
 
-    sigma = float(family.sigma)
-    ell = float(family.ell)
-    w_new = float(family.new_node_weight)
+    sigma, ell, w_new = (float(v) for v in (family.sigma, family.ell, family.new_node_weight))
+    # by target slot: the weight it gains and the weight of the node it spawns
+    slot_delta = np.where(is_root_slot, float(family.parent_delta(True)),
+                          float(family.parent_delta(False)))
     trimmed = family.name == "dary" and not family.root_is_capacity
-    delta_ord = float(family.parent_delta(False))
-    delta_root = float(family.parent_delta(True))
+    slot_child = np.where(is_root_slot & trimmed, w_new - 1.0, w_new)
+    if bar_beta is not None:
+        weights[bar_slot] = float(bar_beta)
+        slot_delta[bar_slot], slot_child[bar_slot] = sigma, 0.0
 
     counter = np.zeros(n_reps, dtype=np.int64)
-    member = None
-    watch_slot = -1
-    if kind == "descendants":
-        member = np.zeros((n_reps, M), dtype=bool)
-        watch_slot = slot_of[("node", statistic[1])]
-    elif kind == "root_descendants":
-        member = np.zeros((n_reps, M), dtype=bool)
-        watch_slot = slot_of[("root", statistic[1])]
-        member[:, watch_slot] = True
+    member, watch_slot = None, -1
+    if kind in ("descendants", "root_descendants"):
+        member = np.zeros((M, n_reps), dtype=bool)
+        watch_slot = slot_of[("node" if kind == "descendants" else "root", statistic[1])]
+        member[watch_slot] = True  # node j counts itself once it is created
     elif kind == "outdegree":
         watch_slot = slot_of[("node", statistic[1])]
+    elif kind == "branch_profile" and mode == "crp":
+        branch = np.full((M, n_reps), -1, dtype=np.int32)
+        watch_slot = slot_of[("root", 0)]
     elif kind != "table_count":
         raise ValueError(f"unknown statistic {statistic!r}")
 
-    idx = np.arange(n_reps)
+    idx, u, draw = np.arange(n_reps), np.empty(n_reps), _cumulative_draw(n_reps)
     if mode == "crp":
         total = float(forest_total_weight(family, p, 0, mode, bar_beta))
     else:
@@ -362,75 +358,42 @@ def simulate_statistic_batch(
     for i in range(1, N + 1):
         node_slot = slot_of[("node", i)]
         if mode == "standard" and i == 1:
-            weights[:, node_slot] = w_new
-            if kind == "descendants" and watch_slot == node_slot:
-                member[:, node_slot] = True
-                counter += 1
-        else:
-            x = (rng.random(n_reps) * total)[:, None]
-            target = (np.cumsum(weights, axis=1) < x).sum(axis=1)
-            target = np.minimum(target, M - 1)
-            at_bar = target == bar_slot if bar_slot >= 0 else np.zeros(n_reps, dtype=bool)
-            root_target = is_root_slot[target]
-            delta = np.where(root_target, delta_root, delta_ord)
-            delta = np.where(at_bar, sigma, delta)
-            weights[idx, target] += delta
-            created = ~at_bar
-            child_w = np.where(trimmed & root_target, w_new - 1.0, w_new)
-            weights[idx, node_slot] = np.where(created, child_w, 0.0)
+            weights[node_slot] = w_new
             if member is not None:
-                inherits = member[idx, target] & created
-                if kind == "descendants" and watch_slot == node_slot:
-                    inherits = created.copy()
-                member[idx, node_slot] = inherits
-                counter += inherits
+                counter += member[node_slot]
+        else:
+            rng.random(out=u)
+            u *= total
+            target = draw(weights, node_slot, u)
+            weights[target, idx] += slot_delta[target]
+            weights[node_slot] = slot_child[target]
+            created = target != bar_slot
+            if member is not None:
+                member[node_slot] |= member[target, idx]
+                member[node_slot] &= created
+                counter += member[node_slot]
             elif kind == "outdegree":
                 counter += target == watch_slot
             elif kind == "table_count":
-                counter += root_target & created
+                counter += is_root_slot[target] & created
+            elif kind == "branch_profile":
+                branch[node_slot] = np.where(target == watch_slot, node_slot, branch[target, idx])
         total += sigma
         if i % p == 0:
-            weights[:, slot_of[("root", i // p)]] = ell
+            weights[slot_of[("root", i // p)]] = ell
             total += ell
+    if kind == "branch_profile":
+        return _size_profile(branch, statistic[1])
     return counter
 
 
-def simulate_branch_profile_batch(
-    alpha, p: int, ell, N: int, n_reps: int, seed: int, max_size: int,
-) -> np.ndarray:
-    """CRP-mode gport forests: counts of root-0 branches by subtree size.
-    Returns an (n_reps, max_size+1) matrix; column m holds the number of
-    branches of size m (column 0 collects sizes beyond max_size)."""
-    family = gport_family(alpha, ell)
-    labels = _slot_schedule(p, N, "crp", False)
-    slot_of = {lab: i for i, lab in enumerate(labels)}
-    M = len(labels)
-    root0 = slot_of[("root", 0)]
-
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
-    weights = np.zeros((n_reps, M))
-    weights[:, root0] = float(ell)
-    sigma = float(family.sigma)
-    branch = np.full((n_reps, M), -1, dtype=np.int32)
-    idx = np.arange(n_reps)
-    total = float(ell)
-    for i in range(1, N + 1):
-        node_slot = slot_of[("node", i)]
-        x = (rng.random(n_reps) * total)[:, None]
-        target = (np.cumsum(weights, axis=1) < x).sum(axis=1)
-        target = np.minimum(target, M - 1)
-        weights[idx, target] += 1.0
-        weights[idx, node_slot] = float(family.alpha)
-        branch[idx, node_slot] = np.where(
-            target == root0, node_slot, branch[idx, target]
-        )
-        total += sigma
-        if i % p == 0:
-            weights[:, slot_of[("root", i // p)]] = float(ell)
-            total += float(ell)
-    counts = np.zeros((n_reps, max_size + 1), dtype=np.int64)
-    for r in range(n_reps):
-        ids, sizes = np.unique(branch[r][branch[r] >= 0], return_counts=True)
-        for s in sizes:
-            counts[r, s if s <= max_size else 0] += 1
-    return counts
+def _size_profile(branch: np.ndarray, max_size: int) -> np.ndarray:
+    """Per replicate (column of branch), how many branch ids have each size:
+    column m of the result counts size m, column 0 the sizes beyond max_size."""
+    M, n_reps = branch.shape
+    kept = branch >= 0
+    sizes = np.bincount(np.nonzero(kept)[1] * M + branch[kept], minlength=n_reps * M)
+    heads = np.flatnonzero(sizes)
+    size = np.where(sizes[heads] > max_size, 0, sizes[heads])
+    return np.bincount(heads // M * (max_size + 1) + size,
+                       minlength=n_reps * (max_size + 1)).reshape(n_reps, max_size + 1)

@@ -1,0 +1,216 @@
+"""Row-major copies of the Monte Carlo kernels, kept as oracles.
+
+These are the two-colour, multicolour, forest and word kernels as they were
+before the counts and slot weights moved to a column-major layout: fresh
+arrays every step, one row per replicate, one `np.cumsum(..., axis=1)` over
+every colour or slot per draw, and one Python `block_count` call per word.
+The tests assert that the package kernels return the same arrays for the
+same seeds.
+
+One line differs from the old kernels on purpose: when the float cumulative
+sum falls short of u*total, they took the last colour or slot (M - 1), which
+can have weight 0; `_clamp` takes the last one with positive weight, as
+`polyaurn.urns.draw_color` does.
+"""
+
+import numpy as np
+
+from polyaurn.stirling import _check_params, block_count
+from polyaurn.trees import _slot_schedule, forest_total_weight, gport_family
+from polyaurn.urns import _per_step, schedule
+
+
+def _clamp(target: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Rows whose cumulative sum stayed below x get their last positive slot."""
+    M = weights.shape[1]
+    short = target == M
+    if short.any():
+        target[short] = M - 1 - np.argmax(weights[short][:, ::-1] > 0, axis=1)
+    return target
+
+
+def simulate_white_batch(spec, checkpoints, n_reps, seed):
+    checkpoints = sorted(set(int(c) for c in checkpoints))
+    N = checkpoints[-1]
+    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    sigma = float(spec.sigma)
+    W = np.full(n_reps, float(spec.initial[0]))
+    sched = schedule(spec, N)
+    totals, imms = (sched.real(v).tolist() for v in (sched.totals, _per_step(sched.imm, N)))
+    out = []
+    if checkpoints and checkpoints[0] == 0:
+        out.append(W.copy())
+        checkpoints = checkpoints[1:]
+    pending = list(checkpoints)
+    for i in range(1, N + 1):
+        u = rng.random(n_reps)
+        W += sigma * (u * totals[i - 1] <= W)
+        if imms[i - 1]:
+            W += imms[i - 1]
+        if pending and i == pending[0]:
+            out.append(W.copy())
+            pending.pop(0)
+    return out
+
+
+def simulate_counts_batch(spec, N, n_reps, seed):
+    if spec.kind == "py_like":
+        rows = None
+    else:
+        rows = np.array([[float(v) for v in row] for row in spec.matrices])
+    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    counts = np.tile([float(c) for c in spec.initial], (n_reps, 1))
+    sigma = float(spec.sigma) if spec.sigma is not None else 0.0
+    sched = schedule(spec, N)
+    totals, ells, imms = (sched.real(v).tolist() for v in
+                          (sched.totals, _per_step(sched.ells, N), _per_step(sched.imm, N)))
+    idx = np.arange(n_reps)
+    for i in range(1, N + 1):
+        u = rng.random(n_reps)
+        x = (u * totals[i - 1])[:, None]
+        cum = np.cumsum(counts, axis=1)
+        color = _clamp((cum < x).sum(axis=1), counts)
+        if rows is None:
+            counts[idx, color] += sigma
+        else:
+            counts += rows[color]
+        if ells[i - 1]:
+            counts[:, -1] += ells[i - 1]
+        if imms[i - 1]:
+            counts[:, 0] += imms[i - 1]
+        if rows is not None and counts.min() < -1e-9:
+            raise ValueError(f"urn became untenable at step {i}")
+    return counts
+
+
+def simulate_statistic_batch(family, p, N, n_reps, seed, statistic, mode="standard",
+                             bar_beta=None):
+    kind = statistic[0]
+    labels = _slot_schedule(p, N, mode, bar_beta is not None)
+    slot_of = {lab: i for i, lab in enumerate(labels)}
+    M = len(labels)
+    is_root_slot = np.array([lab[0] == "root" for lab in labels])
+    bar_slot = slot_of.get(("bar",), -1)
+
+    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    weights = np.zeros((n_reps, M))
+    if bar_beta is not None:
+        weights[:, bar_slot] = float(bar_beta)
+    if mode == "crp":
+        weights[:, slot_of[("root", 0)]] = float(family.ell)
+
+    sigma = float(family.sigma)
+    ell = float(family.ell)
+    w_new = float(family.new_node_weight)
+    trimmed = family.name == "dary" and not family.root_is_capacity
+    delta_ord = float(family.parent_delta(False))
+    delta_root = float(family.parent_delta(True))
+
+    counter = np.zeros(n_reps, dtype=np.int64)
+    member = None
+    watch_slot = -1
+    if kind == "descendants":
+        member = np.zeros((n_reps, M), dtype=bool)
+        watch_slot = slot_of[("node", statistic[1])]
+    elif kind == "root_descendants":
+        member = np.zeros((n_reps, M), dtype=bool)
+        watch_slot = slot_of[("root", statistic[1])]
+        member[:, watch_slot] = True
+    elif kind == "outdegree":
+        watch_slot = slot_of[("node", statistic[1])]
+    elif kind != "table_count":
+        raise ValueError(f"unknown statistic {statistic!r}")
+
+    idx = np.arange(n_reps)
+    if mode == "crp":
+        total = float(forest_total_weight(family, p, 0, mode, bar_beta))
+    else:
+        total = float(family.kappa)
+    for i in range(1, N + 1):
+        node_slot = slot_of[("node", i)]
+        if mode == "standard" and i == 1:
+            weights[:, node_slot] = w_new
+            if kind == "descendants" and watch_slot == node_slot:
+                member[:, node_slot] = True
+                counter += 1
+        else:
+            x = (rng.random(n_reps) * total)[:, None]
+            target = _clamp((np.cumsum(weights, axis=1) < x).sum(axis=1), weights)
+            at_bar = target == bar_slot if bar_slot >= 0 else np.zeros(n_reps, dtype=bool)
+            root_target = is_root_slot[target]
+            delta = np.where(root_target, delta_root, delta_ord)
+            delta = np.where(at_bar, sigma, delta)
+            weights[idx, target] += delta
+            created = ~at_bar
+            child_w = np.where(trimmed & root_target, w_new - 1.0, w_new)
+            weights[idx, node_slot] = np.where(created, child_w, 0.0)
+            if member is not None:
+                inherits = member[idx, target] & created
+                if kind == "descendants" and watch_slot == node_slot:
+                    inherits = created.copy()
+                member[idx, node_slot] = inherits
+                counter += inherits
+            elif kind == "outdegree":
+                counter += target == watch_slot
+            elif kind == "table_count":
+                counter += root_target & created
+        total += sigma
+        if i % p == 0:
+            weights[:, slot_of[("root", i // p)]] = ell
+            total += ell
+    return counter
+
+
+def simulate_branch_profile_batch(alpha, p, ell, N, n_reps, seed, max_size):
+    family = gport_family(alpha, ell)
+    labels = _slot_schedule(p, N, "crp", False)
+    slot_of = {lab: i for i, lab in enumerate(labels)}
+    M = len(labels)
+    root0 = slot_of[("root", 0)]
+
+    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    weights = np.zeros((n_reps, M))
+    weights[:, root0] = float(ell)
+    sigma = float(family.sigma)
+    branch = np.full((n_reps, M), -1, dtype=np.int32)
+    idx = np.arange(n_reps)
+    total = float(ell)
+    for i in range(1, N + 1):
+        node_slot = slot_of[("node", i)]
+        x = (rng.random(n_reps) * total)[:, None]
+        target = _clamp((np.cumsum(weights, axis=1) < x).sum(axis=1), weights)
+        weights[idx, target] += 1.0
+        weights[idx, node_slot] = float(family.alpha)
+        branch[idx, node_slot] = np.where(
+            target == root0, node_slot, branch[idx, target]
+        )
+        total += sigma
+        if i % p == 0:
+            weights[:, slot_of[("root", i // p)]] = float(ell)
+            total += float(ell)
+    counts = np.zeros((n_reps, max_size + 1), dtype=np.int64)
+    for r in range(n_reps):
+        ids, sizes = np.unique(branch[r][branch[r] >= 0], return_counts=True)
+        for s in sizes:
+            counts[r, s if s <= max_size else 0] += 1
+    return counts
+
+
+def simulate_block_counts(d, p, t, N, n_reps, seed):
+    _check_params(d, p, t)
+    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    words = np.zeros((n_reps, 0), dtype=np.int32)
+    rows = np.arange(n_reps)[:, None]
+    for i in range(1, N + 1):
+        L = words.shape[1]
+        gap = rng.integers(0, L + 1, size=n_reps)[:, None]
+        cols = np.arange(L + d)[None, :]
+        src = np.where(cols < gap, cols, np.maximum(cols - d, 0))
+        vals = words[rows, np.minimum(src, max(L - 1, 0))] if L else np.zeros(
+            (n_reps, L + d), dtype=np.int32
+        )
+        words = np.where((cols >= gap) & (cols < gap + d), np.int32(i), vals)
+        if i % p == 0:
+            marks = np.full((n_reps, t), np.int32(-i))
+            words = np.hstack([words, marks])
+    return np.array([block_count(row) for row in words], dtype=np.int64)
