@@ -45,6 +45,7 @@ __all__ = [
     "outdegree_urn",
     "branch_profile_urn",
     "simulate_statistic_batch",
+    "simulate_branch_profile_batch",
 ]
 
 
@@ -301,8 +302,16 @@ def _slot_schedule(p: int, N: int, mode: str, bar: bool):
     return labels
 
 
-def simulate_statistic_batch(family: TreeFamily, p: int, N: int, n_reps: int, seed: int,
-                             statistic: tuple, mode: str = "standard", bar_beta=None) -> np.ndarray:
+def simulate_statistic_batch(
+    family: TreeFamily,
+    p: int,
+    N: int,
+    n_reps: int,
+    seed: int,
+    statistic: tuple,
+    mode: str = "standard",
+    bar_beta=None,
+) -> np.ndarray:
     """Grow n_reps forests and return one integer statistic per replicate.
 
     statistic is ("descendants", j), ("root_descendants", m),
@@ -385,6 +394,16 @@ def simulate_statistic_batch(family: TreeFamily, p: int, N: int, n_reps: int, se
     if kind == "branch_profile":
         return _size_profile(branch, statistic[1])
     return counter
+
+
+def simulate_branch_profile_batch(
+    alpha, p: int, ell, N: int, n_reps: int, seed: int, max_size: int,
+) -> np.ndarray:
+    """CRP-mode gport forests: counts of root-0 branches by subtree size.
+    Returns an (n_reps, max_size+1) matrix; column m holds the number of
+    branches of size m (column 0 collects sizes beyond max_size)."""
+    return simulate_statistic_batch(gport_family(alpha, ell), p, N, n_reps, seed,
+                                    ("branch_profile", max_size), mode="crp")
 
 
 def _size_profile(branch: np.ndarray, max_size: int) -> np.ndarray:

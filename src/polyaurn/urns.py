@@ -67,6 +67,10 @@ def _num_tuple(xs) -> tuple:
     return tuple(_num(x) for x in xs)
 
 
+def _is_exact(x) -> bool:
+    return isinstance(x, Fraction)
+
+
 def _json_num(x):
     if isinstance(x, Fraction):
         return str(x) if x.denominator != 1 else int(x)
@@ -127,7 +131,7 @@ class UrnSpec:
                 vals.extend(row)
         if self.ell is not None:
             vals.append(self.ell)
-        return all(isinstance(v, Fraction) for v in vals)
+        return all(_is_exact(v) for v in vals)
 
     @property
     def total_initial(self):
@@ -394,32 +398,23 @@ def draw_color(counts: Sequence, total, u: float) -> int:
     return last_nonzero  # u*total landed above acc by rounding
 
 
-# Below this many replicates one axis-0 cumsum beats the Python loop over rows
-# (measured crossover: 450-500 columns, for 30 and for 500 rows).
-_LOOP_WIDTH = 512
-
-
 def _cumulative_draw(n_reps: int):
     """`draw_color` for batches of n_reps replicates held column by column:
     draw(cols, K, x) gives, for each column r of cols, the first of the rows
     0..K-1 (colours or slots) whose running sum reaches x[r].  The sum runs
-    left to right, as one axis-0 cumsum for narrow batches and as in-place
-    row additions for wide ones.  x = 0 skips leading zero rows, and a prefix
-    that rounding leaves short of x falls back to its last positive row.  x
-    is raised to the least positive float in place, and the result is a
-    buffer that the next draw overwrites."""
+    left to right by in-place row additions.  x = 0 skips leading zero rows,
+    and a prefix that rounding leaves short of x falls back to its last
+    positive row.  x is raised to the least positive float in place, and the
+    result is a buffer that the next draw overwrites."""
     acc, hit, target = np.empty(n_reps), np.empty(n_reps, bool), np.empty(n_reps, np.int32)
 
     def draw(cols: np.ndarray, K: int, x: np.ndarray) -> np.ndarray:
         np.maximum(x, np.nextafter(0.0, 1.0), out=x)
-        if n_reps < _LOOP_WIDTH:
-            np.sum(np.cumsum(cols[:K], axis=0) < x, axis=0, out=target)
-        else:
-            acc[:], target[:] = 0.0, 0
-            for k in range(K):  # in place: acc and target belong to the closure
-                np.add(acc, cols[k], out=acc)
-                np.less(acc, x, out=hit)
-                np.add(target, hit, out=target)
+        acc[:], target[:] = 0.0, 0
+        for k in range(K):  # in place: acc and target belong to the closure
+            np.add(acc, cols[k], out=acc)
+            np.less(acc, x, out=hit)
+            np.add(target, hit, out=target)
         if np.equal(target, K, out=hit).any():
             short = np.flatnonzero(hit)
             target[short] = K - 1 - np.argmax(cols[K - 1::-1, short] > 0, axis=0)
@@ -474,14 +469,18 @@ def simulate_white_batch(
     """
     if spec.kind != "py_like" or spec.colors != 2:
         raise ValueError("white-batch simulation needs a two-color py_like spec")
-    stops = {int(c) for c in checkpoints}
-    N = max(stops)
+    checkpoints = sorted(set(int(c) for c in checkpoints))
+    N = checkpoints[-1]
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     sigma = float(spec.sigma)
     W = np.full(n_reps, float(spec.initial[0]))
     sched = schedule(spec, N)
     totals, imms = (sched.real(v).tolist() for v in (sched.totals, _per_step(sched.imm, N)))
-    out = [W.copy()] if 0 in stops else []
+    out = []
+    if checkpoints and checkpoints[0] == 0:
+        out.append(W.copy())
+        checkpoints = checkpoints[1:]
+    pending = list(checkpoints)
     u, hit = np.empty(n_reps), np.empty(n_reps)
     for i in range(1, N + 1):
         rng.random(out=u)
@@ -492,8 +491,9 @@ def simulate_white_batch(
         W += hit
         if imms[i - 1]:
             W += imms[i - 1]
-        if i in stops:
+        if pending and i == pending[0]:
             out.append(W.copy())
+            pending.pop(0)
     return out
 
 

@@ -14,10 +14,10 @@ from polyaurn.trees import (
     dary_family,
     gport_family,
     recursive_family,
+    simulate_branch_profile_batch,
     simulate_statistic_batch,
 )
 from polyaurn.urns import (
-    _LOOP_WIDTH,
     UrnSpec,
     _cumulative_draw,
     branch_urn,
@@ -30,15 +30,15 @@ from polyaurn.urns import (
     with_white_immigration,
 )
 
-# both sides of the width rule: one cumsum below _LOOP_WIDTH, the row loop from it
-REPS = st.sampled_from([1, 7, _LOOP_WIDTH - 1, _LOOP_WIDTH, _LOOP_WIDTH + 37])
+# small tree-sim runs up to the wide batches of the Monte Carlo criteria
+REPS = st.sampled_from([1, 7, 100, 549])
 SEEDS = st.integers(0, 2**32 - 1)
 RATIONAL = st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=6)
 # floats make the running sums round
 PARAM = st.one_of(RATIONAL, st.floats(0.25, 3.0))
 
 
-@pytest.mark.parametrize("n_reps", [1, _LOOP_WIDTH])
+@pytest.mark.parametrize("n_reps", [1, 512])
 def test_cumulative_draw_shortfall_takes_the_last_positive_slot(n_reps):
     # 0.3 + 0.6 rounds to 0.8999999999999999, short of x = 0.9; the rows
     # after the first two have weight 0 (the old kernels took row K - 1)
@@ -70,11 +70,6 @@ def test_cumulative_draw_is_draw_color_per_column(K, n, seed, zeros):
     assert np.any(u * totals > np.cumsum(cols, axis=0)[-1])
     target = _cumulative_draw(n)(cols, K, u * totals)
     assert list(target) == [draw_color(cols[:, r], totals[r], u[r]) for r in range(n)]
-    if n >= _LOOP_WIDTH:  # the cumsum form, one narrow batch at a time
-        x = u * totals
-        halves = [_cumulative_draw(len(x[s]))(cols[:, s], K, x[s])
-                  for s in (slice(0, 100), slice(100, n))]
-        assert np.array_equal(np.concatenate(halves), target)
 
 
 @st.composite
@@ -101,12 +96,12 @@ def forest_cases(draw):
 @settings(max_examples=120, deadline=None)
 @given(case=forest_cases(), n_reps=REPS, seed=SEEDS)
 @example(case=(dary_family(3, Fraction(1, 2)), 2, 12, ("descendants", 2), "standard", None),
-         n_reps=_LOOP_WIDTH, seed=5)
+         n_reps=512, seed=5)
 @example(case=(gport_family(Fraction(1, 3), 1), 2, 12, ("table_count",), "crp", Fraction(3, 2)),
-         n_reps=_LOOP_WIDTH, seed=1150)
+         n_reps=512, seed=1150)
 # node 2 is never born where customer 2 sits at the bar
 @example(case=(gport_family(1, 1), 2, 8, ("descendants", 2), "crp", Fraction(2)),
-         n_reps=_LOOP_WIDTH, seed=3)
+         n_reps=512, seed=3)
 def test_forest_kernel_matches_the_row_major_reference(case, n_reps, seed):
     family, p, N, statistic, mode, bar = case
     args = (family, p, N, n_reps, seed, statistic, mode, bar)
@@ -119,8 +114,7 @@ def test_forest_kernel_matches_the_row_major_reference(case, n_reps, seed):
 # the call of test_trees::test_branch_profile_batches_match_exact_means
 @example(alpha=1, p=2, ell=1, N=18, n_reps=20_000, seed=12, max_size=4)
 def test_branch_profile_matches_the_row_major_reference(alpha, p, ell, N, n_reps, seed, max_size):
-    ours = simulate_statistic_batch(gport_family(alpha, ell), p, N, n_reps, seed,
-                                    ("branch_profile", max_size), mode="crp")
+    ours = simulate_branch_profile_batch(alpha, p, ell, N, n_reps, seed, max_size)
     theirs = ref.simulate_branch_profile_batch(alpha, p, ell, N, n_reps, seed, max_size)
     assert np.array_equal(ours, theirs)
 
@@ -148,7 +142,7 @@ def urn_specs(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(spec=urn_specs(), N=st.integers(0, 40), n_reps=REPS, seed=SEEDS)
-@example(spec=multicolor_polya_young(2, 1, 1, (2, 1, 1)), N=40, n_reps=_LOOP_WIDTH, seed=108)
+@example(spec=multicolor_polya_young(2, 1, 1, (2, 1, 1)), N=40, n_reps=512, seed=108)
 def test_multicolor_kernel_matches_the_row_major_reference(spec, N, n_reps, seed):
     assert np.array_equal(simulate_counts_batch(spec, N, n_reps, seed),
                           ref.simulate_counts_batch(spec, N, n_reps, seed))
@@ -164,7 +158,7 @@ def test_two_colour_kernel_matches_the_reference(spec, checkpoints, n_reps, seed
     assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
 
 
-@pytest.mark.parametrize("n_reps", [3, _LOOP_WIDTH])
+@pytest.mark.parametrize("n_reps", [3, 512])
 def test_untenable_urn_fails_at_the_same_step(n_reps):
     # drawing colour 0 takes a ball of colour 1, which soon runs out
     spec = UrnSpec(kind="branch", family="branch", colors=2, period=1,

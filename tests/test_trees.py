@@ -15,6 +15,7 @@ from polyaurn.trees import (
     outdegree_urn,
     recursive_family,
     root_descendants_urn,
+    simulate_branch_profile_batch,
     simulate_statistic_batch,
 )
 from polyaurn.urns import ell_at, exact_pmf_dp, simulate_counts_batch, total_balls
@@ -236,8 +237,7 @@ def test_branch_profile_batches_match_exact_means():
     reps = 20_000
     counts = simulate_counts_batch(spec, N, n_reps=reps, seed=11)
     assert np.allclose(counts.sum(axis=1), float(total_balls(spec, N)))
-    profile = simulate_statistic_batch(gport_family(alpha, ell), p, N, reps, seed=12,
-                                       statistic=("branch_profile", max_size), mode="crp")
+    profile = simulate_branch_profile_batch(alpha, p, ell, N, reps, seed=12, max_size=max_size)
     for m in range(1, max_size + 1):
         weight = m * (alpha + 1) - 1
         expected = float(exact[m]) / weight
