@@ -148,19 +148,23 @@ def simulate_table_count_batch(
     theta = float(params.theta)
     theta_bar = 0.0 if params.theta_bar is None else float(params.theta_bar)
     has_bar = params.theta_bar is not None
-    m = np.zeros(n_reps)
-    b = np.zeros(n_reps)
+    m, b = np.zeros((2, n_reps))
+    x, fresh, lim = np.empty((3, n_reps))
+    at_new, at_bar = np.empty((2, n_reps), bool)
     for N_cur in range(N):
         n = N_cur // params.period
         c = N_cur + (n + 1) * theta + theta_bar
-        x = rng.random(n_reps) * c
-        fresh = m * a + (n + 1) * theta
+        np.multiply(rng.random(out=x), c, out=x)
+        np.add(np.multiply(m, a, out=fresh), (n + 1) * theta, out=fresh)
         if has_bar:
-            at_bar = x < b + theta_bar
-            at_new = ~at_bar & (x < b + theta_bar + fresh)
+            np.add(b, theta_bar, out=lim)
+            np.less(x, lim, out=at_bar)
+            lim += fresh
+            np.less(x, lim, out=at_new)
+            at_new ^= at_bar  # x < b + theta_bar implies x < lim
             b += at_bar
         else:
-            at_new = x < fresh
+            np.less(x, fresh, out=at_new)
         m += at_new
     return m.astype(np.int64)
 

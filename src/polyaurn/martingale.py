@@ -33,7 +33,7 @@ from .moments import (
     log_product_ratio,
 )
 from .rng import fsum_rows, run_blocks
-from .urns import UrnSpec, simulate_white_batch
+from .urns import UrnSpec, _checkpoint_list, simulate_white_batch
 
 __all__ = [
     "martingale_value",
@@ -216,7 +216,7 @@ def lil_diagnostic(
     """One trajectory: at each checkpoint N report the tail sum scaled by
     eta_hat * s_N * sqrt(2 log log (1/s_N)) with eta_hat = sqrt(M_far/w0).
     Rows where log log(1/s_N) <= 0 carry ratio None (normalizer undefined)."""
-    checkpoints = sorted(set(int(c) for c in checkpoints))
+    checkpoints = _checkpoint_list(checkpoints)
     if checkpoints[-1] >= N_far:
         raise ValueError("checkpoints must precede the far horizon")
     w0 = float(spec.initial[0])

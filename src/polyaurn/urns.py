@@ -459,42 +459,63 @@ def simulate(spec: UrnSpec, N: int, seed: int, record: bool = False):
     return states if record else state
 
 
+def _checkpoint_list(checkpoints) -> list[int]:
+    """Sorted distinct checkpoint steps; raises on an empty or negative list."""
+    checkpoints = sorted(set(int(c) for c in checkpoints))
+    if not checkpoints or checkpoints[0] < 0:
+        raise ValueError("checkpoints must be non-empty and >= 0")
+    return checkpoints
+
+
 def simulate_white_batch(
     spec: UrnSpec, checkpoints: Sequence[int], n_reps: int, seed: int
 ) -> list[np.ndarray]:
     """Vectorized two-color simulation of n_reps independent trajectories.
 
     Returns the array of white counts at each checkpoint time (ascending).
-    Uses the same single-uniform draw rule as `step` (white iff u*T <= W).
+    Step j draws white with probability W/T_{j-1}.  W is fixed between white
+    draws and T grows, so each round thins a geometric skip: from step `pos`,
+    rate q = W/T_pos proposes step j, white iff v*T_{j-1} <= T_pos, for one
+    (u, v) pair per unfinished replicate.  No skip passes a barrier (a
+    checkpoint or a step with white immigration), where the immigration is
+    added and the checkpoint recorded.
     """
     if spec.kind != "py_like" or spec.colors != 2:
         raise ValueError("white-batch simulation needs a two-color py_like spec")
-    checkpoints = sorted(set(int(c) for c in checkpoints))
+    checkpoints = _checkpoint_list(checkpoints)
     N = checkpoints[-1]
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     sigma = float(spec.sigma)
-    W = np.full(n_reps, float(spec.initial[0]))
     sched = schedule(spec, N)
-    totals, imms = (sched.real(v).tolist() for v in (sched.totals, _per_step(sched.imm, N)))
-    out = []
-    if checkpoints and checkpoints[0] == 0:
-        out.append(W.copy())
-        checkpoints = checkpoints[1:]
-    pending = list(checkpoints)
-    u, hit = np.empty(n_reps), np.empty(n_reps)
-    for i in range(1, N + 1):
-        rng.random(out=u)
-        u *= totals[i - 1]
-        np.less_equal(u, W, out=hit)
-        if sigma != 1.0:
-            hit *= sigma
-        W += hit
-        if imms[i - 1]:
-            W += imms[i - 1]
-        if pending and i == pending[0]:
-            out.append(W.copy())
-            pending.pop(0)
-    return out
+    T, imm = sched.real(sched.totals), sched.real(_per_step(sched.imm, N))
+    row = np.full(N + 1, -1)  # row of out recording each step, -1 for none
+    row[checkpoints] = np.arange(len(checkpoints))
+    bars = np.sort(np.append(np.flatnonzero(imm) + 1, [c for c in checkpoints if c] + [N + 1]))
+    after = bars[np.searchsorted(bars, np.arange(N + 1), side="right")]  # first barrier > step
+    out = np.empty((len(checkpoints), n_reps))
+    W = out[0] = np.full(n_reps, float(spec.initial[0]))  # row 0 is step 0 or is overwritten
+    live = np.arange(n_reps if N else 0)
+    pos, b = np.zeros(live.size, dtype=np.int64), np.full(live.size, after[0])
+    with np.errstate(divide="ignore", over="ignore"):  # q = 1: log1p(-1) = -inf, skip 0
+        while live.size:
+            u, v = rng.random((2, live.size))
+            t_pos = T[pos]
+            q = np.minimum(W / t_pos, 1.0)
+            j = pos + 1 + np.floor(np.log1p(-u) / np.log1p(-q))
+            white = j <= b
+            pos = np.minimum(j, b).astype(np.int64)
+            white &= v * T[pos - 1] <= t_pos
+            W += white if sigma == 1.0 else sigma * white
+            land = pos == b
+            if land.any():
+                W += land * imm[b - 1]
+                rec = land & (row[b] >= 0)
+                out[row[b[rec]], live[rec]] = W[rec]
+                b[land] = after[b[land]]
+                keep = b <= N
+                if not keep.all():
+                    live, W, pos, b = live[keep], W[keep], pos[keep], b[keep]
+    return list(out)
 
 
 def simulate_counts_batch(spec: UrnSpec, N: int, n_reps: int, seed: int) -> np.ndarray:

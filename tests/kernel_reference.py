@@ -1,11 +1,15 @@
 """Row-major copies of the Monte Carlo kernels, kept as oracles.
 
-These are the two-colour, multicolour, forest and word kernels as they were
-before the counts and slot weights moved to a column-major layout: fresh
-arrays every step, one row per replicate, one `np.cumsum(..., axis=1)` over
-every colour or slot per draw, and one Python `block_count` call per word.
-The tests assert that the package kernels return the same arrays for the
-same seeds.
+These are the multicolour, forest and word kernels as they were before the
+counts and slot weights moved to a column-major layout: fresh arrays every
+step, one row per replicate, one `np.cumsum(..., axis=1)` over every colour
+or slot per draw, and one Python `block_count` call per word; and the seating
+kernel as it was before it reused its buffers.  The tests assert that the
+package kernels return the same arrays for the same seeds.
+
+The two-colour kernel here draws one uniform per step and replicate (white
+iff u*T <= W).  The package kernel skips from white draw to white draw and
+consumes its uniforms differently, so the two agree in law, not in values.
 
 One line differs from the old kernels on purpose: when the float cumulative
 sum falls short of u*total, they took the last colour or slot (M - 1), which
@@ -51,6 +55,29 @@ def simulate_white_batch(spec, checkpoints, n_reps, seed):
             out.append(W.copy())
             pending.pop(0)
     return out
+
+
+def simulate_table_count_batch(params, N, n_reps, seed):
+    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    a = float(params.a)
+    theta = float(params.theta)
+    theta_bar = 0.0 if params.theta_bar is None else float(params.theta_bar)
+    has_bar = params.theta_bar is not None
+    m = np.zeros(n_reps)
+    b = np.zeros(n_reps)
+    for N_cur in range(N):
+        n = N_cur // params.period
+        c = N_cur + (n + 1) * theta + theta_bar
+        x = rng.random(n_reps) * c
+        fresh = m * a + (n + 1) * theta
+        if has_bar:
+            at_bar = x < b + theta_bar
+            at_new = ~at_bar & (x < b + theta_bar + fresh)
+            b += at_bar
+        else:
+            at_new = x < fresh
+        m += at_new
+    return m.astype(np.int64)
 
 
 def simulate_counts_batch(spec, N, n_reps, seed):

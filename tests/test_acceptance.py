@@ -204,7 +204,6 @@ def test_criterion_06_density_quadrature(acceptance):
     assert ok
 
 
-@pytest.mark.slow
 def test_criterion_07_tail_sum_clt(acceptance):
     report = tail_sum_experiment(STD, 1_000, 64_000, 100_000, master_seed=2026, threads=1)
     c = report.conditional

@@ -147,3 +147,5 @@ def test_lil_diagnostic_shape():
         assert r["ratio"] is None or math.isfinite(r["ratio"])
     with pytest.raises(ValueError):
         lil_diagnostic(STD, [10, 6000], 5_000, seed=21)
+    with pytest.raises(ValueError, match="checkpoints must be non-empty and >= 0"):
+        lil_diagnostic(STD, [], 50, seed=1)
