@@ -9,6 +9,10 @@ a cocktail bar with infinite capacity competes for customers as well):
  - a new table gets weight m*a + (n+1)*theta with m the occupied-table count,
  - the bar, if present, gets weight b + theta_bar with b its customer count.
 
+The bar enters the new-table chance only through c_N, so the table count m is
+a Markov chain on its own, with or without a bar: its exact law is a
+two-color urn (table_count_urn) and the batch kernel simulates m alone.
+
 The partition process is the branch structure of a plane-oriented forest with
 immigrating roots: scaling all weights by 1 + alpha with a = 1/(1+alpha)
 turns table weights into branch weights (a size-s branch holds weight
@@ -139,48 +143,52 @@ def simulate_table_count_batch(
 ) -> np.ndarray:
     """Occupied-table counts after N customers for n_reps runs.
 
-    The table count only needs (m, b) per replicate: customers at tables are
-    N - b, so the joint joining weight is (N - b) - m*a and each step is one
-    comparison against two thresholds.
+    The table count m is a Markov chain on its own: a new table opens at step
+    t with probability (m*a + (n+1)*theta) / c_t, and the bar enters only
+    through c_t.  So the kernel evolves the count vector of n_reps iid chains
+    over m, one Binomial(count_m, p_t(m)) split per occupied m, in a window
+    [lo, hi) of occupied counts.  The closing shuffle, most of the run time
+    at small N, gives the array the joint law of n_reps iid runs, not only
+    their multiset.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    if n_reps < 1:
+        raise ValueError("n_reps must be >= 1")
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     a = float(params.a)
     theta = float(params.theta)
     theta_bar = 0.0 if params.theta_bar is None else float(params.theta_bar)
-    has_bar = params.theta_bar is not None
-    m, b = np.zeros((2, n_reps))
-    x, fresh, lim = np.empty((3, n_reps))
-    at_new, at_bar = np.empty((2, n_reps), bool)
-    for N_cur in range(N):
-        n = N_cur // params.period
-        c = N_cur + (n + 1) * theta + theta_bar
-        np.multiply(rng.random(out=x), c, out=x)
-        np.add(np.multiply(m, a, out=fresh), (n + 1) * theta, out=fresh)
-        if has_bar:
-            np.add(b, theta_bar, out=lim)
-            np.less(x, lim, out=at_bar)
-            lim += fresh
-            np.less(x, lim, out=at_new)
-            at_new ^= at_bar  # x < b + theta_bar implies x < lim
-            b += at_bar
-        else:
-            np.less(x, fresh, out=at_new)
-        m += at_new
-    return m.astype(np.int64)
+    m = np.arange(N + 1)
+    counts = np.zeros(N + 1, np.int64)
+    counts[0] = n_reps
+    lo, hi = 0, 1
+    for t in range(N):
+        n = t // params.period
+        c = t + (n + 1) * theta + theta_bar
+        moved = rng.binomial(counts[lo:hi], (m[lo:hi] * a + (n + 1) * theta) / c)
+        counts[lo:hi] -= moved
+        counts[lo + 1:hi + 1] += moved
+        hi += bool(moved[-1])
+        while not counts[lo]:
+            lo += 1
+    out = np.repeat(m, counts)
+    rng.shuffle(out)
+    return out
 
 
 def table_count_urn(params: CrpParams):
     """Two-color urn whose white count tracks the table count exactly.
 
-    Only defined without a bar.  White weight after N customers equals
-    m*a + (n+1)*theta where m is the table count and n = N // period: a new
-    table adds a to white and 1-a to black (the join weight of its seated
-    customer), a join adds 1 to black, and each refresh adds theta to white.
+    White weight after N customers equals m*a + (n+1)*theta where m is the
+    table count and n = N // period: a new table adds a to white and 1-a to
+    black (the join weight of its seated customer), a join or a bar visit
+    adds 1 to black, and each refresh adds theta to white.  So the bar only
+    starts black at theta_bar.
     """
-    if params.theta_bar is not None:
-        raise ValueError("exact table-count law is only available without a bar")
     a, theta = params.a, params.theta
-    spec = triangular(params.period, a, 1 - a, 1 - a, theta, 0 * a)
+    b0 = 0 * a if params.theta_bar is None else params.theta_bar
+    spec = triangular(params.period, a, 1 - a, 1 - a, theta, b0)
     imm = [0 * a] * params.period
     imm[params.period - 1] = theta
     return with_white_immigration(spec, imm)

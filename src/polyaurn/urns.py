@@ -152,6 +152,8 @@ class UrnSpec:
             groups = self.phase_ells if self.phase_ells is not None else self.sequence_ells
             if groups is None or any(e < 0 for e in groups):
                 raise ValueError("schedule additions must be non-negative")
+            if any(v < 0 for v in self.white_immigration or ()):
+                raise ValueError("immigration amounts must be non-negative")
         elif self.kind == "branch":
             if self.matrices is None or len(self.matrices) != self.colors:
                 raise ValueError("branch urns need one matrix row per color")
@@ -235,7 +237,9 @@ def with_white_immigration(spec: UrnSpec, per_phase: Sequence) -> UrnSpec:
     amounts = _num_tuple(per_phase)
     if len(amounts) != spec.period:
         raise ValueError("need one immigration amount per phase")
-    return replace(spec, white_immigration=amounts, family="custom")
+    spec = replace(spec, white_immigration=amounts, family="custom")
+    spec.validate()
+    return spec
 
 
 def branch_urn(alpha, p: int, ell, max_size: int) -> UrnSpec:

@@ -3,19 +3,24 @@
 These are the multicolour, forest and word kernels as they were before the
 counts and slot weights moved to a column-major layout: fresh arrays every
 step, one row per replicate, one `np.cumsum(..., axis=1)` over every colour
-or slot per draw, and one Python `block_count` call per word; and the seating
-kernel as it was before it reused its buffers.  The tests assert that the
-package kernels return the same arrays for the same seeds.
+or slot per draw, and one Python `block_count` call per word.  The tests
+assert that the package kernels return the same arrays for the same seeds.
 
 The two-colour kernel here draws one uniform per step and replicate (white
 iff u*T <= W).  The package kernel skips from white draw to white draw and
 consumes its uniforms differently, so the two agree in law, not in values.
+Likewise the seating kernel here draws one uniform per customer and replicate
+and tracks the bar count b; the package kernel moves the vector of table-count
+occupancies by binomial splits, so the two agree in law only.  `tv_floor` is
+the noise floor that the TV checks print next to each TV.
 
 One line differs from the old kernels on purpose: when the float cumulative
 sum falls short of u*total, they took the last colour or slot (M - 1), which
 can have weight 0; `_clamp` takes the last one with positive weight, as
 `polyaurn.urns.draw_color` does.
 """
+
+import math
 
 import numpy as np
 
@@ -55,6 +60,13 @@ def simulate_white_batch(spec, checkpoints, n_reps, seed):
             out.append(W.copy())
             pending.pop(0)
     return out
+
+
+def tv_floor(law: dict, n: float) -> float:
+    """Expected TV distance between the exact law and an n-sample empirical
+    law drawn from it (normal approximation to E|p_hat - p| per atom)."""
+    return 0.5 * sum(math.sqrt(2 * float(q) * (1 - float(q)) / (math.pi * n))
+                     for q in law.values())
 
 
 def simulate_table_count_batch(params, N, n_reps, seed):

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import kernel_reference as ref
 from polyaurn.crp import (
     CrpParams,
     capacity,
@@ -362,9 +363,11 @@ def test_criterion_11_crp(acceptance):
     # table-count laws at N=50: the seating process at the pinned 1e5 reps,
     # against the forest reference estimated with 4x the replicates (two
     # equally sized samples would put the noise floor of the TV statistic at
-    # the 0.01 gate itself)
+    # the 0.01 gate itself), and both against the exact law.  Each TV prints
+    # next to its noise floor: the pair of samples of sizes n and 4n from one
+    # law sits at the floor of a single sample of size 4n/5.
     N, reps = 50, 100_000
-    worst_pair, worst_exact = 0.0, 0.0
+    worst_pair, worst_exact, details = 0.0, 0.0, []
     for k, params in enumerate(param_grid):
         alpha, ell, beta = tree_equivalents(params)
         crp_vals = simulate_table_count_batch(params, N, reps, seed=1100 + k)
@@ -372,13 +375,14 @@ def test_criterion_11_crp(acceptance):
             gport_family(alpha, ell), p, N, 4 * reps, seed=1150 + k,
             statistic=("table_count",), mode="crp", bar_beta=beta,
         )
-        worst_pair = max(worst_pair, _tv_emp(crp_vals, tree_vals))
-        if params.theta_bar is None:
-            law = table_count_pmf(params, N).as_dict()
-            worst_exact = max(worst_exact, _tv(crp_vals, law))
+        law = table_count_pmf(params, N).as_dict()
+        pair, exact = _tv_emp(crp_vals, tree_vals), _tv(crp_vals, law)
+        worst_pair, worst_exact = max(worst_pair, pair), max(worst_exact, exact)
+        details.append(f"set {k} pair {pair:.4f} (floor {ref.tv_floor(law, 0.8 * reps):.4f}), "
+                       f"exact {exact:.4f} (floor {ref.tv_floor(law, reps):.4f})")
     ok = worst_pair < 0.01 and worst_exact < 0.01
-    acceptance(11, "seating joins exact; seating vs forest table counts TV < 0.01",
-               ok, f"worst pair TV {worst_pair:.4f}, worst exact TV {worst_exact:.4f}")
+    acceptance(11, "seating joins exact; seating vs forest and exact table counts TV < 0.01",
+               ok, "TV " + "; ".join(details))
     assert ok
 
 

@@ -164,6 +164,17 @@ def test_domain_errors_exit_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--N", "-3"], "N must be >= 0"),
+    (["--replicates", "0"], "n_reps must be >= 1"),
+    (["--replicates", "-1"], "n_reps must be >= 1"),
+])
+def test_crp_bad_sizes_exit_1(capsys, flags, message):
+    assert run(["crp", "--N", "5", "--replicates", "10"] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {message}" in captured.err
+
+
 def test_verify_subcommands_pass(tmp_path):
     for what in ("decomposition", "martingale", "density"):
         code, text = run_to_file(

@@ -1,5 +1,6 @@
 """Seating process with periodically opening restaurants and optional bar."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -126,13 +127,21 @@ def test_table_count_urn_structure():
     assert urn.initial == (Fraction(1, 2), 0)
     assert urn.sigma == Fraction(1, 2)
     assert urn.white_immigration == (0, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        table_count_urn(CrpParams(Fraction(1, 2), Fraction(1, 2), 2, theta_bar=1))
+    # joins and bar visits both add 1 to black: the bar only starts black
+    bar = table_count_urn(CrpParams(Fraction(1, 2), Fraction(1, 2), 2, theta_bar=Fraction(5, 2)))
+    assert bar == replace(urn, initial=(Fraction(1, 2), Fraction(5, 2)))
 
 
-@pytest.mark.parametrize("params", [HALF, THIRD])
+BAR_PARAMS = [
+    CrpParams(Fraction(1, 2), Fraction(1, 2), 2, theta_bar=1),
+    CrpParams(Fraction(1, 3), 1, 3, theta_bar=Fraction(1, 7)),
+    CrpParams(Fraction(2, 3), Fraction(3, 2), 1, theta_bar=Fraction(5, 2)),
+]
+
+
+@pytest.mark.parametrize("params", [HALF, THIRD] + BAR_PARAMS)
 def test_table_count_pmf_matches_state_enumeration(params):
-    for N in range(1, 7):
+    for N in range(0, 8):
         law = exact_table_count_law(params, N)
         pmf = table_count_pmf(params, N)
         assert pmf.as_dict() == law
@@ -162,6 +171,17 @@ def test_bar_batch_matches_state_enumeration():
     emp = {int(v): c / reps for v, c in zip(*np.unique(vals, return_counts=True))}
     tv = 0.5 * sum(abs(emp.get(k, 0.0) - law.get(k, 0.0)) for k in set(emp) | set(law))
     assert tv < 0.02, tv
+
+
+@pytest.mark.parametrize("N,n_reps,message", [(-3, 5, "N must be >= 0"),
+                                               (5, 0, "n_reps must be >= 1"),
+                                               (5, -1, "n_reps must be >= 1")])
+def test_batch_rejects_bad_sizes(N, n_reps, message):
+    with pytest.raises(ValueError, match=message):
+        simulate_table_count_batch(HALF, N, n_reps, seed=1)
+    if N < 0:
+        with pytest.raises(ValueError, match=message):
+            table_count_pmf(HALF, N)
 
 
 def test_batch_deterministic():

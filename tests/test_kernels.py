@@ -1,6 +1,6 @@
 """The Monte Carlo kernels against their copies in kernel_reference.py (same
-seed, same arrays), the two-colour kernel against the exact law, and the
-shared cumulative draw against the scalar `draw_color`."""
+seed, same arrays), the two-colour and seating kernels against their exact
+laws, and the shared cumulative draw against the scalar `draw_color`."""
 
 import math
 import warnings
@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kernel_reference as ref
-from polyaurn.crp import CrpParams, simulate_table_count_batch, table_count_urn
+from polyaurn.crp import (CrpParams, simulate_table_count_batch, table_count_pmf,
+                          table_count_urn)
 from polyaurn.stirling import _block_counts, all_words, block_count, simulate_block_counts
 from polyaurn.trees import (
     dary_family,
@@ -156,13 +157,29 @@ def test_multicolor_kernel_matches_the_row_major_reference(spec, N, n_reps, seed
                           ref.simulate_counts_batch(spec, N, n_reps, seed))
 
 
-def _law_moments(spec, N):
-    """Mean, variance and fourth central moment of W_N under exact_pmf_dp."""
-    law = exact_pmf_dp(spec, N)
-    x = np.array([float(w) for w in law.support])
-    q = np.array([float(v) for v in law.probs])
+def _tv_to_law(values: np.ndarray, law: dict) -> float:
+    keys, counts = np.unique(values, return_counts=True)
+    emp = {int(k): c / len(values) for k, c in zip(keys, counts)}
+    return 0.5 * sum(abs(emp.get(k, 0.0) - law.get(k, 0.0)) for k in set(emp) | set(law))
+
+
+def _moments(law: dict):
+    """Mean, variance and fourth central moment of a law {value: probability}."""
+    x = np.array([float(w) for w in law])
+    q = np.array([float(v) for v in law.values()])
     mean = q @ x
     return mean, q @ (x - mean) ** 2, q @ (x - mean) ** 4
+
+
+def _assert_moments_match(sample: np.ndarray, law: dict, label):
+    """Sample mean and variance within 4 standard errors of the law's."""
+    mean, var, m4 = _moments(law)
+    n = len(sample)
+    slack = 1e-9 * (1.0 + abs(mean))  # floating sums of a deterministic value
+    assert abs(sample.mean() - mean) <= 4 * math.sqrt(var / n) + slack, (label, sample.mean(), mean)
+    if n > 1:
+        se_var = math.sqrt(max(m4 - var**2 * (n - 3) / (n - 1), 0.0) / n)
+        assert abs(sample.var(ddof=1) - var) <= 4 * se_var + slack, (label, sample.var(ddof=1), var)
 
 
 # derandomized: a fixed set of examples, so the 4 s.e. checks cannot flake
@@ -175,12 +192,7 @@ def test_two_colour_kernel_moments_match_the_exact_law(spec, checkpoints, n_reps
     ours = simulate_white_batch(spec, checkpoints, n_reps, seed)
     assert len(ours) == len(set(checkpoints))
     for N, W in zip(sorted(set(checkpoints)), ours):
-        mean, var, m4 = _law_moments(spec, N)
-        slack = 1e-9 * (1.0 + abs(mean))  # floating sums of a deterministic W
-        assert abs(W.mean() - mean) <= 4 * math.sqrt(var / n_reps) + slack, (N, W.mean(), mean)
-        if n_reps > 1:
-            se_var = math.sqrt(max(m4 - var**2 * (n_reps - 3) / (n_reps - 1), 0.0) / n_reps)
-            assert abs(W.var(ddof=1) - var) <= 4 * se_var + slack, (N, W.var(ddof=1), var)
+        _assert_moments_match(W, exact_pmf_dp(spec, N).as_dict(), N)
 
 
 def _draw_count_tv(spec, N, W) -> tuple[float, float]:
@@ -191,11 +203,7 @@ def _draw_count_tv(spec, N, W) -> tuple[float, float]:
     law = exact_pmf_dp(spec, N)
     exact = {round((float(w) - base) / float(spec.sigma)): float(q)
              for w, q in zip(law.support, law.probs)}
-    keys, counts = np.unique(np.rint((W - base) / float(spec.sigma)), return_counts=True)
-    emp = {int(k): c / len(W) for k, c in zip(keys, counts)}
-    tv = 0.5 * sum(abs(emp.get(k, 0.0) - exact.get(k, 0.0)) for k in set(emp) | set(exact))
-    floor = 0.5 * sum(math.sqrt(2 * q * (1 - q) / (math.pi * len(W))) for q in exact.values())
-    return tv, floor
+    return _tv_to_law(np.rint((W - base) / float(spec.sigma)), exact), ref.tv_floor(exact, len(W))
 
 
 TV_SPECS = {
@@ -229,7 +237,7 @@ def test_two_colour_kernel_with_an_empty_black_side_raises_no_warning():
         warnings.simplefilter("error")
         first, last = simulate_white_batch(spec, [1, 30], 549, seed=3)
     assert np.all(first == 2)  # step 1 draws white with probability 1
-    mean, var, _ = _law_moments(spec, 30)
+    mean, var, _ = _moments(exact_pmf_dp(spec, 30).as_dict())
     assert abs(last.mean() - mean) < 4 * math.sqrt(var / 549)
 
 
@@ -239,16 +247,53 @@ def test_two_colour_kernel_rejects_bad_checkpoints(checkpoints):
         simulate_white_batch(polya_young(2, 1, 1, 1, 1), checkpoints, 4, 1)
 
 
-@settings(max_examples=40, deadline=None)
+def _table_law(params, N) -> dict:
+    # a float theta_bar gives a float law whose support only rounds to integers
+    return {round(m): float(q) for m, q in table_count_pmf(params, N).as_dict().items()}
+
+
+# derandomized, as the two-colour moment test: the 4 s.e. checks cannot flake
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(a=st.fractions(Fraction(1, 10), Fraction(9, 10), max_denominator=10), theta=RATIONAL,
        period=st.integers(1, 3), bar=st.none() | RATIONAL | st.floats(0.25, 3.0),
        N=st.integers(0, 20), n_reps=REPS, seed=SEEDS)
 @example(a=Fraction(1, 2), theta=Fraction(1, 2), period=2, bar=None, N=20, n_reps=20_000, seed=7)
 @example(a=Fraction(1, 2), theta=Fraction(1, 2), period=2, bar=1, N=20, n_reps=20_000, seed=7)
-def test_seating_kernel_matches_the_reference(a, theta, period, bar, N, n_reps, seed):
+def test_seating_kernel_moments_match_the_exact_law(a, theta, period, bar, N, n_reps, seed):
     params = CrpParams(a, theta, period, bar)
-    assert np.array_equal(simulate_table_count_batch(params, N, n_reps, seed),
-                          ref.simulate_table_count_batch(params, N, n_reps, seed))
+    m = simulate_table_count_batch(params, N, n_reps, seed)
+    assert m.dtype == np.int64 and m.shape == (n_reps,)
+    _assert_moments_match(m, _table_law(params, N), N)
+
+
+SEATING_TV_PARAMS = [  # the four benchmark settings, then two with a bar
+    CrpParams(Fraction(1, 2), Fraction(1, 2), 2),
+    CrpParams(Fraction(1, 3), 1, 2),
+    CrpParams(Fraction(1, 4), Fraction(3, 2), 1),
+    CrpParams(Fraction(2, 3), 2, 3),
+    CrpParams(Fraction(1, 2), Fraction(1, 2), 2, 1),
+    CrpParams(Fraction(1, 3), 1, 3, Fraction(5, 2)),
+]
+
+
+@pytest.mark.parametrize("k", range(len(SEATING_TV_PARAMS)))
+def test_seating_kernel_tv_to_the_exact_law(k):
+    # 2e5 replicates at N = 20, as the benchmark runs them; the per-customer
+    # reference sits at the noise floor of the same sample size
+    params, N, n_reps = SEATING_TV_PARAMS[k], 20, 200_000
+    law = _table_law(params, N)
+    floor = ref.tv_floor(law, n_reps)
+    m = simulate_table_count_batch(params, N, n_reps, seed=2000 + k)
+    ours = _tv_to_law(m, law)
+    theirs = _tv_to_law(ref.simulate_table_count_batch(params, N, n_reps, seed=2000 + k), law)
+    print(f"{params}: TV {ours:.4f}, per-customer reference {theirs:.4f}, "
+          f"noise floor {floor:.4f}")
+    assert ours < 1.5 * floor and theirs < 1.5 * floor, (ours, theirs, floor)
+    # the replicates are iid, not only their multiset: each tenth of the array
+    # has the mean of the law
+    mean, var, _ = _moments(law)
+    for block in m.reshape(10, -1):
+        assert abs(block.mean() - mean) <= 4 * math.sqrt(var / len(block)), block.mean()
 
 
 @pytest.mark.parametrize("n_reps", [3, 512])

@@ -50,6 +50,8 @@ def test_constructor_validation():
         polya_young(0, 1, 1, 1, 1)  # period >= 1
     with pytest.raises(ValueError):
         polya_young(2, 1, -1, 1, 1)  # additions must be non-negative
+    with pytest.raises(ValueError, match="immigration amounts must be non-negative"):
+        with_white_immigration(polya_young(1, 1, 1, 1, 1), [-3])
 
 
 def test_total_balls_closed_form():
