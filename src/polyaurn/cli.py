@@ -39,12 +39,10 @@ from .stirling import (
 )
 from .trees import (
     dary_family,
-    descendants_urn,
     gport_family,
-    outdegree_urn,
     recursive_family,
-    root_descendants_urn,
     simulate_statistic_batch,
+    statistic_pmf,
 )
 from .urns import (
     _SEQUENCES,
@@ -268,28 +266,16 @@ def cmd_tree_sim(args) -> int:
     seed = args.seed = resolve_master_seed(args.seed)
     stat_name = args.statistic.replace("-", "_")
     statistic = (stat_name,) if stat_name == "table_count" else (stat_name, args.index)
-    values = simulate_statistic_batch(
-        family, args.p, args.N, args.replicates, seed, statistic,
-        mode=args.tree_mode,
-        bar_beta=Fraction(args.bar_beta) if args.bar_beta else None,
-    )
+    bar_beta = Fraction(args.bar_beta) if args.bar_beta else None
+    # resolve the exact law first: a pair without one exits 1 before simulating
+    exact = (statistic_pmf(family, args.p, args.N, statistic, args.tree_mode, bar_beta)
+             if args.compare else None)
+    values = simulate_statistic_batch(family, args.p, args.N, args.replicates, seed,
+                                      statistic, mode=args.tree_mode, bar_beta=bar_beta)
     pmf = empirical_pmf(values.tolist())
     rows = _pmf_rows(pmf, args.mode)
-    if args.compare and stat_name != "table_count":
-        builders = {
-            "descendants": lambda: descendants_urn(family, args.p, args.index),
-            "root_descendants": lambda: root_descendants_urn(family, args.p, args.index),
-            "outdegree": lambda: outdegree_urn(family, args.p, args.index),
-        }
-        urn = builders[stat_name]()
-        steps = args.N - args.index * (args.p if stat_name == "root_descendants" else 1)
-        exact = exact_pmf_dp(urn, steps)
-        shift = 1 if stat_name == "descendants" else 0
-        exact = exact.map_support(
-            lambda w: int((w - urn.initial[0]) / urn.sigma) + shift
-        )
-        tv = empirical_pmf(values.tolist()).tv_distance(exact)
-        rows.append(("tv_vs_urn", format(float(tv), ".15g")))
+    if exact is not None:
+        rows.append(("tv_vs_urn", format(float(pmf.tv_distance(exact)), ".15g")))
     _emit(args, rows=rows, header=["value", "probability"])
     return 0
 
@@ -440,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tree-mode", choices=["standard", "crp"], default="standard")
     sp.add_argument("--bar-beta", default=None)
     sp.add_argument("--compare", action="store_true",
-                    help="append total-variation distance to the matching urn law")
+                    help="append the total-variation distance to the exact law "
+                         "(standard-mode node statistics, crp-mode table count)")
 
     sp = add("stirling", cmd_stirling, urn=False, reads=("seed", "mode"))
     sp.add_argument("--d", type=int, default=2)

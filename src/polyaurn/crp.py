@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .urns import Pmf, _num, draw_color, exact_pmf_dp, triangular, with_white_immigration
+from .urns import Pmf, _num, exact_pmf_dp, triangular, with_white_immigration
 
 __all__ = [
     "CrpParams",
@@ -34,9 +34,6 @@ __all__ = [
     "seating_weights",
     "seating_probabilities",
     "tree_equivalents",
-    "CrpState",
-    "crp_step",
-    "simulate_crp",
     "simulate_table_count_batch",
     "table_count_urn",
     "table_count_pmf",
@@ -101,43 +98,6 @@ def tree_equivalents(params: CrpParams):
     return alpha, ell, beta
 
 
-@dataclass
-class CrpState:
-    time: int = 0
-    table_sizes: list = None
-    bar_count: int = 0
-
-    def __post_init__(self):
-        if self.table_sizes is None:
-            self.table_sizes = []
-
-
-def crp_step(params: CrpParams, state: CrpState, u: float) -> CrpState:
-    """Seat one customer using a single uniform draw; the cumulative order is
-    tables, then the fresh table, then the bar."""
-    tables, fresh, bar = seating_weights(
-        params, state.table_sizes, state.time, state.bar_count
-    )
-    weights = tables + [fresh] + ([bar] if bar is not None else [])
-    choice = draw_color(weights, capacity(params, state.time), u)
-    sizes = list(state.table_sizes)
-    bar_count = state.bar_count
-    if choice < len(sizes):
-        sizes[choice] += 1
-    elif choice == len(sizes):
-        sizes.append(1)
-    else:
-        bar_count += 1
-    return CrpState(state.time + 1, sizes, bar_count)
-
-
-def simulate_crp(params: CrpParams, N: int, rng) -> CrpState:
-    state = CrpState()
-    for _ in range(N):
-        state = crp_step(params, state, float(rng.random()))
-    return state
-
-
 def simulate_table_count_batch(
     params: CrpParams, N: int, n_reps: int, seed: int
 ) -> np.ndarray:
@@ -195,9 +155,10 @@ def table_count_urn(params: CrpParams):
 
 
 def table_count_pmf(params: CrpParams, N: int) -> Pmf:
-    """Exact distribution of the number of tables after N customers."""
+    """Exact distribution of the number of tables after N customers, on
+    integer support (rounded, so float parameters give integer keys too)."""
     spec = table_count_urn(params)
     pmf = exact_pmf_dp(spec, N)
     n = N // params.period
     shift = (n + 1) * params.theta
-    return pmf.map_support(lambda w: (w - shift) / params.a)
+    return pmf.map_support(lambda w: round((w - shift) / params.a))

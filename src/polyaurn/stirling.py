@@ -175,12 +175,11 @@ def historical_block_count_urn(d: int, p: int, t: int) -> UrnSpec:
     return triangular(p, 1, d - 1, d - 1 + t, 2, d - 1, offset=(p - 1) % p)
 
 
-def block_count_pmf_from_urn(spec: UrnSpec, N: int, extra_blocks: int = 0) -> Pmf:
+def block_count_pmf_from_urn(spec: UrnSpec, N: int) -> Pmf:
     """Block-count law of an order-N word from an urn: white after N-1 steps,
-    shifted down by one and up by extra_blocks (0 for the corrected urn;
-    the historical claim adds the thick-label count N // p)."""
+    shifted down by one."""
     pmf = exact_pmf_dp(spec, N - 1)
-    return pmf.map_support(lambda w: w - 1 + extra_blocks)
+    return pmf.map_support(lambda w: w - 1)
 
 
 def simulate_block_counts(

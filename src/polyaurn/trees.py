@@ -18,9 +18,10 @@ rule, so every insertion is a weighted draw.
 
 Node-level statistics (subtree sizes, root subtree sizes, outdegrees) match
 two-color urns whose refresh phase is shifted by the node's birth time; the
-builders below construct those urns.  The batch simulator never touches the
-urn code path: it grows actual forests, tracking only the counters a
-statistic needs, so the comparisons are genuine cross-checks.
+builders below construct those urns and statistic_pmf maps them to laws.  The
+batch simulator never touches the urn code path: it grows actual forests,
+tracking only the counters a statistic needs, so the comparisons are genuine
+cross-checks.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .urns import (UrnSpec, _cumulative_draw, _num, branch_urn, draw_color, polya_young,
-                   triangular)
+from .crp import CrpParams, table_count_pmf
+from .urns import (Pmf, UrnSpec, _cumulative_draw, _num, draw_color, exact_pmf_dp,
+                   polya_young, triangular)
 
 __all__ = [
     "TreeFamily",
@@ -43,7 +45,7 @@ __all__ = [
     "descendants_urn",
     "root_descendants_urn",
     "outdegree_urn",
-    "branch_profile_urn",
+    "statistic_pmf",
     "simulate_statistic_batch",
     "simulate_branch_profile_batch",
 ]
@@ -130,6 +132,11 @@ def forest_total_weight(family: TreeFamily, p: int, N: int, mode: str = "standar
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _check_bar(mode: str, bar_beta) -> None:
+    if bar_beta is not None and mode != "crp":
+        raise ValueError("the bar is a crp-mode feature")
+
+
 # ---------------------------------------------------------------------------
 # object forest (reference implementation)
 
@@ -146,8 +153,7 @@ class Forest:
                  bar_beta=None):
         if p < 1:
             raise ValueError("period must be >= 1")
-        if bar_beta is not None and mode != "crp":
-            raise ValueError("the bar is a crp-mode feature")
+        _check_bar(mode, bar_beta)
         self.family = family
         self.p = p
         self.mode = mode
@@ -279,10 +285,37 @@ def outdegree_urn(family: TreeFamily, p: int, j: int) -> UrnSpec:
     )
 
 
-def branch_profile_urn(alpha, p: int, ell, max_size: int) -> UrnSpec:
-    """Multicolor urn for the crp-mode branch profile of root 0; color m
-    carries weight m*(alpha+1)-1 per size-m branch."""
-    return branch_urn(alpha, p, ell, max_size)
+def statistic_pmf(family: TreeFamily, p: int, N: int, statistic: tuple,
+                  mode: str = "standard", bar_beta=None) -> Pmf:
+    """Exact law of the statistic simulate_statistic_batch draws, on integer
+    support.
+
+    Standard mode: a node statistic counts the color-0 draws of its urn (plus
+    node j itself for descendants) over the steps after the node is born.
+    CRP mode: the table count is the seating table count with a = 1/(1+alpha),
+    theta = ell*a and theta_bar = beta*a.  No other pair has a route; with a
+    bar, node j may never be born, so no node urn has a fixed start.
+    """
+    _check_bar(mode, bar_beta)
+    kind = statistic[0]
+    if mode == "crp" and kind == "table_count":
+        if family.name != "gport":
+            raise ValueError("crp mode uses the gport family")
+        a = 1 / (1 + family.alpha)
+        bar = None if bar_beta is None else _num(bar_beta) * a
+        return table_count_pmf(CrpParams(a, family.ell * a, p, bar), N)
+    if mode != "standard" or kind not in ("descendants", "root_descendants", "outdegree"):
+        raise ValueError(f"no exact law for {statistic!r} in {mode} mode (standard mode: "
+                         "node statistics; crp mode: the table count)")
+    arg = statistic[1]
+    if kind == "descendants":
+        urn, steps, itself = descendants_urn(family, p, arg), N - arg, 1
+    elif kind == "root_descendants":
+        urn, steps, itself = root_descendants_urn(family, p, arg), N - arg * p, 0
+    else:
+        urn, steps, itself = outdegree_urn(family, p, arg), N - arg, 0
+    w0 = urn.initial[0]
+    return exact_pmf_dp(urn, steps).map_support(lambda w: round((w - w0) / urn.sigma) + itself)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +356,7 @@ def simulate_statistic_batch(
     scalar engine's cumulative rule as one running sum over the slots before
     node i only: every later slot still has weight 0.
     """
+    _check_bar(mode, bar_beta)
     kind = statistic[0]
     labels = _slot_schedule(p, N, mode, bar_beta is not None)
     slot_of = {lab: i for i, lab in enumerate(labels)}

@@ -47,12 +47,10 @@ from polyaurn.stirling import (
 )
 from polyaurn.trees import (
     dary_family,
-    descendants_urn,
     gport_family,
-    outdegree_urn,
     recursive_family,
-    root_descendants_urn,
     simulate_statistic_batch,
+    statistic_pmf,
 )
 from polyaurn.urns import (
     enumerate_histories,
@@ -265,28 +263,11 @@ CRITERION_9_SETTINGS = [
 ]
 
 
-def _tree_urn_law(family, p, N, statistic):
-    kind, arg = statistic
-    if kind == "descendants":
-        urn, steps = descendants_urn(family, p, arg), N - arg
-        conv = lambda w: (w - family.kappa) / family.sigma
-    elif kind == "root_descendants":
-        urn, steps = root_descendants_urn(family, p, arg), N - arg * p
-        conv = lambda w: (w - family.ell) / family.sigma
-    else:
-        urn, steps = outdegree_urn(family, p, arg), N - arg
-        conv = lambda w: w - family.alpha
-    law: dict = {}
-    for w, q in exact_pmf_dp(urn, steps).as_dict().items():
-        law[int(conv(w))] = law.get(int(conv(w)), Fraction(0)) + q
-    return law
-
-
 def test_criterion_09_tree_statistics_match_urn_laws(acceptance):
     N, reps = 24, 100_000
     worst = 0.0
     for k, (family, p, statistic) in enumerate(CRITERION_9_SETTINGS):
-        law = _tree_urn_law(family, p, N, statistic)
+        law = statistic_pmf(family, p, N, statistic).as_dict()
         vals = simulate_statistic_batch(family, p, N, reps, seed=900 + k,
                                         statistic=statistic)
         worst = max(worst, _tv(vals, law))
@@ -328,9 +309,9 @@ def test_criterion_10_stirling_words(acceptance):
 )
 def test_criterion_10_printed_urn_mapping():
     d, p, t, N = 2, 2, 1, 30
-    law = block_count_pmf_from_urn(
-        historical_block_count_urn(d, p, t), N, extra_blocks=N // p
-    ).as_dict()
+    # the historical claim adds the thick-label count N // p to the blocks
+    law = block_count_pmf_from_urn(historical_block_count_urn(d, p, t), N)
+    law = law.map_support(lambda b: b + N // p).as_dict()
     vals = simulate_block_counts(d, p, t, N, 20_000, seed=1031)
     assert _tv(vals, law) < 0.01
 

@@ -3,13 +3,17 @@
 import contextlib
 import io
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kernel_reference import tv_floor
 from polyaurn.cli import run
 from polyaurn.moments import limit_density
+from polyaurn.trees import gport_family, statistic_pmf
 from polyaurn.urns import (
     exact_pmf_dp,
     multicolor_polya_young,
@@ -368,3 +372,58 @@ def test_flags_a_subcommand_does_not_read_exit_2(tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--config", str(cfg)])
         assert exc.value.code == 2, (command, flag, "config")
+
+
+def _rows(text):
+    return [line.split(",") for line in text.strip().splitlines()[3:]]
+
+
+@pytest.mark.parametrize("compare", [[], ["--compare"]])
+def test_tree_sim_bar_in_standard_mode_exits_1(capsys, compare):
+    assert run(["tree-sim", "--tree-family", "recursive", "--bar-beta", "1", "--N", "5",
+                "--replicates", "10"] + compare) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: the bar is a crp-mode feature" in captured.err
+
+
+def test_tree_sim_compare_without_an_exact_law_exits_1(capsys):
+    # the standard-mode urns do not describe crp-mode node statistics
+    assert run(["tree-sim", "--tree-family", "gport", "--tree-mode", "crp", "--N", "12",
+                "--replicates", "20000", "--statistic", "descendants", "--compare"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: no exact law for ('descendants', 1) in crp mode" in captured.err
+
+
+@pytest.mark.parametrize("bar", [[], ["--bar-beta", "2"]], ids=["no_bar", "bar"])
+def test_tree_sim_crp_table_count_compare_sits_at_the_noise_floor(tmp_path, bar):
+    reps = 20_000
+    code, text = run_to_file(tmp_path, ["tree-sim", "--tree-family", "gport", "--alpha", "1",
+                                        "--ell", "1", "--p", "2", "--tree-mode", "crp",
+                                        "--statistic", "table-count", "--N", "12",
+                                        "--replicates", str(reps), "--seed", "4", "--compare",
+                                        *bar])
+    assert code == 0
+    rows = _rows(text)
+    assert rows[-1][0] == "tv_vs_urn"
+    beta = Fraction(2) if bar else None
+    law = statistic_pmf(gport_family(1, 1), 2, 12, ("table_count",), "crp", beta).as_dict()
+    emp = {int(v): Fraction(q) for v, q in rows[:-1]}
+    tv = 0.5 * sum(abs(float(emp.get(k, 0) - law.get(k, 0))) for k in set(emp) | set(law))
+    assert float(rows[-1][1]) == pytest.approx(tv, abs=1e-12)
+    assert tv < 1.5 * tv_floor(law, reps), (tv, tv_floor(law, reps))
+
+
+def _readme_examples():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("polyaurn ")]
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: argv[0])
+def test_readme_examples_run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0
+    assert out.getvalue()

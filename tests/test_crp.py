@@ -11,7 +11,6 @@ from polyaurn.crp import (
     capacity,
     seating_probabilities,
     seating_weights,
-    simulate_crp,
     simulate_table_count_batch,
     table_count_pmf,
     table_count_urn,
@@ -111,17 +110,6 @@ def test_weights_match_scaled_forest_exactly(params):
             assert scale * barw == bar * scale + beta
 
 
-def test_crp_step_invariants_and_determinism():
-    params = CrpParams(Fraction(1, 2), Fraction(1, 2), 2, theta_bar=1)
-    rng = np.random.Generator(np.random.PCG64(8))
-    state = simulate_crp(params, 40, rng)
-    assert state.time == 40
-    assert sum(state.table_sizes) + state.bar_count == 40
-    assert all(s >= 1 for s in state.table_sizes)
-    again = simulate_crp(params, 40, np.random.Generator(np.random.PCG64(8)))
-    assert again.table_sizes == state.table_sizes and again.bar_count == state.bar_count
-
-
 def test_table_count_urn_structure():
     urn = table_count_urn(HALF)
     assert urn.initial == (Fraction(1, 2), 0)
@@ -149,8 +137,20 @@ def test_table_count_pmf_matches_state_enumeration(params):
 
 def test_table_count_pmf_integer_support():
     pmf = table_count_pmf(HALF, 9)
-    assert all(isinstance(m, Fraction) and m.denominator == 1 for m in pmf.support)
+    assert all(type(m) is int for m in pmf.support)
     assert min(pmf.support) >= 1 and max(pmf.support) <= 9
+
+
+@pytest.mark.parametrize("params,N,support", [
+    (CrpParams(Fraction(1, 10), Fraction(1, 4), 1, 1.0), 1, (0, 1)),
+    (CrpParams(0.3, 0.7, 2), 5, (1, 2, 3, 4, 5)),
+])
+def test_table_count_pmf_float_parameters_give_integer_keys(params, N, support):
+    # (w - shift)/a in float lands next to the table count (0.9999999999999998,
+    # 5.000000000000002); the keys must be the counts themselves
+    pmf = table_count_pmf(params, N)
+    assert pmf.support == support
+    assert all(type(m) is int for m in pmf.support)
 
 
 @pytest.mark.parametrize("params", [HALF, THIRD])

@@ -92,7 +92,8 @@ def test_urn_route_matches_enumeration_exactly(d, p, t):
 def test_historical_urn_does_not_reproduce_the_words():
     d, p, t = 1, 2, 1
     hist = historical_block_count_urn(d, p, t)
-    got = block_count_pmf_from_urn(hist, 3, extra_blocks=3 // p)
+    # the historical claim adds the thick-label count N // p to the blocks
+    got = block_count_pmf_from_urn(hist, 3).map_support(lambda b: b + 3 // p)
     assert float(got.tv_distance(block_count_law(d, p, t, 3))) == pytest.approx(0.25)
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from polyaurn.trees import (
     Forest,
-    branch_profile_urn,
     dary_family,
     descendants_urn,
     forest_total_weight,
@@ -17,11 +16,12 @@ from polyaurn.trees import (
     root_descendants_urn,
     simulate_branch_profile_batch,
     simulate_statistic_batch,
+    statistic_pmf,
 )
-from polyaurn.urns import ell_at, exact_pmf_dp, simulate_counts_batch, total_balls
+from polyaurn.urns import branch_urn, ell_at, simulate_counts_batch, total_balls
 
 
-def enumerate_forest(family, p, N, statistic, mode="standard"):
+def enumerate_forest(family, p, N, statistic, mode="standard", bar_beta=None):
     """Exact law of a forest statistic by exhaustive enumeration of every
     attachment history (rational probabilities)."""
 
@@ -81,7 +81,7 @@ def enumerate_forest(family, p, N, statistic, mode="standard"):
             apply_growth(g, t, i)
             rec(g, prob * Fraction(w) / Fraction(total))
 
-    rec(Forest(family, p, mode), Fraction(1))
+    rec(Forest(family, p, mode, bar_beta), Fraction(1))
     return out
 
 
@@ -134,33 +134,42 @@ EXACT_CASES = [
 ]
 
 
-def _mapped_urn_law(family, p, N, statistic):
-    kind = statistic[0]
-    if kind == "descendants":
-        j = statistic[1]
-        urn, steps = descendants_urn(family, p, j), N - j
-        to_stat = lambda w: (w - family.kappa) / family.sigma
-    elif kind == "root_descendants":
-        m = statistic[1]
-        urn, steps = root_descendants_urn(family, p, m), N - m * p
-        to_stat = lambda w: (w - family.ell) / family.sigma
-    else:
-        j = statistic[1]
-        urn, steps = outdegree_urn(family, p, j), N - j
-        to_stat = lambda w: w - family.alpha
-    out: dict = {}
-    for w, prob in exact_pmf_dp(urn, steps).as_dict().items():
-        k = to_stat(w)
-        assert k.denominator == 1
-        out[int(k)] = out.get(int(k), Fraction(0)) + prob
-    return urn, steps, out
-
-
 @pytest.mark.parametrize("family,p,N,statistic", EXACT_CASES)
 def test_statistic_law_equals_urn_law_exactly(family, p, N, statistic):
-    tree_law = enumerate_forest(family, p, N, statistic)
-    _, _, urn_law = _mapped_urn_law(family, p, N, statistic)
-    assert tree_law == urn_law
+    law = statistic_pmf(family, p, N, statistic)
+    assert all(type(v) is int for v in law.support)
+    assert enumerate_forest(family, p, N, statistic) == law.as_dict()
+
+
+@pytest.mark.parametrize("family", [gport_family(1, 1), gport_family(Fraction(1, 2), 2),
+                                    gport_family(3, Fraction(1, 3))])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bar_beta", [None, Fraction(5, 2)])
+def test_crp_table_count_law_equals_enumeration_exactly(family, p, bar_beta):
+    # the seating urn through a = 1/(1+alpha), theta = ell*a, theta_bar = beta*a
+    for N in range(7):
+        law = statistic_pmf(family, p, N, ("table_count",), "crp", bar_beta)
+        assert all(type(v) is int for v in law.support)
+        assert enumerate_forest(family, p, N, ("table_count",), "crp", bar_beta) == law.as_dict()
+
+
+@pytest.mark.parametrize("statistic,mode,bar_beta,message", [
+    (("descendants", 1), "crp", None, "no exact law for .'descendants', 1. in crp mode"),
+    (("outdegree", 2), "crp", 1, "no exact law for .'outdegree', 2. in crp mode"),
+    (("table_count",), "standard", None, "no exact law for .'table_count',. in standard mode"),
+    (("branch_profile", 3), "crp", None, "no exact law"),
+    (("descendants", 1), "standard", 1, "the bar is a crp-mode feature"),
+])
+def test_statistic_pmf_names_the_missing_route(statistic, mode, bar_beta, message):
+    with pytest.raises(ValueError, match=message):
+        statistic_pmf(gport_family(1, 1), 2, 6, statistic, mode, bar_beta)
+
+
+def test_kernel_rejects_a_bar_in_standard_mode():
+    # Forest refuses it, so the kernel must not sample a model the package lacks
+    with pytest.raises(ValueError, match="the bar is a crp-mode feature"):
+        simulate_statistic_batch(recursive_family(1), 2, 6, 10, 1, ("descendants", 1),
+                                 bar_beta=1)
 
 
 def test_descendants_urn_rejects_trimmed_dary():
@@ -192,7 +201,7 @@ BATCH_CASES = [
 
 @pytest.mark.parametrize("family,p,N,statistic", BATCH_CASES)
 def test_batch_simulator_matches_urn_law(family, p, N, statistic):
-    _, _, urn_law = _mapped_urn_law(family, p, N, statistic)
+    urn_law = statistic_pmf(family, p, N, statistic).as_dict()
     vals = simulate_statistic_batch(family, p, N, 40_000, seed=91, statistic=statistic)
     emp = {int(v): c / len(vals) for v, c in zip(*np.unique(vals, return_counts=True))}
     tv = 0.5 * sum(
@@ -232,7 +241,7 @@ def _exact_branch_mean(spec, N):
 
 def test_branch_profile_batches_match_exact_means():
     alpha, p, ell, N, max_size = 1, 2, 1, 18, 4
-    spec = branch_profile_urn(alpha, p, ell, max_size)
+    spec = branch_urn(alpha, p, ell, max_size)
     exact = _exact_branch_mean(spec, N)
     reps = 20_000
     counts = simulate_counts_batch(spec, N, n_reps=reps, seed=11)
