@@ -266,7 +266,7 @@ def cmd_tree_sim(args) -> int:
     seed = args.seed = resolve_master_seed(args.seed)
     stat_name = args.statistic.replace("-", "_")
     statistic = (stat_name,) if stat_name == "table_count" else (stat_name, args.index)
-    bar_beta = Fraction(args.bar_beta) if args.bar_beta else None
+    bar_beta = Fraction(args.bar_beta) if args.bar_beta is not None else None
     # resolve the exact law first: a pair without one exits 1 before simulating
     exact = (statistic_pmf(family, args.p, args.N, statistic, args.tree_mode, bar_beta)
              if args.compare else None)

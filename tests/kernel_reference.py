@@ -1,18 +1,21 @@
-"""Row-major copies of the Monte Carlo kernels, kept as oracles.
+"""Earlier Monte Carlo kernels, kept as oracles.
 
-These are the multicolour, forest and word kernels as they were before the
-counts and slot weights moved to a column-major layout: fresh arrays every
-step, one row per replicate, one `np.cumsum(..., axis=1)` over every colour
-or slot per draw, and one Python `block_count` call per word.  The tests
-assert that the package kernels return the same arrays for the same seeds.
+The multicolour and word kernels here are the row-major copies of the
+package kernels: fresh arrays every step, one row per replicate, one
+`np.cumsum(..., axis=1)` over every colour per draw, and one Python
+`block_count` call per word.  The tests assert that the package kernels
+return the same arrays for the same seeds.
 
-The two-colour kernel here draws one uniform per step and replicate (white
-iff u*T <= W).  The package kernel skips from white draw to white draw and
-consumes its uniforms differently, so the two agree in law, not in values.
-Likewise the seating kernel here draws one uniform per customer and replicate
-and tracks the bar count b; the package kernel moves the vector of table-count
-occupancies by binomial splits, so the two agree in law only.  `tv_floor` is
-the noise floor that the TV checks print next to each TV.
+The other kernels agree with the package in law, not in values, and the
+tests compare both with exact laws.  The two-colour kernel here draws one
+uniform per step and replicate (white iff u*T <= W); the package kernel skips
+from white draw to white draw.  The seating kernel here draws one uniform per
+customer and replicate and tracks the bar count b; the package kernel moves
+the vector of table-count occupancies by binomial splits.  The forest kernel
+here keeps one weight slot per entity the forest may create and draws by a
+running sum over the slots; the package kernel draws a weight class and an
+entity inside it.  `tv_floor` is the noise floor that the TV checks print
+next to each TV, and `tv_null_quantile` the bound they hold the TV to.
 
 One line differs from the old kernels on purpose: when the float cumulative
 sum falls short of u*total, they took the last colour or slot (M - 1), which
@@ -25,7 +28,7 @@ import math
 import numpy as np
 
 from polyaurn.stirling import _check_params, block_count
-from polyaurn.trees import _slot_schedule, forest_total_weight, gport_family
+from polyaurn.trees import forest_total_weight, gport_family
 from polyaurn.urns import _per_step, schedule
 
 
@@ -67,6 +70,15 @@ def tv_floor(law: dict, n: float) -> float:
     law drawn from it (normal approximation to E|p_hat - p| per atom)."""
     return 0.5 * sum(math.sqrt(2 * float(q) * (1 - float(q)) / (math.pi * n))
                      for q in law.values())
+
+
+def tv_null_quantile(law: dict, n: int, q: float = 0.999, draws: int = 20_000) -> float:
+    """The q-quantile of the TV distance between the exact law and an
+    n-sample drawn from it, over `draws` multinomial samples (fixed seed).
+    A law with few likely values spreads its TV far above the floor."""
+    probs = np.array([float(v) for v in law.values()])
+    counts = np.random.default_rng(0).multinomial(n, probs / probs.sum(), size=draws)
+    return float(np.quantile(0.5 * np.abs(counts / n - probs).sum(axis=1), q))
 
 
 def simulate_table_count_batch(params, N, n_reps, seed):
@@ -120,6 +132,21 @@ def simulate_counts_batch(spec, N, n_reps, seed):
         if rows is not None and counts.min() < -1e-9:
             raise ValueError(f"urn became untenable at step {i}")
     return counts
+
+
+def _slot_schedule(p, N, mode, bar):
+    """Entity labels in creation order: one slot per entity the forest may
+    create by step N, whether or not a replicate creates it."""
+    labels = []
+    if bar:
+        labels.append(("bar",))
+    if mode == "crp":
+        labels.append(("root", 0))
+    for i in range(1, N + 1):
+        labels.append(("node", i))
+        if i % p == 0:
+            labels.append(("root", i // p))
+    return labels
 
 
 def simulate_statistic_batch(family, p, N, n_reps, seed, statistic, mode="standard",

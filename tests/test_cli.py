@@ -179,6 +179,19 @@ def test_crp_bad_sizes_exit_1(capsys, flags, message):
     assert captured.out == "" and f"error: {message}" in captured.err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--N", "-3"], "N must be >= 0"),
+    (["--replicates", "0"], "n_reps must be >= 1"),
+    (["--replicates", "-1"], "n_reps must be >= 1"),
+])
+def test_tree_sim_bad_sizes_exit_1(capsys, flags, message):
+    # the same sizes as crp's; the forest kernel printed a sample for the first two
+    assert run(["tree-sim", "--tree-family", "gport", "--tree-mode", "crp", "--statistic",
+                "table-count", "--N", "5", "--replicates", "10"] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {message}" in captured.err
+
+
 def test_verify_subcommands_pass(tmp_path):
     for what in ("decomposition", "martingale", "density"):
         code, text = run_to_file(
@@ -384,6 +397,23 @@ def test_tree_sim_bar_in_standard_mode_exits_1(capsys, compare):
                 "--replicates", "10"] + compare) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "error: the bar is a crp-mode feature" in captured.err
+
+
+@pytest.mark.parametrize("compare", [[], ["--compare"]])
+def test_tree_sim_index_never_born_exits_1(capsys, compare):
+    assert run(["tree-sim", "--N", "3", "--index", "5", "--replicates", "10"] + compare) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: node 5 never appears by N = 3" in captured.err
+
+
+@pytest.mark.parametrize("compare", [[], ["--compare"]])
+@pytest.mark.parametrize("beta", ["0", "-1"])
+def test_tree_sim_bar_that_is_not_positive_exits_1(capsys, beta, compare):
+    assert run(["tree-sim", "--tree-family", "gport", "--tree-mode", "crp", "--statistic",
+                "table-count", "--bar-beta", beta, "--N", "5", "--replicates", "10"]
+               + compare) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: bar_beta must be positive" in captured.err
 
 
 def test_tree_sim_compare_without_an_exact_law_exits_1(capsys):

@@ -1,6 +1,6 @@
 """The Monte Carlo kernels against their copies in kernel_reference.py (same
-seed, same arrays), the two-colour and seating kernels against their exact
-laws, and the shared cumulative draw against the scalar `draw_color`."""
+seed, same arrays), the two-colour, seating and forest kernels against their
+exact laws, and the shared cumulative draw against the scalar `draw_color`."""
 
 import math
 import warnings
@@ -11,8 +11,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kernel_reference as ref
+from test_acceptance import CRITERION_9_SETTINGS
+from test_trees import _exact_branch_mean, enumerate_forest
 from polyaurn.crp import (CrpParams, simulate_table_count_batch, table_count_pmf,
-                          table_count_urn)
+                          table_count_urn, tree_equivalents)
 from polyaurn.stirling import _block_counts, all_words, block_count, simulate_block_counts
 from polyaurn.trees import (
     dary_family,
@@ -20,6 +22,7 @@ from polyaurn.trees import (
     recursive_family,
     simulate_branch_profile_batch,
     simulate_statistic_batch,
+    statistic_pmf,
 )
 from polyaurn.urns import (
     UrnSpec,
@@ -100,7 +103,8 @@ def forest_cases(draw):
     return family, p, N, statistic, mode, bar
 
 
-@settings(max_examples=120, deadline=None)
+# derandomized, as the other moment tests: the 4 s.e. checks cannot flake
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=forest_cases(), n_reps=REPS, seed=SEEDS)
 @example(case=(dary_family(3, Fraction(1, 2)), 2, 12, ("descendants", 2), "standard", None),
          n_reps=512, seed=5)
@@ -108,22 +112,72 @@ def forest_cases(draw):
          n_reps=512, seed=1150)
 # node 2 is never born where customer 2 sits at the bar
 @example(case=(gport_family(1, 1), 2, 8, ("descendants", 2), "crp", Fraction(2)),
-         n_reps=512, seed=3)
-def test_forest_kernel_matches_the_row_major_reference(case, n_reps, seed):
+         n_reps=20_000, seed=3)
+@example(case=(gport_family(1, 1), 2, 8, ("outdegree", 2), "crp", Fraction(2)),
+         n_reps=20_000, seed=4)
+# a trimmed root keeps weight 3/2, and its children start one short of d
+@example(case=(dary_family(2, Fraction(3, 2)), 1, 8, ("root_descendants", 1), "standard", None),
+         n_reps=20_000, seed=8)
+def test_forest_kernel_moments_match_the_exact_law(case, n_reps, seed):
     family, p, N, statistic, mode, bar = case
-    args = (family, p, N, n_reps, seed, statistic, mode, bar)
-    assert np.array_equal(simulate_statistic_batch(*args), ref.simulate_statistic_batch(*args))
+    law = enumerate_forest(family, p, N, statistic, mode, bar)
+    for kernel in (simulate_statistic_batch, ref.simulate_statistic_batch):
+        sample = kernel(family, p, N, n_reps, seed, statistic, mode, bar)
+        assert sample.dtype == np.int64 and sample.shape == (n_reps,)
+        _assert_moments_match(sample, law, kernel.__module__)
 
 
-@settings(max_examples=30, deadline=None)
-@given(alpha=RATIONAL, p=st.integers(1, 3), ell=RATIONAL, N=st.integers(1, 12),
-       n_reps=REPS, seed=SEEDS, max_size=st.integers(1, 4))
-# the call of test_trees::test_branch_profile_batches_match_exact_means
-@example(alpha=1, p=2, ell=1, N=18, n_reps=20_000, seed=12, max_size=4)
-def test_branch_profile_matches_the_row_major_reference(alpha, p, ell, N, n_reps, seed, max_size):
-    ours = simulate_branch_profile_batch(alpha, p, ell, N, n_reps, seed, max_size)
-    theirs = ref.simulate_branch_profile_batch(alpha, p, ell, N, n_reps, seed, max_size)
-    assert np.array_equal(ours, theirs)
+BRANCH_SETTINGS = [  # (alpha, p, ell, N, max_size); test_trees runs (1, 2, 1, 18, 4)
+    (Fraction(1, 2), 1, 2, 10, 3),
+    (2, 3, Fraction(1, 3), 12, 2),
+    (Fraction(3, 2), 2, Fraction(1, 2), 8, 4),
+]
+
+
+@pytest.mark.parametrize("alpha,p,ell,N,max_size", BRANCH_SETTINGS,
+                         ids=lambda v: str(v).replace("/", "_"))
+def test_branch_profile_means_match_the_branch_urn(alpha, p, ell, N, max_size):
+    # colour m of the urn holds weight m*(alpha+1) - 1 per branch of size m
+    reps = 20_000
+    exact = _exact_branch_mean(branch_urn(alpha, p, ell, max_size), N)
+    for kernel in (simulate_branch_profile_batch, ref.simulate_branch_profile_batch):
+        profile = kernel(alpha, p, ell, N, reps, 12, max_size)
+        for m in range(1, max_size + 1):
+            expected = float(exact[m]) / (m * (alpha + 1) - 1)
+            column = profile[:, m].astype(float)
+            se = column.std(ddof=1) / math.sqrt(reps)
+            assert abs(column.mean() - expected) <= 4 * se, (kernel.__module__, m, expected)
+
+
+def _forest_tv_cases():
+    """The benchmark's forest calls: the nine tree settings (criterion 9's) at
+    N = 10 with 1e5 replicates, and crp-mode table counts at the four
+    benchmark seating settings at N = 20 with 2e5 replicates."""
+    cases = [(family, p, 10, statistic, "standard", 100_000)
+             for family, p, statistic in CRITERION_9_SETTINGS]
+    for params in SEATING_TV_PARAMS[:4]:
+        alpha, ell, _ = tree_equivalents(params)
+        cases.append((gport_family(alpha, ell), params.period, 20, ("table_count",), "crp",
+                      200_000))
+    return cases
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_forest_kernel_tv_at_the_noise_floor(k):
+    # each TV prints next to its noise floor; it must stay below the 0.999
+    # quantile of the TV of exact samples of its size, which for a law with
+    # few likely values sits far above the floor
+    family, p, N, statistic, mode, n_reps = _forest_tv_cases()[k]
+    law = {v: float(q) for v, q in statistic_pmf(family, p, N, statistic, mode).as_dict().items()}
+    floor, limit = ref.tv_floor(law, n_reps), ref.tv_null_quantile(law, n_reps)
+    args = (family, p, N, n_reps, 1200 + k, statistic, mode)
+    ours = _tv_to_law(simulate_statistic_batch(*args), law)
+    # the row-major reference takes 1.7 s per crp setting, so it runs the trees only
+    theirs = _tv_to_law(ref.simulate_statistic_batch(*args), law) if mode == "standard" else None
+    reference = "not run" if theirs is None else f"{theirs:.4f}"
+    print(f"{family.name} p={p} {statistic} {mode}: TV {ours:.4f}, row-major reference "
+          f"{reference}, noise floor {floor:.4f}, limit {limit:.4f}")
+    assert ours < limit and (theirs is None or theirs < limit), (ours, theirs, limit)
 
 
 @st.composite

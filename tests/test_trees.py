@@ -1,5 +1,6 @@
 """Forest growth, tree-statistic urn correspondences, branch profiles."""
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -22,66 +23,78 @@ from polyaurn.urns import branch_urn, ell_at, simulate_counts_batch, total_balls
 
 
 def enumerate_forest(family, p, N, statistic, mode="standard", bar_beta=None):
-    """Exact law of a forest statistic by exhaustive enumeration of every
-    attachment history (rational probabilities)."""
+    """Exact law of a forest statistic by enumerating every attachment
+    history (rational probabilities for rational parameters).
 
-    def clone(f):
-        g = Forest.__new__(Forest)
-        g.family, g.p, g.mode, g.time = f.family, f.p, f.mode, f.time
-        g.weights = list(f.weights)
-        g.parents = list(f.parents)
-        g.is_root = list(f.is_root)
-        g.labels = list(f.labels)
-        g.bar_index = f.bar_index
-        g.bar_count = f.bar_count
-        return g
+    An entity is (kind, draws, mark): its weight is its kind's start weight
+    plus a step per draw, by the family's rules as in Forest.  Histories that
+    reach the same value and the same multiset of entities that can still be
+    drawn have one future, so each step keeps one state per such class.  The
+    mark is what the statistic follows: membership of the watched subtree, or
+    being the watched node."""
+    Forest(family, p, mode, bar_beta)  # the same checks as the object forest
+    kind, watched = statistic[0], statistic[1:]
+    node_step = family.parent_delta(False)
+    rules = {  # kind: (start weight, step per draw)
+        "bar": (bar_beta, family.sigma),
+        "root": (family.ell, family.parent_delta(True)),
+        "node": (family.new_node_weight, node_step),
+    }
+    # a trimmed d-ary root's child starts one draw down
+    root_child = int((family.child_weight(True) - family.new_node_weight) / node_step) if node_step else 0
 
-    def apply_growth(g, target, i):
-        if g.bar_index is not None and target == g.bar_index:
-            g.weights[target] += g.family.sigma
-            g.bar_count += 1
-        else:
-            root_t = g.is_root[target]
-            g.weights[target] = g.weights[target] + g.family.parent_delta(root_t)
-            g._add(g.family.child_weight(root_t), target, False, ("node", i))
-        if i % g.p == 0:
-            g._add(g.family.ell, None, True, ("root", i // g.p))
-        g.time = i
+    @functools.cache
+    def weight(entity):
+        start, step = rules[entity[0]]
+        return start + step * entity[1]
 
-    def value(f):
-        kind = statistic[0]
-        if kind == "descendants":
-            return f.descendants(statistic[1])
-        if kind == "root_descendants":
-            return f.root_descendants(statistic[1])
-        if kind == "outdegree":
-            return f.outdegree_of(("node", statistic[1]))
-        if kind == "table_count":
-            return f.table_count()
-        raise ValueError(statistic)
+    def add(entities, entity):
+        entities[entity] = entities.get(entity, 0) + 1
 
+    start: dict = {}
+    if bar_beta is not None:
+        add(start, ("bar", 0, False))
+    if mode == "crp":
+        add(start, ("root", 0, kind == "root_descendants" and watched == (0,)))
+    level = {(0, tuple(sorted(start.items()))): Fraction(1)}
+    for i in range(1, N + 1):
+        is_j = kind in ("descendants", "outdegree") and watched == (i,)
+        merged: dict = {}
+        for (value, state), prob in level.items():
+            if mode == "standard" and i == 1:  # node 1 needs no draw
+                moves = [(None, prob)]
+            else:
+                total = sum(weight(entity) * count for entity, count in state)
+                moves = [(entity, prob * count * weight(entity) / total)
+                         for entity, count in state]
+            for target, q in moves:
+                entities, gained, child = dict(state), 0, None
+                if target is None:
+                    child, gained = ("node", 0, is_j), int(kind == "descendants" and is_j)
+                else:
+                    what, draws, mark = target
+                    entities[target] -= 1
+                    add(entities, (what, draws + 1, mark))
+                if target is not None and what != "bar":
+                    start = root_child if what == "root" else 0
+                    if kind == "outdegree":
+                        child, gained = ("node", start, is_j), int(mark)
+                    elif kind == "table_count":
+                        child, gained = ("node", start, False), int(what == "root")
+                    else:
+                        inside = mark or (kind == "descendants" and is_j)
+                        child, gained = ("node", start, inside), int(inside)
+                if child is not None:
+                    add(entities, child)
+                if i % p == 0:
+                    add(entities, ("root", 0, kind == "root_descendants" and watched == (i // p,)))
+                key = (value + gained, tuple(sorted((e, c) for e, c in entities.items()
+                                                    if c and weight(e) != 0)))
+                merged[key] = merged.get(key, 0) + q
+        level = merged
     out: dict = {}
-
-    def rec(f, prob):
-        if f.time == N:
-            v = value(f)
-            out[v] = out.get(v, Fraction(0)) + prob
-            return
-        i = f.time + 1
-        if f.mode == "standard" and i == 1:
-            g = clone(f)
-            g.grow(None)
-            rec(g, prob)
-            return
-        total = f.total_weight
-        for t, w in enumerate(f.weights):
-            if w == 0:
-                continue
-            g = clone(f)
-            apply_growth(g, t, i)
-            rec(g, prob * Fraction(w) / Fraction(total))
-
-    rec(Forest(family, p, mode, bar_beta), Fraction(1))
+    for (value, _), prob in level.items():
+        out[value] = out.get(value, 0) + prob
     return out
 
 
@@ -170,6 +183,35 @@ def test_kernel_rejects_a_bar_in_standard_mode():
     with pytest.raises(ValueError, match="the bar is a crp-mode feature"):
         simulate_statistic_batch(recursive_family(1), 2, 6, 10, 1, ("descendants", 1),
                                  bar_beta=1)
+
+
+@pytest.mark.parametrize("statistic,mode,message", [
+    (("descendants", 5), "standard", "node 5 never appears by N = 3"),
+    (("outdegree", 0), "standard", "node 0 never appears by N = 3"),
+    (("root_descendants", 2), "standard", "root 2 never appears by N = 3"),
+    (("root_descendants", 0), "standard", "root 0 never appears by N = 3"),
+    (("descendants", 4), "crp", "node 4 never appears by N = 3"),
+    (("root_descendants", 2), "crp", "root 2 never appears by N = 3"),
+])
+def test_a_watched_entity_that_never_appears_is_named(statistic, mode, message):
+    # roots join after steps 2, 4, ...; crp mode starts with root 0
+    family = gport_family(1, 1)
+    with pytest.raises(ValueError, match=message):
+        simulate_statistic_batch(family, 2, 3, 10, 1, statistic, mode)
+    if mode == "standard":
+        with pytest.raises(ValueError, match=message):
+            statistic_pmf(family, 2, 3, statistic, mode)
+
+
+@pytest.mark.parametrize("bar_beta", [0, -1, Fraction(-1, 2)])
+def test_a_bar_that_is_not_positive_is_rejected(bar_beta):
+    family = gport_family(1, 1)
+    with pytest.raises(ValueError, match="bar_beta must be positive"):
+        simulate_statistic_batch(family, 2, 6, 10, 1, ("table_count",), "crp", bar_beta)
+    with pytest.raises(ValueError, match="bar_beta must be positive"):
+        statistic_pmf(family, 2, 6, ("table_count",), "crp", bar_beta)
+    with pytest.raises(ValueError, match="bar_beta must be positive"):
+        Forest(family, 2, "crp", bar_beta)
 
 
 def test_descendants_urn_rejects_trimmed_dary():
