@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .urns import Pmf, _num, exact_pmf_dp, triangular, with_white_immigration
+from .urns import Pmf, _check_sizes, _num, exact_pmf_dp, triangular, with_white_immigration
 
 __all__ = [
     "CrpParams",
@@ -111,10 +111,7 @@ def simulate_table_count_batch(
     at small N, gives the array the joint law of n_reps iid runs, not only
     their multiset.
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    if n_reps < 1:
-        raise ValueError("n_reps must be >= 1")
+    _check_sizes(N, n_reps)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     a = float(params.a)
     theta = float(params.theta)

@@ -4,9 +4,8 @@ A Law is a small immutable tree: leaves are named distributions (beta,
 generalized gamma, a three-parameter Mittag-Leffler family, the local time at
 zero of a squared Bessel-type bridge) and inner nodes are transforms
 (independent product, scaling, powering, exponential tilt).  The only
-operation every law supports is `moment_at(law, u)` for real u >= 0; sampling
-is available for the leaves with classical samplers and for transforms that
-preserve samplability.
+operation every law supports is `moment_at(law, u)` for real u >= 0, and
+`mixed_moment_at` gives the mixed moments of a Dirichlet leaf.
 
 Tilting is kept structural: tilt(c) reweights by x^c, so its moments are
 ratios of the child's moments, and nested tilts compose additively without
@@ -28,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .moments import asymptotic_constants, limit_moments
 from .specialfn import log_gamma
 from .urns import UrnSpec
@@ -48,7 +45,6 @@ __all__ = [
     "tilted_law",
     "moment_at",
     "mixed_moment_at",
-    "sample",
     "BesselParams",
     "bessel_params_from_urn",
     "decomposition_for",
@@ -210,28 +206,6 @@ def mixed_moment_at(law: Law, svec) -> float:
     for a, s in zip(alphas, svec):
         acc *= _lg_ratio([a + s], [a])
     return acc
-
-
-def sample(law: Law, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Monte Carlo sample where a classical sampler exists."""
-    if law.kind == "beta":
-        a, b = law.params
-        return rng.beta(a, b, size)
-    if law.kind == "gen_gamma":
-        a, b = law.params
-        return rng.gamma(a / b, 1.0, size) ** (1.0 / b)
-    if law.kind == "dirichlet":
-        return rng.dirichlet(law.params, size)
-    if law.kind == "product":
-        out = np.ones(size)
-        for c in law.children:
-            out *= sample(c, rng, size)
-        return out
-    if law.kind == "scaled":
-        return law.params[0] * sample(law.children[0], rng, size)
-    if law.kind == "powered":
-        return sample(law.children[0], rng, size) ** law.params[0]
-    raise UnsupportedLawError(f"no sampler for law kind {law.kind!r}")
 
 
 # ---------------------------------------------------------------------------

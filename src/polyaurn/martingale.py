@@ -33,7 +33,7 @@ from .moments import (
     log_product_ratio,
 )
 from .rng import fsum_rows, run_blocks
-from .urns import UrnSpec, _checkpoint_list, simulate_white_batch
+from .urns import UrnSpec, _check_sizes, _checkpoint_list, simulate_white_batch
 
 __all__ = [
     "martingale_value",
@@ -183,6 +183,7 @@ def tail_sum_experiment(
     output is bit-identical for any thread count."""
     if not 0 < N < N_far:
         raise ValueError("need 0 < N < N_far")
+    _check_sizes(N, n_reps)
     cst = asymptotic_constants(spec)
     sigma = float(spec.sigma)
     beta = math.sqrt(cst.Lambda) / (sigma * math.sqrt(cst.kappa))

@@ -26,7 +26,7 @@ from math import prod
 
 import numpy as np
 
-from .urns import Pmf, UrnSpec, exact_pmf_dp, triangular, with_white_immigration
+from .urns import Pmf, UrnSpec, _check_sizes, exact_pmf_dp, triangular, with_white_immigration
 
 __all__ = [
     "gap_count",
@@ -45,9 +45,11 @@ __all__ = [
 ]
 
 
-def _check_params(d: int, p: int, t: int) -> None:
+def _check_params(d: int, p: int, t: int, N: int = 0) -> None:
     if d < 1 or p < 1 or t < 1:
         raise ValueError("need d >= 1, p >= 1, t >= 1")
+    if N < 0:
+        raise ValueError("N must be >= 0")
 
 
 def gap_count(d: int, p: int, t: int, N: int) -> int:
@@ -58,7 +60,7 @@ def gap_count(d: int, p: int, t: int, N: int) -> int:
 def stirling_count(d: int, p: int, t: int, N: int) -> int:
     """Number of distinct words of order N: the product of the gap counts
     seen by labels 2..N."""
-    _check_params(d, p, t)
+    _check_params(d, p, t, N)
     return prod(gap_count(d, p, t, j) for j in range(1, N))
 
 
@@ -72,7 +74,7 @@ def _insert(word: list[int], label: int, d: int, p: int, t: int, gap: int) -> li
 
 
 def random_word(d: int, p: int, t: int, N: int, rng) -> list[int]:
-    _check_params(d, p, t)
+    _check_params(d, p, t, N)
     word: list[int] = []
     for i in range(1, N + 1):
         gap = int(rng.integers(0, len(word) + 1))
@@ -83,7 +85,7 @@ def random_word(d: int, p: int, t: int, N: int, rng) -> list[int]:
 def all_words(d: int, p: int, t: int, N: int) -> list[tuple[int, ...]]:
     """Exhaustive enumeration in insertion order (all words are distinct and
     equally likely)."""
-    _check_params(d, p, t)
+    _check_params(d, p, t, N)
     words = [[]]
     for i in range(1, N + 1):
         words = [
@@ -113,26 +115,6 @@ def blocks(word) -> list[tuple[int, int]]:
 
 def block_count(word) -> int:
     return len(blocks(word))
-
-
-def block_table(word, d: int, p: int, t: int) -> list[dict]:
-    """One row per block: start, end, size (symbol count end-start+1), and
-    span.  A block delimited by a marked symbol gets span d + t, counting all
-    copies of its thick label; ordinary blocks have span equal to size."""
-    rows = []
-    for start, end in blocks(word):
-        size = end - start + 1
-        thick = word[start] < 0
-        rows.append(
-            {
-                "start": start,
-                "end": end,
-                "size": size,
-                "span": d + t if thick else size,
-                "thick_delimited": thick,
-            }
-        )
-    return rows
 
 
 def block_count_law(d: int, p: int, t: int, N: int) -> Pmf:
@@ -177,7 +159,11 @@ def historical_block_count_urn(d: int, p: int, t: int) -> UrnSpec:
 
 def block_count_pmf_from_urn(spec: UrnSpec, N: int) -> Pmf:
     """Block-count law of an order-N word from an urn: white after N-1 steps,
-    shifted down by one."""
+    shifted down by one.  The empty word (N = 0) has no blocks."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    if N == 0:
+        return Pmf((0,), (Fraction(1),))
     pmf = exact_pmf_dp(spec, N - 1)
     return pmf.map_support(lambda w: w - 1)
 
@@ -188,6 +174,7 @@ def simulate_block_counts(
     """Block counts of n_reps independent random words, grown as an integer
     matrix with one vectorized gap insertion per label."""
     _check_params(d, p, t)
+    _check_sizes(N, n_reps)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     words = np.zeros((n_reps, 0), dtype=np.int32)
     for i in range(1, N + 1):

@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .crp import CrpParams, table_count_pmf
-from .urns import Pmf, UrnSpec, _num, draw_color, exact_pmf_dp, polya_young, triangular
+from .urns import Pmf, UrnSpec, _check_sizes, _num, exact_pmf_dp, polya_young, triangular
 
 __all__ = [
     "TreeFamily",
@@ -44,13 +44,11 @@ __all__ = [
     "dary_family",
     "gport_family",
     "forest_total_weight",
-    "Forest",
     "descendants_urn",
     "root_descendants_urn",
     "outdegree_urn",
     "statistic_pmf",
     "simulate_statistic_batch",
-    "simulate_branch_profile_batch",
 ]
 
 
@@ -76,21 +74,6 @@ class TreeFamily:
         if self.name != "dary":
             return False
         return isinstance(self.ell, Fraction) and self.ell.denominator == 1
-
-    def parent_delta(self, parent_is_root: bool):
-        """Weight change of the attachment target."""
-        if self.name == "recursive":
-            return self.ell * 0
-        if self.name == "gport":
-            return self.ell * 0 + 1
-        if parent_is_root and not self.root_is_capacity:
-            return self.ell * 0
-        return self.ell * 0 - 1
-
-    def child_weight(self, parent_is_root: bool):
-        if self.name == "dary" and parent_is_root and not self.root_is_capacity:
-            return self.new_node_weight - 1  # trimmed root child
-        return self.new_node_weight
 
 
 def recursive_family(ell) -> TreeFamily:
@@ -159,118 +142,6 @@ def _watched(statistic: tuple, p: int, N: int, mode: str):
     if not first <= index <= last:
         raise ValueError(f"{name} {index} never appears by N = {N}")
     return index
-
-
-# ---------------------------------------------------------------------------
-# object forest (reference implementation)
-
-
-class Forest:
-    """Explicit forest with per-entity bookkeeping; grows one step at a time.
-
-    Entities are nodes and immigrant roots in creation order; parents always
-    precede children.  The running total weight is checked against the closed
-    form after every step.
-    """
-
-    def __init__(self, family: TreeFamily, p: int, mode: str = "standard",
-                 bar_beta=None):
-        if p < 1:
-            raise ValueError("period must be >= 1")
-        _check_bar(mode, bar_beta)
-        self.family = family
-        self.p = p
-        self.mode = mode
-        self.time = 0
-        self.weights: list = []
-        self.parents: list = []
-        self.is_root: list = []
-        self.labels: list = []  # ("node", i) or ("root", m) or ("bar",)
-        self.bar_index = None
-        self.bar_count = 0
-        if bar_beta is not None:
-            self.bar_index = self._add(_num(bar_beta), None, False, ("bar",))
-        if mode == "crp":
-            self._add(family.ell, None, True, ("root", 0))
-
-    def _add(self, weight, parent, is_root, label) -> int:
-        self.weights.append(weight)
-        self.parents.append(parent)
-        self.is_root.append(is_root)
-        self.labels.append(label)
-        return len(self.weights) - 1
-
-    @property
-    def total_weight(self):
-        return sum(self.weights)
-
-    def index_of(self, label) -> int:
-        return self.labels.index(label)
-
-    def grow(self, u: float | None) -> None:
-        """One insertion step; u is the uniform draw (ignored at the
-        deterministic first step of standard mode)."""
-        i = self.time + 1
-        if self.mode == "standard" and i == 1:
-            self._add(self.family.new_node_weight, None, False, ("node", 1))
-        else:
-            target = draw_color(self.weights, self.total_weight, u)
-            if target == self.bar_index:
-                self.weights[target] = self.weights[target] + self.family.sigma
-                self.bar_count += 1
-            else:
-                root_target = self.is_root[target]
-                self.weights[target] = self.weights[target] + self.family.parent_delta(root_target)
-                self._add(self.family.child_weight(root_target), target, False, ("node", i))
-        if i % self.p == 0:
-            self._add(self.family.ell, None, True, ("root", i // self.p))
-        self.time = i
-        expected = forest_total_weight(
-            self.family, self.p, i, self.mode,
-            None if self.bar_index is None else self.weights[self.bar_index] - self.bar_count * self.family.sigma,
-        )
-        if abs(float(self.total_weight) - float(expected)) > 1e-9:
-            raise AssertionError(
-                f"total weight {self.total_weight} != closed form {expected} at step {i}"
-            )
-
-    def grow_many(self, N: int, rng) -> None:
-        for _ in range(N):
-            skip = self.mode == "standard" and self.time == 0
-            self.grow(None if skip else float(rng.random()))
-
-    def subtree_sizes(self) -> list[int]:
-        """Entity count in each entity's subtree (itself included; immigrant
-        roots count as entities but only ever appear as their own subtree
-        roots)."""
-        sizes = [1] * len(self.weights)
-        if self.bar_index is not None:
-            sizes[self.bar_index] = 0
-        for idx in range(len(self.weights) - 1, -1, -1):
-            parent = self.parents[idx]
-            if parent is not None:
-                sizes[parent] += sizes[idx]
-        return sizes
-
-    def descendants(self, j: int) -> int:
-        """Subtree size of node j, node included."""
-        return self.subtree_sizes()[self.index_of(("node", j))]
-
-    def root_descendants(self, m: int) -> int:
-        """Nodes below immigrant root m (root excluded)."""
-        return self.subtree_sizes()[self.index_of(("root", m))] - 1
-
-    def outdegree_of(self, label) -> int:
-        idx = self.index_of(label)
-        return sum(1 for parent in self.parents if parent == idx)
-
-    def table_count(self) -> int:
-        """Direct children of all roots (crp mode: occupied tables)."""
-        return sum(
-            1
-            for parent in self.parents
-            if parent is not None and self.is_root[parent]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +259,7 @@ def simulate_statistic_batch(
         raise ValueError("crp mode uses the gport family")
     if p < 1:
         raise ValueError("period must be >= 1")
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    if n_reps < 1:
-        raise ValueError("n_reps must be >= 1")
+    _check_sizes(N, n_reps)
     kind = statistic[0]
     if kind not in _NODE_STATISTICS + ("table_count",) and (kind, mode) != ("branch_profile", "crp"):
         raise ValueError(f"unknown statistic {statistic!r}")
@@ -540,16 +408,6 @@ def simulate_statistic_batch(
     if kind == "branch_profile":
         return _size_profile(flag, statistic[1])
     return counter.astype(np.int64)
-
-
-def simulate_branch_profile_batch(
-    alpha, p: int, ell, N: int, n_reps: int, seed: int, max_size: int,
-) -> np.ndarray:
-    """CRP-mode gport forests: counts of root-0 branches by subtree size.
-    Returns an (n_reps, max_size+1) matrix; column m holds the number of
-    branches of size m (column 0 collects sizes beyond max_size)."""
-    return simulate_statistic_batch(gport_family(alpha, ell), p, N, n_reps, seed,
-                                    ("branch_profile", max_size), mode="crp")
 
 
 def _size_profile(branch: np.ndarray, max_size: int) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Urn engine: model specifications, exact dynamics, simulation, enumeration.
+"""Urn engine: model specifications, exact dynamics, batch simulation,
+enumeration.
 
 The engine covers balanced affine urns whose replacement rule is "the drawn
 color reinforces itself by sigma, and in addition a deterministic amount is
@@ -25,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "UrnSpec",
-    "UrnState",
     "Pmf",
     "polya_young",
     "triangular",
@@ -40,9 +40,6 @@ __all__ = [
     "ell_at",
     "immigration_at",
     "apply_draw",
-    "draw_color",
-    "step",
-    "simulate",
     "simulate_white_batch",
     "simulate_counts_batch",
     "exact_pmf_dp",
@@ -368,47 +365,17 @@ def totals_list(spec: UrnSpec, N: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# states, draws, simulation
-
-
-@dataclass(frozen=True)
-class UrnState:
-    time: int
-    counts: tuple
-
-
-def draw_color(counts: Sequence, total, u: float) -> int:
-    """Color selected by a single uniform u in [0,1): the smallest c with
-    cumulative(counts[0..c]) >= u*total, zero-count colors skipped.  Boundary
-    values (u*total equal to a cumulative sum) resolve to the lower index.
-    The comparison is done in float space."""
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"uniform draw outside [0,1): {u}")
-    x = u * float(total)
-    acc = 0.0
-    last_nonzero = -1
-    for c, w in enumerate(counts):
-        wf = float(w)
-        if wf < 0:
-            raise ValueError(f"negative count for color {c}")
-        if wf == 0.0:
-            continue
-        acc += wf
-        last_nonzero = c
-        if x <= acc:
-            return c
-    if last_nonzero < 0:
-        raise ValueError("cannot draw from an empty urn")
-    return last_nonzero  # u*total landed above acc by rounding
+# draws and batch simulation
 
 
 def _cumulative_draw(n_reps: int):
-    """`draw_color` for batches of n_reps replicates held column by column:
+    """Colour draw for batches of n_reps replicates held column by column:
     draw(cols, K, x) gives, for each column r of cols, the first of the rows
-    0..K-1 (colours or slots) whose running sum reaches x[r].  The sum runs
-    left to right by in-place row additions.  x = 0 skips leading zero rows,
-    and a prefix that rounding leaves short of x falls back to its last
-    positive row.  x is raised to the least positive float in place, and the
+    0..K-1 (colours) whose running sum reaches x[r] = u*total, so a tie with
+    a partial sum resolves to the lower row.  The sum runs left to right by
+    in-place row additions in float64.  x = 0 skips leading zero rows, and a
+    prefix that rounding leaves short of x falls back to its last positive
+    row.  x is raised to the least positive float in place, and the
     result is a buffer that the next draw overwrites."""
     acc, hit, target = np.empty(n_reps), np.empty(n_reps, bool), np.empty(n_reps, np.int32)
 
@@ -444,23 +411,12 @@ def apply_draw(spec: UrnSpec, counts: Sequence, i: int, color: int) -> tuple:
     return tuple(counts)
 
 
-def step(spec: UrnSpec, state: UrnState, u: float) -> UrnState:
-    i = state.time + 1
-    color = draw_color(state.counts, sum(state.counts), u)
-    return UrnState(i, apply_draw(spec, state.counts, i, color))
-
-
-def simulate(spec: UrnSpec, N: int, seed: int, record: bool = False):
-    """Single trajectory driven by PCG64(seed); returns the final UrnState, or
-    the full list of states when record=True."""
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
-    state = UrnState(0, tuple(spec.initial))
-    states = [state]
-    for _ in range(N):
-        state = step(spec, state, float(rng.random()))
-        if record:
-            states.append(state)
-    return states if record else state
+def _check_sizes(N: int, n_reps: int) -> None:
+    """The size checks every batch kernel makes before it draws."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    if n_reps < 1:
+        raise ValueError("n_reps must be >= 1")
 
 
 def _checkpoint_list(checkpoints) -> list[int]:
@@ -488,6 +444,7 @@ def simulate_white_batch(
         raise ValueError("white-batch simulation needs a two-color py_like spec")
     checkpoints = _checkpoint_list(checkpoints)
     N = checkpoints[-1]
+    _check_sizes(N, n_reps)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     sigma = float(spec.sigma)
     sched = schedule(spec, N)
@@ -525,6 +482,7 @@ def simulate_white_batch(
 def simulate_counts_batch(spec: UrnSpec, N: int, n_reps: int, seed: int) -> np.ndarray:
     """Vectorized multicolor simulation; returns counts array (n_reps, colors),
     grown colour by colour as shape (colors, n_reps)."""
+    _check_sizes(N, n_reps)
     adds = None if spec.kind == "py_like" else np.array(
         [[float(v) for v in row] for row in spec.matrices]).T
     rng = np.random.Generator(np.random.PCG64(int(seed)))

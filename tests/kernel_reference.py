@@ -1,10 +1,12 @@
-"""Earlier Monte Carlo kernels, kept as oracles.
+"""Earlier Monte Carlo kernels and the scalar colour draw, kept as oracles.
 
 The multicolour and word kernels here are the row-major copies of the
 package kernels: fresh arrays every step, one row per replicate, one
 `np.cumsum(..., axis=1)` over every colour per draw, and one Python
 `block_count` call per word.  The tests assert that the package kernels
-return the same arrays for the same seeds.
+return the same arrays for the same seeds.  `draw_color` is the one-uniform
+draw that `polyaurn.urns._cumulative_draw` runs column by column; the tests
+assert that both pick the same colour.
 
 The other kernels agree with the package in law, not in values, and the
 tests compare both with exact laws.  The two-colour kernel here draws one
@@ -20,7 +22,7 @@ next to each TV, and `tv_null_quantile` the bound they hold the TV to.
 One line differs from the old kernels on purpose: when the float cumulative
 sum falls short of u*total, they took the last colour or slot (M - 1), which
 can have weight 0; `_clamp` takes the last one with positive weight, as
-`polyaurn.urns.draw_color` does.
+`draw_color` does.
 """
 
 import math
@@ -30,6 +32,31 @@ import numpy as np
 from polyaurn.stirling import _check_params, block_count
 from polyaurn.trees import forest_total_weight, gport_family
 from polyaurn.urns import _per_step, schedule
+
+
+def draw_color(counts, total, u: float) -> int:
+    """Color selected by a single uniform u in [0,1): the smallest c with
+    cumulative(counts[0..c]) >= u*total, zero-count colors skipped.  Boundary
+    values (u*total equal to a cumulative sum) resolve to the lower index.
+    The comparison is done in float space."""
+    if not 0.0 <= u < 1.0:
+        raise ValueError(f"uniform draw outside [0,1): {u}")
+    x = u * float(total)
+    acc = 0.0
+    last_nonzero = -1
+    for c, w in enumerate(counts):
+        wf = float(w)
+        if wf < 0:
+            raise ValueError(f"negative count for color {c}")
+        if wf == 0.0:
+            continue
+        acc += wf
+        last_nonzero = c
+        if x <= acc:
+            return c
+    if last_nonzero < 0:
+        raise ValueError("cannot draw from an empty urn")
+    return last_nonzero  # u*total landed above acc by rounding
 
 
 def _clamp(target: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -169,8 +196,10 @@ def simulate_statistic_batch(family, p, N, n_reps, seed, statistic, mode="standa
     ell = float(family.ell)
     w_new = float(family.new_node_weight)
     trimmed = family.name == "dary" and not family.root_is_capacity
-    delta_ord = float(family.parent_delta(False))
-    delta_root = float(family.parent_delta(True))
+    # a parent gains 1 per child (gport), keeps its weight (recursive, and a
+    # trimmed d-ary root) or loses 1 (d-ary)
+    delta_ord = {"recursive": 0.0, "gport": 1.0, "dary": -1.0}[family.name]
+    delta_root = 0.0 if trimmed else delta_ord
 
     counter = np.zeros(n_reps, dtype=np.int64)
     member = None

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import shlex
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import polyaurn
 from kernel_reference import tv_floor
 from polyaurn.cli import run
 from polyaurn.moments import limit_density
@@ -190,6 +192,35 @@ def test_tree_sim_bad_sizes_exit_1(capsys, flags, message):
                 "table-count", "--N", "5", "--replicates", "10"] + flags) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("replicates", ["0", "-2"])
+@pytest.mark.parametrize("argv", [
+    ["urn-sim", "--N", "5"],
+    ["urn-sim", "--family", "multi", "--initial", "1,1,1", "--N", "5"],
+    ["stirling", "--what", "simulate", "--N", "5"],
+    ["tail-sum", "--N", "5", "--far", "10"],
+], ids=["urn-sim", "urn-sim-multi", "stirling", "tail-sum"])
+def test_batch_kernels_bad_replicates_exit_1(capsys, argv, replicates):
+    # the two-colour, multicolour and word kernels printed an empty table for
+    # 0 and numpy's message for -2; tail-sum failed on an unpack
+    assert run(argv + ["--replicates", replicates]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: n_reps must be >= 1" in captured.err
+
+
+def test_stirling_routes_agree_on_N(tmp_path, capsys):
+    # the empty word has no blocks on every law route; count and
+    # enumerate-law printed a law for N = -2, and urn-law rejected N = 0
+    args = ["--d", "2", "--p", "2", "--t", "1", "--replicates", "50"]
+    for N in ("0", "1"):
+        laws = [run_to_file(tmp_path, ["stirling", "--what", what, "--N", N] + args)[1]
+                .splitlines()[2:] for what in ("enumerate-law", "urn-law", "simulate")]
+        assert laws[0] == laws[1] == laws[2] == ["blocks,probability", f"{N},1"]
+    for what in ("count", "enumerate-law", "urn-law", "simulate"):
+        assert run(["stirling", "--what", what, "--N", "-1"] + args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: N must be >= 0" in captured.err
 
 
 def test_verify_subcommands_pass(tmp_path):
@@ -444,9 +475,12 @@ def test_tree_sim_crp_table_count_compare_sits_at_the_noise_floor(tmp_path, bar)
     assert tv < 1.5 * tv_floor(law, reps), (tv, tv_floor(law, reps))
 
 
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def _readme_examples():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    block = _readme().split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
             if line.startswith("polyaurn ")]
 
@@ -457,3 +491,13 @@ def test_readme_examples_run(argv):
     with contextlib.redirect_stdout(out):
         assert run(argv) == 0
     assert out.getvalue()
+
+
+def test_readme_quick_start_runs_and_its_names_resolve():
+    # the library section: its Python block runs, and every `name(` it
+    # mentions is a name the package exports
+    section = _readme().split("## Quick start", 1)[1].split("## CLI", 1)[0]
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
+    names = re.findall(r"`(\w+)\(", section)
+    assert names
+    assert [name for name in names if not hasattr(polyaurn, name)] == []

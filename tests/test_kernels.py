@@ -1,6 +1,7 @@
 """The Monte Carlo kernels against their copies in kernel_reference.py (same
 seed, same arrays), the two-colour, seating and forest kernels against their
-exact laws, and the shared cumulative draw against the scalar `draw_color`."""
+exact laws, and the shared cumulative draw against the scalar
+`kernel_reference.draw_color`."""
 
 import math
 import warnings
@@ -20,7 +21,6 @@ from polyaurn.trees import (
     dary_family,
     gport_family,
     recursive_family,
-    simulate_branch_profile_batch,
     simulate_statistic_batch,
     statistic_pmf,
 )
@@ -28,7 +28,6 @@ from polyaurn.urns import (
     UrnSpec,
     _cumulative_draw,
     branch_urn,
-    draw_color,
     exact_pmf_dp,
     immigration_at,
     multicolor_polya_young,
@@ -79,7 +78,7 @@ def test_cumulative_draw_is_draw_color_per_column(K, n, seed, zeros):
     u[::3], u[1::3] = np.nextafter(1.0, 0.0), 0.0
     assert np.any(u * totals > np.cumsum(cols, axis=0)[-1])
     target = _cumulative_draw(n)(cols, K, u * totals)
-    assert list(target) == [draw_color(cols[:, r], totals[r], u[r]) for r in range(n)]
+    assert list(target) == [ref.draw_color(cols[:, r], totals[r], u[r]) for r in range(n)]
 
 
 @st.composite
@@ -140,13 +139,15 @@ def test_branch_profile_means_match_the_branch_urn(alpha, p, ell, N, max_size):
     # colour m of the urn holds weight m*(alpha+1) - 1 per branch of size m
     reps = 20_000
     exact = _exact_branch_mean(branch_urn(alpha, p, ell, max_size), N)
-    for kernel in (simulate_branch_profile_batch, ref.simulate_branch_profile_batch):
-        profile = kernel(alpha, p, ell, N, reps, 12, max_size)
+    ours = simulate_statistic_batch(gport_family(alpha, ell), p, N, reps, 12,
+                                    ("branch_profile", max_size), mode="crp")
+    theirs = ref.simulate_branch_profile_batch(alpha, p, ell, N, reps, 12, max_size)
+    for label, profile in (("package", ours), ("row-major reference", theirs)):
         for m in range(1, max_size + 1):
             expected = float(exact[m]) / (m * (alpha + 1) - 1)
             column = profile[:, m].astype(float)
             se = column.std(ddof=1) / math.sqrt(reps)
-            assert abs(column.mean() - expected) <= 4 * se, (kernel.__module__, m, expected)
+            assert abs(column.mean() - expected) <= 4 * se, (label, m, expected)
 
 
 def _forest_tv_cases():

@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 import scipy.stats
 
@@ -16,11 +15,9 @@ from polyaurn.laws import (
     gen_gamma_law,
     local_time_law,
     mixed_moment_at,
-    ml3_law,
     moment_at,
     powered_law,
     product_law,
-    sample,
     scaled_law,
     tilted_law,
     verify_decomposition,
@@ -89,22 +86,6 @@ def test_local_time_moments():
     assert moment_at(bad, 2) > 0  # integers still fine
     with pytest.raises(UnsupportedLawError):
         moment_at(bad, 2.5)
-
-
-def test_samplers_match_scipy_distributions():
-    rng = np.random.Generator(np.random.PCG64(1234))
-    xs = sample(beta_law(2.0, 3.0), rng, 20_000)
-    assert scipy.stats.kstest(xs, scipy.stats.beta(2.0, 3.0).cdf).pvalue > 1e-3
-    xs = sample(gen_gamma_law(4.0, 3.0), rng, 20_000)
-    assert scipy.stats.kstest(xs, scipy.stats.gengamma(4.0 / 3.0, 3.0).cdf).pvalue > 1e-3
-    # scaled/powered/product transforms act on the samples
-    xs = sample(scaled_law(beta_law(2.0, 3.0), 2.0), rng, 20_000)
-    assert scipy.stats.kstest(xs, lambda t: scipy.stats.beta(2.0, 3.0).cdf(t / 2.0)).pvalue > 1e-3
-    ds = sample(dirichlet_law((1.0, 2.0, 3.0)), rng, 500)
-    assert ds.shape == (500, 3)
-    assert np.allclose(ds.sum(axis=1), 1.0)
-    with pytest.raises(UnsupportedLawError):
-        sample(ml3_law(0.5, 1.0, 1.0), rng, 10)
 
 
 def test_dirichlet_mixed_moments():

@@ -20,7 +20,6 @@ from polyaurn.stirling import (
     stirling_count,
     word_to_forest,
 )
-from polyaurn.stirling import block_table
 
 FIGURE_WORD = [2, 3, 3, 2, 1, 1, -2, -2, 4, 4, -2, -4, -4, -4]  # d=2, p=2, t=3
 
@@ -45,10 +44,6 @@ def test_all_words_distinct_and_counted():
 
 def test_figure_word_blocks():
     assert blocks(FIGURE_WORD) == [(0, 3), (4, 5), (6, 10), (11, 13)]
-    rows = block_table(FIGURE_WORD, 2, 2, 3)
-    assert [r["size"] for r in rows] == [4, 2, 5, 3]
-    assert [r["span"] for r in rows] == [4, 2, 5, 5]
-    assert [r["thick_delimited"] for r in rows] == [False, False, True, True]
     assert block_count(FIGURE_WORD) == 4
 
 

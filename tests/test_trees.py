@@ -1,13 +1,13 @@
 """Forest growth, tree-statistic urn correspondences, branch profiles."""
 
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from polyaurn.trees import (
-    Forest,
     dary_family,
     descendants_urn,
     forest_total_weight,
@@ -15,7 +15,6 @@ from polyaurn.trees import (
     outdegree_urn,
     recursive_family,
     root_descendants_urn,
-    simulate_branch_profile_batch,
     simulate_statistic_batch,
     statistic_pmf,
 )
@@ -27,21 +26,25 @@ def enumerate_forest(family, p, N, statistic, mode="standard", bar_beta=None):
     history (rational probabilities for rational parameters).
 
     An entity is (kind, draws, mark): its weight is its kind's start weight
-    plus a step per draw, by the family's rules as in Forest.  Histories that
-    reach the same value and the same multiset of entities that can still be
-    drawn have one future, so each step keeps one state per such class.  The
-    mark is what the statistic follows: membership of the watched subtree, or
-    being the watched node."""
-    Forest(family, p, mode, bar_beta)  # the same checks as the object forest
+    plus a step per draw.  A parent gains 1 per child in gport forests, keeps
+    its weight in recursive ones and loses 1 in d-ary ones, where a root with
+    integer ell loses 1 as well; a trimmed root (non-integer ell) keeps ell,
+    and its children start one draw down, at d - 1.  A bar visit adds sigma
+    to the bar.  Histories that reach the same value and the same multiset
+    of entities that can still be drawn have one future, so each step keeps
+    one state per such class.  The mark is what the statistic follows:
+    membership of the watched subtree, or being the watched node.  Every
+    state's total weight is checked against `forest_total_weight` at every
+    step."""
     kind, watched = statistic[0], statistic[1:]
-    node_step = family.parent_delta(False)
+    node_step = {"recursive": 0, "gport": 1, "dary": -1}[family.name]
+    trimmed = family.name == "dary" and not family.root_is_capacity
     rules = {  # kind: (start weight, step per draw)
         "bar": (bar_beta, family.sigma),
-        "root": (family.ell, family.parent_delta(True)),
+        "root": (family.ell, 0 if trimmed else node_step),
         "node": (family.new_node_weight, node_step),
     }
-    # a trimmed d-ary root's child starts one draw down
-    root_child = int((family.child_weight(True) - family.new_node_weight) / node_step) if node_step else 0
+    root_child = int(trimmed)
 
     @functools.cache
     def weight(entity):
@@ -50,6 +53,17 @@ def enumerate_forest(family, p, N, statistic, mode="standard", bar_beta=None):
 
     def add(entities, entity):
         entities[entity] = entities.get(entity, 0) + 1
+
+    @functools.cache
+    def closed_form(i):
+        return forest_total_weight(family, p, i, mode, bar_beta)
+
+    def total_weight(state, i):
+        """The state's total weight, which must be the closed form after step i."""
+        total = sum(weight(entity) * count for entity, count in state)
+        expected = closed_form(i)
+        assert total == expected or math.isclose(total, expected, rel_tol=1e-12), (i, total)
+        return total
 
     start: dict = {}
     if bar_beta is not None:
@@ -64,7 +78,7 @@ def enumerate_forest(family, p, N, statistic, mode="standard", bar_beta=None):
             if mode == "standard" and i == 1:  # node 1 needs no draw
                 moves = [(None, prob)]
             else:
-                total = sum(weight(entity) * count for entity, count in state)
+                total = total_weight(state, i - 1)
                 moves = [(entity, prob * count * weight(entity) / total)
                          for entity, count in state]
             for target, q in moves:
@@ -93,7 +107,9 @@ def enumerate_forest(family, p, N, statistic, mode="standard", bar_beta=None):
                 merged[key] = merged.get(key, 0) + q
         level = merged
     out: dict = {}
-    for (value, _), prob in level.items():
+    for (value, state), prob in level.items():
+        if N or mode == "crp":
+            total_weight(state, N)
         out[value] = out.get(value, 0) + prob
     return out
 
@@ -116,22 +132,18 @@ def test_family_constructors():
 
 
 def test_forest_totals_track_closed_form():
-    # Forest.grow asserts the closed form after every step, so growing is
-    # itself the check; exercise all modes
-    rng = np.random.Generator(np.random.PCG64(7))
-    for family, mode, bar in [
-        (recursive_family(1), "standard", None),
-        (dary_family(3, 2), "standard", None),
-        (dary_family(3, Fraction(3, 2)), "standard", None),
-        (gport_family(Fraction(1, 2), 1), "standard", None),
-        (gport_family(Fraction(1, 2), 1), "crp", None),
-        (gport_family(Fraction(1, 2), 1), "crp", Fraction(2)),
+    # enumerate_forest checks every state's total weight against the closed
+    # form after every step, so enumerating is itself the check; exercise all
+    # modes
+    for family, mode, bar, statistic in [
+        (recursive_family(1), "standard", None, ("descendants", 1)),
+        (dary_family(3, 2), "standard", None, ("descendants", 1)),
+        (dary_family(3, Fraction(3, 2)), "standard", None, ("root_descendants", 1)),
+        (gport_family(Fraction(1, 2), 1), "standard", None, ("outdegree", 1)),
+        (gport_family(Fraction(1, 2), 1), "crp", None, ("table_count",)),
+        (gport_family(Fraction(1, 2), 1), "crp", Fraction(2), ("table_count",)),
     ]:
-        f = Forest(family, 2, mode, bar)
-        f.grow_many(20, rng)
-        assert f.time == 20
-    with pytest.raises(ValueError):
-        Forest(recursive_family(1), 2, "standard", Fraction(1))
+        assert sum(enumerate_forest(family, 2, 8, statistic, mode, bar).values()) == 1
     with pytest.raises(ValueError):
         forest_total_weight(recursive_family(1), 2, 10, mode="crp")
 
@@ -179,7 +191,7 @@ def test_statistic_pmf_names_the_missing_route(statistic, mode, bar_beta, messag
 
 
 def test_kernel_rejects_a_bar_in_standard_mode():
-    # Forest refuses it, so the kernel must not sample a model the package lacks
+    # the package has no standard-mode model with a bar, so the kernel must not sample one
     with pytest.raises(ValueError, match="the bar is a crp-mode feature"):
         simulate_statistic_batch(recursive_family(1), 2, 6, 10, 1, ("descendants", 1),
                                  bar_beta=1)
@@ -210,8 +222,6 @@ def test_a_bar_that_is_not_positive_is_rejected(bar_beta):
         simulate_statistic_batch(family, 2, 6, 10, 1, ("table_count",), "crp", bar_beta)
     with pytest.raises(ValueError, match="bar_beta must be positive"):
         statistic_pmf(family, 2, 6, ("table_count",), "crp", bar_beta)
-    with pytest.raises(ValueError, match="bar_beta must be positive"):
-        Forest(family, 2, "crp", bar_beta)
 
 
 def test_descendants_urn_rejects_trimmed_dary():
@@ -224,13 +234,14 @@ def test_descendants_urn_rejects_trimmed_dary():
 
 
 def test_node_count_conservation():
-    # first node's subtree plus all immigrant subtrees partition the nodes
-    rng = np.random.Generator(np.random.PCG64(42))
-    for _ in range(25):
-        f = Forest(recursive_family(2), 3, "standard")
-        f.grow_many(23, rng)
-        total = f.descendants(1) + sum(f.root_descendants(m) for m in range(1, 8))
-        assert total == 23
+    # node 1's subtree plus all immigrant subtrees partition the nodes in every
+    # replicate: one seed grows the same forests for every statistic
+    p, N, reps = 3, 23, 2_000
+    parts = [("descendants", 1)] + [("root_descendants", m) for m in range(1, N // p + 1)]
+    for family in (recursive_family(2), gport_family(Fraction(1, 2), 1), dary_family(3, 2),
+                   dary_family(3, Fraction(3, 2))):
+        total = sum(simulate_statistic_batch(family, p, N, reps, 42, part) for part in parts)
+        assert np.all(total == N), family
 
 
 BATCH_CASES = [
@@ -288,7 +299,8 @@ def test_branch_profile_batches_match_exact_means():
     reps = 20_000
     counts = simulate_counts_batch(spec, N, n_reps=reps, seed=11)
     assert np.allclose(counts.sum(axis=1), float(total_balls(spec, N)))
-    profile = simulate_branch_profile_batch(alpha, p, ell, N, reps, seed=12, max_size=max_size)
+    profile = simulate_statistic_batch(gport_family(alpha, ell), p, N, reps, 12,
+                                       ("branch_profile", max_size), mode="crp")
     for m in range(1, max_size + 1):
         weight = m * (alpha + 1) - 1
         expected = float(exact[m]) / weight

@@ -10,16 +10,17 @@ from polyaurn.crp import CrpParams, table_count_urn
 from polyaurn.urns import (
     _AUTO_EXACT_MAX_N,
     Pmf,
+    apply_draw,
     branch_urn,
     empirical_pmf,
     enumerate_histories,
     exact_pmf_dp,
+    immigration_at,
     marginal_pmf,
     multicolor_polya_young,
     polya_young,
     schedule,
     sequence_urn,
-    simulate,
     simulate_counts_batch,
     simulate_white_batch,
     spec_from_json,
@@ -153,20 +154,15 @@ def test_multicolor_joint_sums_to_one_and_conserves_total():
         assert sum(state) == total_balls(spec, 5)
 
 
-def test_simulate_trajectory_consistency():
-    states = simulate(STD, 40, seed=11, record=True)
-    assert len(states) == 41
-    assert sum(states[-1].counts) == total_balls(STD, 40)
-    for i in range(1, 41):
-        prev, cur = states[i - 1].counts, states[i].counts
-        assert states[i].time == i
-        assert sum(cur) == total_balls(STD, i)
-        # color 0 moves by sigma exactly when color 0 was drawn
-        assert cur[0] - prev[0] in (0, 1)
-    # the same conservation for one spec of every kind; the float spec's
-    # denominator 2**55 takes d*T_N past 2**63, which the schedule must hold
+def test_trajectory_totals_follow_the_schedule():
+    # apply_draw over a random colour sequence, one spec of every kind: the
+    # total after step i is the schedule's T_i whatever was drawn, and colour
+    # 0 of a py_like spec moves by sigma exactly when it is drawn (plus its
+    # immigration).  The float spec's denominator 2**55 takes d*T_N past
+    # 2**63, which the schedule must hold
     floats = polya_young(1, 0.1, 0.1, 1.0, 1.0)
     specs = [
+        (STD, 40),
         (polya_young(3, 1, 2, 1, 1, offset=1), 40),
         (triangular(2, 1, Fraction(1, 3), Fraction(7, 5), 1, 2, offset=1), 40),
         (multicolor_polya_young(3, 1, 2, (1, 2, 1)), 40),
@@ -175,24 +171,26 @@ def test_simulate_trajectory_consistency():
         (branch_urn(1, 2, 1, 4), 40),
         (floats, 10_000),
     ]
+    rng = np.random.default_rng(11)
     for spec, N in specs:
-        states = simulate(spec, N, seed=11, record=True)
-        assert sum(states[-1].counts) == pytest.approx(total_balls(spec, N), rel=1e-12)
-        for state, T in zip(states, totals_list(spec, N + 1), strict=True):
+        totals = totals_list(spec, N + 1)
+        counts = tuple(spec.initial)
+        for i, T in enumerate(totals):
             if spec.is_exact:
-                assert sum(state.counts) == T
+                assert sum(counts) == T
             else:
-                assert sum(state.counts) == pytest.approx(T, rel=1e-12)
+                assert sum(counts) == pytest.approx(T, rel=1e-12)
+            if i == N:
+                break
+            drawable = [c for c, w in enumerate(counts) if w > 0]
+            color = drawable[int(rng.integers(len(drawable)))]
+            after = apply_draw(spec, counts, i + 1, color)
+            if spec.kind == "py_like":
+                moved = after[0] - counts[0] - immigration_at(spec, i + 1)
+                assert moved == pytest.approx(spec.sigma if color == 0 else 0, abs=1e-9)
+            counts = after
     assert schedule(floats, 10_000).totals[-1] > 2**63
     assert total_balls(floats, 10_000) == float(2 + 20_000 * Fraction(0.1))
-
-
-def test_simulate_deterministic_per_seed():
-    a = simulate(STD, 25, seed=3)
-    b = simulate(STD, 25, seed=3)
-    c = simulate(STD, 25, seed=4)
-    assert a == b
-    assert a.counts != c.counts  # seed 4 happens to differ at N=25
 
 
 def test_simulate_white_batch_matches_exact_mean():
