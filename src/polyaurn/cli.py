@@ -47,6 +47,7 @@ from .trees import (
 from .urns import (
     _SEQUENCES,
     Pmf,
+    _check_sizes,
     empirical_pmf,
     exact_pmf_dp,
     multicolor_polya_young,
@@ -209,6 +210,7 @@ def cmd_urn_exact(args) -> int:
 
 
 def cmd_urn_sim(args) -> int:
+    _check_sizes(args.N, args.replicates)  # one message for both kernels
     spec = args.model
     seed = args.seed = resolve_master_seed(args.seed)
     if spec.kind == "py_like" and spec.colors == 2:

@@ -150,9 +150,10 @@ def binomial_moments(spec: UrnSpec, N: int) -> list[Fraction]:
         sum((-1) ** (j - m) * lah_number(j, m) * R[m] for m in range(j + 1))
         for j in range(N + 1)
     ]
+    falling = [falling_factorial(-c, m) for m in range(N + 1)]
     B = []
     for s in range(N + 1):
-        fk = sum(comb(s, j) * falling_factorial(-c, s - j) * F[j] for j in range(s + 1))
+        fk = sum(comb(s, j) * falling[s - j] * F[j] for j in range(s + 1))
         B.append(fk / factorial(s))
     return B
 

@@ -394,20 +394,27 @@ def _cumulative_draw(n_reps: int):
     return draw
 
 
+def _step_terms(spec: UrnSpec, i: int) -> list:
+    """The additions of step i in apply_draw's order, each a vector per drawn
+    colour (term[color]) with int 0 where the step adds nothing: py_like adds
+    sigma to the drawn colour, ell_at(i) to the last and immigration_at(i) to
+    colour 0; branch adds the drawn colour's matrix row, then ell_at(i) to the
+    last colour."""
+    K = spec.colors
+    def at(k: int, value) -> list:
+        return [[value if c == k else 0 for c in range(K)]] * K
+    if spec.kind == "branch":
+        return [spec.matrices, at(K - 1, ell_at(spec, i))]
+    sigma = [[spec.sigma if c == k else 0 for c in range(K)] for k in range(K)]
+    return [sigma, at(K - 1, ell_at(spec, i)), at(0, immigration_at(spec, i))]
+
+
 def apply_draw(spec: UrnSpec, counts: Sequence, i: int, color: int) -> tuple:
     """Counts after step i given that `color` was drawn."""
-    counts = list(counts)
-    if spec.kind == "branch":
-        row = spec.matrices[color]
-        for c in range(spec.colors):
-            counts[c] = counts[c] + row[c]
-        counts[-1] = counts[-1] + ell_at(spec, i)
-        if any(c < 0 for c in counts):
-            raise ValueError(f"urn became untenable at step {i} drawing color {color}")
-        return tuple(counts)
-    counts[color] = counts[color] + spec.sigma
-    counts[-1] = counts[-1] + ell_at(spec, i)
-    counts[0] = counts[0] + immigration_at(spec, i)
+    for term in _step_terms(spec, i):
+        counts = [c + a for c, a in zip(counts, term[color])]
+    if spec.kind == "branch" and any(c < 0 for c in counts):
+        raise ValueError(f"urn became untenable at step {i} drawing color {color}")
     return tuple(counts)
 
 
@@ -646,33 +653,71 @@ def exact_pmf_dp(spec: UrnSpec, N: int, mode: str = "auto") -> Pmf:
 
 
 _ENUM_GUARD = 10_000_000
+_ENUM_CHUNK = 1 << 10  # frontier rows expanded at once
 
 
 def enumerate_histories(spec: UrnSpec, N: int) -> Pmf:
     """Joint law of the count vector after N steps by brute-force enumeration
-    of all color sequences.  Exact when the spec is; the cost guard rejects
-    colors**N above _ENUM_GUARD."""
-    if spec.colors**N > _ENUM_GUARD:
-        raise ValueError(f"enumeration of {spec.colors}**{N} histories exceeds guard {_ENUM_GUARD}")
-    exact = spec.is_exact
-    one = Fraction(1) if exact else 1.0
-    acc: dict[tuple, object] = {}
+    of all color sequences; the cost guard rejects colors**N above
+    _ENUM_GUARD.
 
-    def recurse(i: int, counts: tuple, prob):
-        if i > N:
-            acc[counts] = acc.get(counts, one * 0) + prob
-            return
-        total = sum(counts)
-        for color in range(spec.colors):
-            w = counts[color]
-            if w == 0:
-                continue
-            p = (w / total) if exact else float(w) / float(total)
-            recurse(i + 1, apply_draw(spec, counts, i, color), prob * p)
-
-    recurse(1, tuple(spec.initial), one)
-    support = sorted(acc)
-    pmf = Pmf(tuple(support), tuple(acc[s] for s in support))
+    The frontier of histories grows one step at a time, one row per colour
+    sequence of positive probability in lexicographic order, and histories
+    merge only at the leaves.  It is split depth-first into chunks of at most
+    _ENUM_CHUNK rows, so memory stays bounded up to the guard.  Exact specs
+    carry counts scaled by one common denominator d and each history's path
+    weight as an integer, the product of d*w over its drawn colours; the
+    total d*T before each step is read from the rows, which must all agree
+    (a balance check), and each leaf state divides its summed weight once by
+    prod d*T.  Other specs carry the spec's own numbers as counts and float64
+    probabilities; each step adds its terms in apply_draw's order, so they
+    round as the recursive enumeration in tests/kernel_reference.py does."""
+    K, exact = spec.colors, spec.is_exact
+    if K**N > _ENUM_GUARD:
+        raise ValueError(f"enumeration of {K}**{N} histories exceeds guard {_ENUM_GUARD}")
+    terms = [_step_terms(spec, i) for i in range(1, N + 1)]
+    flat = [*spec.initial, *(a for t in terms for term in t for row in term for a in row)]
+    if exact:
+        d = math.lcm(*(a.denominator for a in flat))
+        num = lambda a: a.numerator * (d // a.denominator)
+        big = sum(abs(num(a)) for a in flat)  # bounds d*T before every step
+        cdtype = np.int64 if big < 2**63 else object
+        wdtype = np.int64 if big**N < 2**63 else object
+    else:
+        num, cdtype, wdtype = (lambda a: a), object, float
+    rules = np.array([[[[num(a) for a in row] for row in term] for term in t] for t in terms],
+                     cdtype)
+    acc, dT = {}, []
+    stack = [(0, np.array([[num(c) for c in spec.initial]], cdtype), np.ones(1, wdtype))]
+    while stack:
+        i, counts, weight = stack.pop()
+        if i == N:
+            for key, w in zip(map(tuple, counts.tolist()), weight.tolist()):
+                acc[key] = acc.get(key, 0) + w
+            continue
+        total = sum(counts.T)  # left to right, as the recursion's sum(counts)
+        if exact:
+            if len(dT) == i:  # depth first: the first chunk to reach step i + 1
+                dT.append(int(total[0]))
+            if (total != dT[i]).any():
+                raise ValueError(f"urn is not balanced: totals differ before step {i + 1}")
+            weight = weight[:, None] * counts
+        else:
+            weight = weight[:, None] * (counts.astype(float) / total.astype(float)[:, None])
+        child = counts[:, None, :]
+        for term in rules[i]:
+            child = child + term
+        drawn = counts != 0
+        child, weight = child[drawn], weight[drawn]
+        bad = np.flatnonzero((child < 0).any(axis=1))
+        if bad.size:
+            color = np.nonzero(drawn)[1][bad[0]]
+            raise ValueError(f"urn became untenable at step {i + 1} drawing color {color}")
+        stack.extend((i + 1, child[s:s + _ENUM_CHUNK], weight[s:s + _ENUM_CHUNK])
+                     for s in reversed(range(0, len(weight), _ENUM_CHUNK)))
+    support, den = sorted(acc), math.prod(dT)
+    pmf = Pmf(tuple(tuple(Fraction(c, d) for c in s) if exact else s for s in support),
+              tuple(Fraction(acc[s], den) if exact else acc[s] for s in support))
     pmf.check_total(tol=1e-9)
     return pmf
 

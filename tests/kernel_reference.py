@@ -6,7 +6,12 @@ package kernels: fresh arrays every step, one row per replicate, one
 `block_count` call per word.  The tests assert that the package kernels
 return the same arrays for the same seeds.  `draw_color` is the one-uniform
 draw that `polyaurn.urns._cumulative_draw` runs column by column; the tests
-assert that both pick the same colour.
+assert that both pick the same colour.  `enumerate_histories` is the
+recursive history enumeration that `polyaurn.urns.enumerate_histories` runs
+as integer-weight arrays: one step by its own `apply_draw` (the step rule
+spelled out, not read from the package) and one Fraction (or float) product
+per history node; the tests assert that both return the same `Pmf`, Fraction
+for Fraction and bit for bit.
 
 The other kernels agree with the package in law, not in values, and the
 tests compare both with exact laws.  The two-colour kernel here draws one
@@ -26,12 +31,13 @@ can have weight 0; `_clamp` takes the last one with positive weight, as
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from polyaurn.stirling import _check_params, block_count
 from polyaurn.trees import forest_total_weight, gport_family
-from polyaurn.urns import _per_step, schedule
+from polyaurn.urns import _ENUM_GUARD, Pmf, UrnSpec, _per_step, ell_at, immigration_at, schedule
 
 
 def draw_color(counts, total, u: float) -> int:
@@ -57,6 +63,53 @@ def draw_color(counts, total, u: float) -> int:
     if last_nonzero < 0:
         raise ValueError("cannot draw from an empty urn")
     return last_nonzero  # u*total landed above acc by rounding
+
+
+def apply_draw(spec: UrnSpec, counts, i: int, color: int) -> tuple:
+    """Counts after step i given that `color` was drawn, each term spelled out
+    so that the oracle shares no step rule with the package."""
+    counts = list(counts)
+    if spec.kind == "branch":
+        row = spec.matrices[color]
+        for c in range(spec.colors):
+            counts[c] = counts[c] + row[c]
+        counts[-1] = counts[-1] + ell_at(spec, i)
+        if any(c < 0 for c in counts):
+            raise ValueError(f"urn became untenable at step {i} drawing color {color}")
+        return tuple(counts)
+    counts[color] = counts[color] + spec.sigma
+    counts[-1] = counts[-1] + ell_at(spec, i)
+    counts[0] = counts[0] + immigration_at(spec, i)
+    return tuple(counts)
+
+
+def enumerate_histories(spec: UrnSpec, N: int) -> Pmf:
+    """Joint law of the count vector after N steps by brute-force enumeration
+    of all color sequences.  Exact when the spec is; the cost guard rejects
+    colors**N above _ENUM_GUARD."""
+    if spec.colors**N > _ENUM_GUARD:
+        raise ValueError(f"enumeration of {spec.colors}**{N} histories exceeds guard {_ENUM_GUARD}")
+    exact = spec.is_exact
+    one = Fraction(1) if exact else 1.0
+    acc: dict[tuple, object] = {}
+
+    def recurse(i: int, counts: tuple, prob):
+        if i > N:
+            acc[counts] = acc.get(counts, one * 0) + prob
+            return
+        total = sum(counts)
+        for color in range(spec.colors):
+            w = counts[color]
+            if w == 0:
+                continue
+            p = (w / total) if exact else float(w) / float(total)
+            recurse(i + 1, apply_draw(spec, counts, i, color), prob * p)
+
+    recurse(1, tuple(spec.initial), one)
+    support = sorted(acc)
+    pmf = Pmf(tuple(support), tuple(acc[s] for s in support))
+    pmf.check_total(tol=1e-9)
+    return pmf
 
 
 def _clamp(target: np.ndarray, weights: np.ndarray) -> np.ndarray:

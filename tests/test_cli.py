@@ -209,6 +209,15 @@ def test_batch_kernels_bad_replicates_exit_1(capsys, argv, replicates):
     assert captured.out == "" and "error: n_reps must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("family", [[], ["--family", "multi", "--initial", "1,1,1"]],
+                         ids=["two-colour", "multi"])
+def test_urn_sim_negative_N_exit_1(capsys, family):
+    # two-colour specs exited 1 on the kernel's checkpoint message
+    assert run(["urn-sim", "--N", "-3"] + family) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: N must be >= 0" in captured.err
+
+
 def test_stirling_routes_agree_on_N(tmp_path, capsys):
     # the empty word has no blocks on every law route; count and
     # enumerate-law printed a law for N = -2, and urn-law rejected N = 0

@@ -1,10 +1,13 @@
 """The Monte Carlo kernels against their copies in kernel_reference.py (same
 seed, same arrays), the two-colour, seating and forest kernels against their
-exact laws, and the shared cumulative draw against the scalar
-`kernel_reference.draw_color`."""
+exact laws, the shared cumulative draw against the scalar
+`kernel_reference.draw_color`, and the array history enumeration against the
+recursive `kernel_reference.enumerate_histories`."""
 
 import math
+import re
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,14 +15,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kernel_reference as ref
-from test_acceptance import CRITERION_9_SETTINGS
+from test_acceptance import CRITERION_9_SETTINGS, GRID
 from test_trees import _exact_branch_mean, enumerate_forest
 from polyaurn.crp import (CrpParams, simulate_table_count_batch, table_count_pmf,
                           table_count_urn, tree_equivalents)
-from polyaurn.stirling import _block_counts, all_words, block_count, simulate_block_counts
+from polyaurn import urns
+from polyaurn.stirling import (_block_counts, all_words, block_count, block_count_urn,
+                               simulate_block_counts)
 from polyaurn.trees import (
     dary_family,
+    descendants_urn,
     gport_family,
+    outdegree_urn,
     recursive_family,
     simulate_statistic_batch,
     statistic_pmf,
@@ -28,6 +35,7 @@ from polyaurn.urns import (
     UrnSpec,
     _cumulative_draw,
     branch_urn,
+    enumerate_histories,
     exact_pmf_dp,
     immigration_at,
     multicolor_polya_young,
@@ -378,3 +386,101 @@ def test_vectorised_block_count_on_every_word(d, p, t, N):
     words = all_words(d, p, t, N)
     counts = _block_counts(np.array(words, dtype=np.int32), N)
     assert list(counts) == [block_count(w) for w in words]
+
+
+def _same_law(spec, N):
+    """enumerate_histories returns the recursive oracle's Pmf: the same
+    support and probability tuples, Fraction for Fraction or float bit for
+    bit."""
+    ours, theirs = enumerate_histories(spec, N), ref.enumerate_histories(spec, N)
+    assert ours.support == theirs.support, (spec.family, N)
+    assert [q.hex() if isinstance(q, float) else q for q in ours.probs] == \
+        [q.hex() if isinstance(q, float) else q for q in theirs.probs], (spec.family, N)
+    assert ours.is_exact == spec.is_exact
+
+
+_RATIONAL_ENUM_SPECS = [
+    triangular(2, 1, Fraction(1, 3), Fraction(7, 5), 1, 2, offset=1),
+    triangular(3, Fraction(3, 2), Fraction(2, 3), Fraction(1, 4), Fraction(5, 6), 1),
+    sequence_urn("thue_morse", Fraction(1, 2), (1, Fraction(2, 3)), 1, Fraction(1, 3)),
+    with_white_immigration(triangular(2, 1, Fraction(1, 2), 1, 1, 1), [Fraction(1, 3), 0]),
+    block_count_urn(2, 2, 2),
+    block_count_urn(1, 3, 2),
+    table_count_urn(CrpParams(Fraction(1, 3), Fraction(2, 5), 3)),
+    table_count_urn(CrpParams(Fraction(1, 2), Fraction(1, 2), 1, Fraction(3, 2))),
+]
+
+
+@pytest.mark.parametrize("spec", GRID, ids=lambda s: f"{s.period}_{s.sigma}_{s.ell}")
+def test_enumeration_matches_the_recursion_on_the_criterion_1_grid(spec):
+    for N in range(9):
+        _same_law(spec, N)
+
+
+@pytest.mark.parametrize("k", range(len(_RATIONAL_ENUM_SPECS)))
+def test_enumeration_matches_the_recursion_on_rational_specs(k):
+    for N in range(11):
+        _same_law(_RATIONAL_ENUM_SPECS[k], N)
+
+
+def test_enumeration_matches_the_recursion_on_multicolour_and_tree_urns():
+    for N in range(7):
+        _same_law(multicolor_polya_young(2, 1, 1, (2, 1, 1)), N)
+    families = [recursive_family(1), dary_family(2, 1), gport_family(Fraction(1, 2), 1)]
+    urns = [branch_urn(1, 2, 1, 3), branch_urn(2, 1, Fraction(1, 2), 2)]
+    urns += [descendants_urn(f, p, j) for f in families for p, j in ((1, 2), (2, 3))]
+    urns += [outdegree_urn(families[2], p, j) for p, j in ((1, 1), (3, 2))]
+    for spec in urns:
+        for N in range(8):
+            _same_law(spec, N)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_enumeration_matches_the_recursion_bit_for_bit_on_float_specs(seed):
+    rng = np.random.default_rng(300 + seed)
+    def x():
+        return float(rng.uniform(0.1, 3.0))
+    p = int(rng.integers(1, 4))
+    tri = triangular(p, x(), x(), x(), x(), x(), offset=int(rng.integers(p)))
+    specs = [polya_young(p, x(), x(), x(), x()), tri,
+             with_white_immigration(tri, [x() for _ in range(p)]),
+             multicolor_polya_young(p, x(), x(), (x(), x(), x())),
+             multicolor_polya_young(p, x(), x(), [x() for _ in range(9)]),  # 9-term totals
+             # Fractions that floats cannot hold, next to float parameters
+             with_white_immigration(triangular(p, x(), Fraction(1, 3), x(), Fraction(2, 7), x()),
+                                    [Fraction(1, 5)] + [x() for _ in range(p - 1)])]
+    for spec in specs:
+        for N in range({2: 9, 3: 6, 9: 4}[spec.colors]):
+            _same_law(spec, N)
+
+
+def test_enumeration_in_small_chunks_is_unchanged(monkeypatch):
+    # four rows a chunk split the frontier from the third step on
+    monkeypatch.setattr(urns, "_ENUM_CHUNK", 4)
+    for spec in (polya_young(2, Fraction(1, 2), 1, 1, Fraction(1, 3)),
+                 with_white_immigration(triangular(2, 0.7, 0.3, 1.1, 0.9, 1.3), [0.2, 0.5]),
+                 multicolor_polya_young(2, 1, 1, (2, 1, 1)), branch_urn(1, 2, 1, 3)):
+        for N in range(8):
+            _same_law(spec, N)
+
+
+def test_enumeration_keeps_its_guard_and_errors():
+    std = polya_young(2, 1, 1, 1, 1)
+    message = f"enumeration of 2**24 histories exceeds guard {urns._ENUM_GUARD}"
+    for enumerate_ in (enumerate_histories, ref.enumerate_histories):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            enumerate_(std, 24)
+    # drawing colour 1 takes a ball of colour 0, which history (1, 1) lacks
+    # at step 2; the frontier holds two tenable rows before it
+    untenable = UrnSpec(kind="branch", family="branch", colors=2, period=1,
+                        initial=(Fraction(1), Fraction(1)),
+                        matrices=((Fraction(1), Fraction(0)), (Fraction(-1), Fraction(2))),
+                        ell=Fraction(0))
+    for enumerate_ in (enumerate_histories, ref.enumerate_histories):
+        with pytest.raises(ValueError, match="^urn became untenable at step 2 drawing color 1$"):
+            enumerate_(untenable, 3)
+    # an exact urn whose totals depend on the draws is refused, not enumerated
+    unbalanced = replace(untenable, matrices=((Fraction(2), Fraction(0)),
+                                              (Fraction(0), Fraction(1))))
+    with pytest.raises(ValueError, match="not balanced: totals differ before step 2"):
+        enumerate_histories(unbalanced, 3)
