@@ -345,12 +345,10 @@ def cmd_verify(args) -> int:
     elif args.what == "martingale":
         worst = 0.0
         for N in (1, 2, 5, 10, 100, 1000):
+            g = g_factor(spec, N, mode="float")
             expect = sum(
-                pr * float(g_factor(spec, N, mode="float")) * float(w)
-                for w, pr in exact_pmf_dp(spec, N, mode="float").as_dict().items()
-            ) if N <= 10 else float(g_factor(spec, N, mode="float")) * float(
-                raw_moments(spec, N, 1, mode="float")[0]
-            )
+                pr * g * float(w) for w, pr in exact_pmf_dp(spec, N, mode="float").as_dict().items()
+            ) if N <= 10 else g * float(raw_moments(spec, N, 1, mode="float")[0])
             worst = max(worst, abs(expect / float(spec.initial[0]) - 1.0))
         payload = {"max_rel_error": worst}
     else:  # density: integrate the limit density against 1, x, x^2 and compare

@@ -27,16 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import (
+    _products,
     asymptotic_constants,
     g_factor,
     limit_Cs,
-    log_product_ratio,
 )
 from .rng import fsum_rows, run_blocks
 from .urns import UrnSpec, _check_sizes, _checkpoint_list, simulate_white_batch
 
 __all__ = [
-    "martingale_value",
     "mean_square",
     "limit_mean_square",
     "tail_variance",
@@ -49,22 +48,16 @@ __all__ = [
 ]
 
 
-def martingale_value(spec: UrnSpec, N: int, W, mode: str = "auto"):
-    return g_factor(spec, N, mode) * W
-
-
-def mean_square(spec: UrnSpec, K: int, mode: str = "float") -> float:
-    """E[M_K^2] = g_K^2 * E[W_K^2]."""
-    if mode == "exact":
-        from .moments import raw_moments
-
-        g = g_factor(spec, K, "exact")
-        return g * g * raw_moments(spec, K, 2, "exact")[1]
+def mean_square(spec: UrnSpec, K: int, mode: str = "float"):
+    """E[M_K^2] = g_K^2 * E[W_K^2] = sigma^2 * (c(c+1) P_2/P_1^2 - c/P_1)
+    with c = w0/sigma and P_s = P_s(K): a Fraction in exact arithmetic."""
+    exact, (p1, p2) = _products(spec, K, (1, 2), mode)
+    if exact:
+        c = spec.initial[0] / spec.sigma
+        return spec.sigma**2 * (c * (c + 1) * p2 / p1**2 - c / p1)
     c = float(spec.initial[0]) / float(spec.sigma)
     sigma = float(spec.sigma)
-    lp1 = log_product_ratio(spec, K, 1)
-    lp2 = log_product_ratio(spec, K, 2)
-    return sigma**2 * (c * (c + 1) * math.exp(lp2 - 2 * lp1) - c * math.exp(-lp1))
+    return sigma**2 * (c * (c + 1) * math.exp(p2 - 2 * p1) - c * math.exp(-p1))
 
 
 def limit_mean_square(spec: UrnSpec) -> float:
@@ -110,9 +103,8 @@ def conditional_tail_variance(
 
 def _tail_norm(spec: UrnSpec, N: int, N_far: int) -> tuple:
     """(g_N, g_far, lp1, lp2, sigma), lp_s = log P_s from N to N_far."""
-    lp1 = log_product_ratio(spec, N_far, 1, start=N)
-    lp2 = log_product_ratio(spec, N_far, 2, start=N)
-    g_N = math.exp(-log_product_ratio(spec, N, 1))
+    _, (lp1, lp2) = _products(spec, N_far, (1, 2), "float", start=N)
+    g_N = g_factor(spec, N, "float")
     return g_N, g_N * math.exp(-lp1), lp1, lp2, float(spec.sigma)
 
 
@@ -223,12 +215,12 @@ def lil_diagnostic(
     w0 = float(spec.initial[0])
     states = simulate_white_batch(spec, checkpoints + [N_far], 1, seed)
     W_far = float(states[-1][0])
-    g_far = math.exp(-log_product_ratio(spec, N_far, 1))
+    g_far = g_factor(spec, N_far, "float")
     M_far = g_far * W_far
     eta_hat = math.sqrt(M_far / w0)
     rows = []
     for ck, W in zip(checkpoints, states[:-1]):
-        M_N = math.exp(-log_product_ratio(spec, ck, 1)) * float(W[0])
+        M_N = g_factor(spec, ck, "float") * float(W[0])
         s_N = math.sqrt(tail_variance(spec, ck + 1))
         loglog = math.log(math.log(1.0 / s_N)) if s_N < 1.0 else float("nan")
         ratio = None

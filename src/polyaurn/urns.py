@@ -409,12 +409,23 @@ def _step_terms(spec: UrnSpec, i: int) -> list:
     return [sigma, at(K - 1, ell_at(spec, i)), at(0, immigration_at(spec, i))]
 
 
+# In float arithmetic a branch urn's emptied counts are rounding residues: a
+# size-1 branch enters with weight alpha and leaves with (alpha + 1) - 1,
+# which for alpha = 0.3 leaves -5.6e-17.  apply_draw and enumerate_histories
+# set counts within this distance of 0 to 0, and simulate_counts_batch lets
+# counts fall this far below 0.
+_ZERO_TOL = 1e-9
+
+
 def apply_draw(spec: UrnSpec, counts: Sequence, i: int, color: int) -> tuple:
     """Counts after step i given that `color` was drawn."""
     for term in _step_terms(spec, i):
         counts = [c + a for c, a in zip(counts, term[color])]
-    if spec.kind == "branch" and any(c < 0 for c in counts):
-        raise ValueError(f"urn became untenable at step {i} drawing color {color}")
+    if spec.kind == "branch":
+        if not spec.is_exact:
+            counts = [0.0 if abs(c) <= _ZERO_TOL else c for c in counts]
+        if any(c < 0 for c in counts):
+            raise ValueError(f"urn became untenable at step {i} drawing color {color}")
     return tuple(counts)
 
 
@@ -513,7 +524,7 @@ def simulate_counts_batch(spec: UrnSpec, N: int, n_reps: int, seed: int) -> np.n
             counts[-1] += ells[i - 1]
         if imms[i - 1]:
             counts[0] += imms[i - 1]
-        if adds is not None and counts.min() < -1e-9:
+        if adds is not None and counts.min() < -_ZERO_TOL:
             raise ValueError(f"urn became untenable at step {i}")
     return counts.T
 
@@ -583,8 +594,9 @@ def empirical_pmf(samples: Iterable) -> Pmf:
 _AUTO_EXACT_MAX_N = 1_000
 
 
-def _resolve_mode(spec: UrnSpec, N: int, mode: str) -> bool:
-    """True = exact rational arithmetic."""
+def _resolve_mode(spec: UrnSpec, N: int, mode: str, auto_max_n: int = _AUTO_EXACT_MAX_N) -> bool:
+    """The package's one exact/float rule; True = exact rational arithmetic.
+    "auto" is exact for rational specs up to N = auto_max_n."""
     if mode == "exact":
         if not spec.is_exact:
             raise ValueError("exact mode requires rational spec parameters")
@@ -592,7 +604,7 @@ def _resolve_mode(spec: UrnSpec, N: int, mode: str) -> bool:
     if mode == "float":
         return False
     if mode == "auto":
-        return spec.is_exact and N <= _AUTO_EXACT_MAX_N
+        return spec.is_exact and N <= auto_max_n
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -673,6 +685,7 @@ def enumerate_histories(spec: UrnSpec, N: int) -> Pmf:
     probabilities; each step adds its terms in apply_draw's order, so they
     round as the recursive enumeration in tests/kernel_reference.py does."""
     K, exact = spec.colors, spec.is_exact
+    residues = spec.kind == "branch" and not exact  # counts within _ZERO_TOL of 0 are 0
     if K**N > _ENUM_GUARD:
         raise ValueError(f"enumeration of {K}**{N} histories exceeds guard {_ENUM_GUARD}")
     terms = [_step_terms(spec, i) for i in range(1, N + 1)]
@@ -709,6 +722,8 @@ def enumerate_histories(spec: UrnSpec, N: int) -> Pmf:
             child = child + term
         drawn = counts != 0
         child, weight = child[drawn], weight[drawn]
+        if residues:
+            child[np.abs(child) <= _ZERO_TOL] = 0.0
         bad = np.flatnonzero((child < 0).any(axis=1))
         if bad.size:
             color = np.nonzero(drawn)[1][bad[0]]

@@ -34,6 +34,7 @@ from polyaurn.trees import (
 from polyaurn.urns import (
     UrnSpec,
     _cumulative_draw,
+    apply_draw,
     branch_urn,
     enumerate_histories,
     exact_pmf_dp,
@@ -452,6 +453,38 @@ def test_enumeration_matches_the_recursion_bit_for_bit_on_float_specs(seed):
     for spec in specs:
         for N in range({2: 9, 3: 6, 9: 4}[spec.colors]):
             _same_law(spec, N)
+
+
+def test_float_branch_urns_enumerate_as_their_rational_twins():
+    # an emptied branch keeps a rounding residue in float arithmetic: alpha =
+    # 0.3 enters as 0.3 and leaves as (0.3 + 1) - 1, so the count reads
+    # -5.6e-17, which is 0, neither an untenable urn nor a drawable colour
+    assert apply_draw(branch_urn(0.3, 2, 0.7, 3), (0.7, 0.3, 0.0, 0.0, 0.0), 2, 1) == \
+        (0.7, 0.0, 1.6, 0.0, 0.7)
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        a, e = rng.integers(1, 21, size=2)
+        p, size, N = (int(v) for v in rng.integers(1, [4, 4, 8]))
+        law = enumerate_histories(branch_urn(a / 10, p, e / 10, size), N)
+        twin = enumerate_histories(branch_urn(Fraction(a, 10), p, Fraction(e, 10), size), N)
+        assert min(law.probs) >= 0.0
+        mass = dict.fromkeys(twin.support, 0.0)
+        for x, q in zip(law.support, law.probs):
+            near = [y for y in twin.support
+                    if max(abs(float(u) - float(v)) for u, v in zip(x, y)) <= 1e-9]
+            assert len(near) == 1, (a, e, p, size, N, x)
+            mass[near[0]] += q
+        for y, q in zip(twin.support, twin.probs):
+            assert mass[y] == pytest.approx(float(q), rel=0, abs=1e-12)
+    # exact arithmetic stays strict: a count 1e-12 below 0 is untenable
+    tiny = UrnSpec(kind="branch", family="branch", colors=2, period=1,
+                   initial=(Fraction(1), Fraction(1, 10**12)),
+                   matrices=((Fraction(1), Fraction(-2, 10**12)), (Fraction(0), Fraction(1))),
+                   ell=Fraction(0))
+    with pytest.raises(ValueError, match="^urn became untenable at step 1 drawing color 0$"):
+        apply_draw(tiny, tiny.initial, 1, 0)
+    with pytest.raises(ValueError, match="^urn became untenable at step 1 drawing color 0$"):
+        enumerate_histories(tiny, 1)
 
 
 def test_enumeration_in_small_chunks_is_unchanged(monkeypatch):

@@ -10,7 +10,6 @@ from polyaurn.martingale import (
     conditional_tail_variance,
     lil_diagnostic,
     limit_mean_square,
-    martingale_value,
     mean_square,
     tail_sum_experiment,
     tail_variance,
@@ -25,17 +24,17 @@ SIG2 = polya_young(2, 2, 1, 1, 1)
 
 
 def test_martingale_value_exact():
-    assert martingale_value(STD, 0, Fraction(1)) == 1
+    assert g_factor(STD, 0) * Fraction(1) == 1
     # one step from (1,1): white value 4/3, black value 2/3, mean 1
-    assert martingale_value(STD, 1, Fraction(2)) == Fraction(4, 3)
-    assert martingale_value(STD, 1, Fraction(1)) == Fraction(2, 3)
+    assert g_factor(STD, 1) * Fraction(2) == Fraction(4, 3)
+    assert g_factor(STD, 1) * Fraction(1) == Fraction(2, 3)
 
 
 def test_mean_over_exact_law_is_initial_white_mass():
     for spec in (STD, SIG2, TRI):
         for N in (1, 3, 6, 8):
             law = exact_pmf_dp(spec, N)
-            mean = law.expect(lambda w: martingale_value(spec, N, w))
+            mean = law.expect(lambda w: g_factor(spec, N) * w)
             assert mean == spec.initial[0]
 
 

@@ -9,7 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from density_reference import reference_density
+from polyaurn import moments
 from polyaurn.laws import decomposition_for
+from polyaurn.martingale import mean_square
 
 from polyaurn.specialfn import rising_factorial
 from polyaurn.urns import (
@@ -29,6 +31,7 @@ from polyaurn.moments import (
     limit_density,
     limit_mixed_moment,
     limit_moments,
+    log_product_ratio,
     mixed_rising_moment,
     pgf,
     pmf_via_moments,
@@ -51,6 +54,26 @@ def test_product_ratio_frozen():
     assert product_ratio(STD, 2, 2) == Fraction(10, 3)
     assert product_ratio(STD, 2, 3) == Fraction(5)
     assert product_ratio(STD, 0, 3) == 1
+
+
+def test_log_product_ratio_needs_start_within_0_to_N():
+    # totals 14, 15 before steps 9 and 10: P_1 from step 8 to 10 is 16/14
+    assert log_product_ratio(STD, 10, 1, start=8) == pytest.approx(math.log(16 / 14), rel=1e-15)
+    assert log_product_ratio(STD, 10, 1, start=10) == 0.0
+    for start in (-3, -1, 11):  # -3 once sliced the totals from the end, as start = 8
+        with pytest.raises(ValueError, match="^need 0 <= start <= N$"):
+            log_product_ratio(STD, 10, 1, start=start)
+
+
+def test_products_build_one_schedule_per_call(monkeypatch):
+    builds = []
+    build = moments.schedule
+    monkeypatch.setattr(moments, "schedule", lambda spec, N: builds.append(N) or build(spec, N))
+    for call in (lambda: raw_moments(PY312, 60, 3), lambda: binomial_moments(PY312, 60),
+                 lambda: mean_square(PY312, 60), lambda: mean_square(PY312, 60, "exact")):
+        builds.clear()
+        call()
+        assert builds == [60]
 
 
 def test_g_factor_frozen_and_martingale_identity():
