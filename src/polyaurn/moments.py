@@ -24,14 +24,8 @@ from math import comb, factorial
 
 import numpy as np
 
-from .specialfn import (
-    falling_factorial,
-    lah_number,
-    log_gamma,
-    rising_factorial,
-    stirling2,
-)
-from .urns import Pmf, UrnSpec, _resolve_mode, schedule
+from .specialfn import log_gamma, rising_factorial, stirling2
+from .urns import Pmf, UrnSpec, _product, _resolve_mode, schedule
 
 __all__ = [
     "product_ratio",
@@ -69,8 +63,9 @@ def _scaled_start(spec: UrnSpec):
 # finite-time products
 
 # mode="auto" keeps the products exact up to this N: exact P_1 of
-# polya_young(2, 1, 1, 1, 1) took 0.35 s at N = 20,000 and 1.4 s at 40,000
-# on a 2-vCPU host.
+# polya_young(2, 1, 1, 1, 1) took 0.07 s at N = 20,000 and 0.31 s at 40,000
+# on a 2-vCPU host.  The limit stays, since moving it would change what
+# "auto" returns.
 _AUTO_EXACT_MAX_N = 20_000
 
 
@@ -87,9 +82,9 @@ def _products(spec: UrnSpec, N: int, orders, mode: str, start: int = 0) -> tuple
     sched = schedule(spec, N)
     if exact:
         totals = sched.totals[start:N].tolist()
-        den = math.prod(totals)
+        den = _product(totals)
         shifts = [int(s * spec.sigma * sched.d) for s in orders]
-        return True, [Fraction(math.prod(t + h for t in totals), den) for h in shifts]
+        return True, [Fraction(_product(t + h for t in totals), den) for h in shifts]
     x = sched.real(sched.totals[start:N])
     sigma = float(spec.sigma)
     return False, [float(np.sum(np.log1p(float(s) * sigma / x))) for s in orders]
@@ -140,26 +135,50 @@ def g_factor(spec: UrnSpec, N: int, mode: str = "auto"):
     return 1 / P if exact else math.exp(-P)
 
 
-def binomial_moments(spec: UrnSpec, N: int) -> list[Fraction]:
-    """B_s = E[binom(K, s)] for s = 0..N, where K is the number of color-0
-    draws in N steps (W_N = w0 + sigma*K).  Exact; cost O(N^2) products."""
+def _binomial_core(spec: UrnSpec, N: int) -> tuple[int, list[int]]:
+    """(Q, [Q*B_s for s = 0..N]) in integers, B_s = E[binom(K, s)] and
+    Q = prod_{j<N} d*T_j, the denominator of the DP's law of K, so that
+    every Q*B_s is an integer.
+
+    With X = W_N/sigma = c + K, c = w0/sigma = a/b and rho_m =
+    prod_{k<m} (a + k*b), E[binom(X + m - 1, m)] = rho_m*P_m/(m!*b^m), and
+    P_m*Q = prod_j (d*T_j + m*sigma*d).  The Lah numbers factor as
+    L(j, m) = binom(j - 1, m - 1)*j!/m!, so E[binom(X, j)] is the (j-1)-th
+    forward difference of those values from m = 1: additions over the common
+    denominator N!*b^N*Q.  Vandermonde with binom(-c, i) =
+    (-1)^i*rho_i/(i!*b^i) then gives s!*b^s*Q*B_s, which divides exactly."""
     _require_product_form(spec)
     if not spec.is_exact:
         raise ValueError("binomial moments are computed exactly; pass a rational spec")
     if N > 600:
         raise ValueError("moment inversion is O(N^2) exact arithmetic; keep N <= 600")
+    sched = schedule(spec, N)
+    totals = sched.totals[:N].tolist()
+    h = int(spec.sigma * sched.d)
     c = _scaled_start(spec)
-    R = _rising_moments(spec, N, range(N + 1), "exact")[1]
-    F = [
-        sum((-1) ** (j - m) * lah_number(j, m) * R[m] for m in range(j + 1))
-        for j in range(N + 1)
-    ]
-    falling = [falling_factorial(-c, m) for m in range(N + 1)]
-    B = []
-    for s in range(N + 1):
-        fk = sum(comb(s, j) * falling[s - j] * F[j] for j in range(s + 1))
-        B.append(fk / factorial(s))
-    return B
+    a, b = c.numerator, c.denominator
+    rho = [1]
+    for k in range(N):
+        rho.append(rho[-1] * (a + k * b))
+    scale = [factorial(N) // factorial(m) * b ** (N - m) for m in range(N + 1)]
+    # y[m] = N!*b^N*Q * E[binom(X + m - 1, m)]; then e[j] = N!*b^N*Q * E[binom(X, j)]
+    y = [sc * r * _product(t + m * h for t in totals) for m, (sc, r) in enumerate(zip(scale, rho))]
+    e, diff = y[:1], y[1:]
+    while diff:
+        e.append(diff[0])
+        diff = [v - u for u, v in zip(diff, diff[1:])]
+    g = [ej // sc for ej, sc in zip(e, scale)]  # j!*b^j*Q * E[binom(X, j)]
+    signed = [-r if i % 2 else r for i, r in enumerate(rho)]
+    QB = [sum(comb(s, j) * signed[s - j] * g[j] for j in range(s + 1)) // (factorial(s) * b**s)
+          for s in range(N + 1)]
+    return g[0], QB  # g[0] = Q
+
+
+def binomial_moments(spec: UrnSpec, N: int) -> list[Fraction]:
+    """B_s = E[binom(K, s)] for s = 0..N, where K is the number of color-0
+    draws in N steps (W_N = w0 + sigma*K).  Exact; cost O(N^2) products."""
+    Q, QB = _binomial_core(spec, N)
+    return [Fraction(v, Q) for v in QB]
 
 
 def pgf(spec: UrnSpec, N: int, v) -> Fraction:
@@ -174,13 +193,16 @@ def pmf_via_moments(spec: UrnSpec, N: int) -> Pmf:
     """Exact law of W_N recovered by inverting the rising-moment sequence
     (rising -> falling via Lah numbers, shift by w0/sigma via Vandermonde,
     then inclusion-exclusion on binomial moments).  Independent of the
-    step-by-step DP; used as a cross-check against it."""
-    B = binomial_moments(spec, N)
-    probs = []
-    for k in range(N + 1):
-        probs.append(sum((-1) ** (s - k) * comb(s, k) * B[s] for s in range(k, N + 1)))
-    support = tuple(spec.initial[0] + k * spec.sigma for k in range(N + 1))
-    pmf = Pmf(support, tuple(probs))
+    step-by-step DP; used as a cross-check against it.  Counts of
+    probability 0 (unreachable when the black side starts empty) are
+    dropped, as exact_pmf_dp drops them."""
+    Q, probs = _binomial_core(spec, N)
+    for i in range(N):  # sum_s Q*B_s*(v - 1)^s in powers of v: Taylor shift by -1
+        for j in range(N - 1, i - 1, -1):
+            probs[j] -= probs[j + 1]
+    support = [spec.initial[0] + k * spec.sigma for k, q in enumerate(probs) if q]
+    probs = [Fraction(q, Q) for q in probs if q]
+    pmf = Pmf(tuple(support), tuple(probs))
     pmf.check_total()
     return pmf
 

@@ -74,9 +74,6 @@ def _json_num(x):
     return x
 
 
-_SEQUENCES: dict[str, Callable[[int], int]] = {}
-
-
 def thue_morse_index(n: int) -> int:
     """Index b_n in {1,2} of the matrix applied at step n: b_n = t_n + 1 where
     t is the Thue-Morse sequence (t_0 = 0, t_{2n} = t_n, t_{2n+1} = 1 - t_n)."""
@@ -85,7 +82,20 @@ def thue_morse_index(n: int) -> int:
     return (bin(n).count("1") & 1) + 1
 
 
-_SEQUENCES["thue_morse"] = thue_morse_index
+def _thue_morse_prefix(n: int) -> np.ndarray:
+    """[b_0, ..., b_{n-1}] of thue_morse_index, with t built by doubling: the
+    next 2^k terms of t are 1 - (the first 2^k), since t_{n + 2^k} = 1 - t_n
+    for n < 2^k."""
+    t = np.zeros(1, dtype=np.intp)
+    while t.size < n:
+        t = np.concatenate((t, 1 - t))
+    return t[:n] + 1
+
+
+# sequence name -> (scalar b_n, vector [b_0, ..., b_{n-1}])
+_SEQUENCES: dict[str, tuple[Callable[[int], int], Callable[[int], np.ndarray]]] = {
+    "thue_morse": (thue_morse_index, _thue_morse_prefix),
+}
 
 
 @dataclass(frozen=True)
@@ -283,7 +293,7 @@ def ell_at(spec: UrnSpec, i: int):
     if i < 1:
         raise ValueError("steps are 1-based")
     if spec.sequence_name is not None:
-        return spec.sequence_ells[_SEQUENCES[spec.sequence_name](i) - 1]
+        return spec.sequence_ells[_SEQUENCES[spec.sequence_name][0](i) - 1]
     if spec.kind == "branch":
         zero = spec.ell * 0
         return spec.ell if i % spec.period == 0 else zero
@@ -328,29 +338,48 @@ def _per_step(row: np.ndarray, N: int) -> np.ndarray:
 def schedule(spec: UrnSpec, N: int) -> Schedule:
     """Step schedule of `spec` for steps 1..N.
 
-    ell_at and immigration_at are read over one cycle (the period, or all N
-    steps for a sequence-driven spec); the totals are the running sum of the
-    per-step additions, which by balance do not depend on the drawn color."""
+    A cycle of steps (the period, or all N steps for a sequence-driven spec)
+    picks each step's (ell_at, immigration_at) from a short table: one row per
+    phase, or one per sequence value.  The common denominator covers the rows
+    the cycle uses.  The totals are the running sum of the per-step additions,
+    which by balance do not depend on the drawn color."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    cycle = max(N, 1) if spec.sequence_name is not None else spec.period
+    if spec.sequence_name is not None:
+        kind = _SEQUENCES[spec.sequence_name][1](max(N, 1) + 1)[1:] - 1
+        rows = [(e, immigration_at(spec, 1)) for e in spec.sequence_ells]
+    else:
+        kind = np.arange(spec.period)
+        rows = [(ell_at(spec, i), immigration_at(spec, i)) for i in range(1, spec.period + 1)]
+    used = np.bincount(kind, minlength=len(rows)) > 0  # drop the rows no step reads
+    rows = [tuple(map(Fraction, row)) for row, u in zip(rows, used) if u]
+    kind = (np.cumsum(used) - 1)[kind]
     base = Fraction(sum(spec.matrices[0]) if spec.kind == "branch" else spec.sigma)
-    ells = [Fraction(ell_at(spec, i)) for i in range(1, cycle + 1)]
-    imms = [Fraction(immigration_at(spec, i)) for i in range(1, cycle + 1)]
     t0 = Fraction(spec.total_initial)
-    values = [t0, base, *map(Fraction, spec.initial), *ells, *imms]
+    values = [t0, base, *map(Fraction, spec.initial), *(v for row in rows for v in row)]
     d = math.lcm(*(v.denominator for v in values))
-    d_ells = [int(v * d) for v in ells]
-    d_imms = [int(v * d) for v in imms]
-    d_adds = [int(base * d) + e + m for e, m in zip(d_ells, d_imms)]
-    big = max(abs(v) for v in (d, int(t0 * d), *d_ells, *d_imms, *d_adds))
+    d_rows = [(int(e * d), int(m * d), int((base + e + m) * d)) for e, m in rows]
+    big = max(abs(v) for v in (d, int(t0 * d), *(v for row in d_rows for v in row)))
     dtype = np.int64 if big * (N + 1) < 2**53 else object
+    # ell, immigration and total addition of each step of the cycle
+    ells, imms, adds = (np.array(col, dtype=dtype)[kind] for col in zip(*d_rows))
     totals = np.empty(N + 1, dtype=dtype)
     totals[0] = int(t0 * d)
-    totals[1:] = _per_step(np.array(d_adds, dtype=dtype), N)
+    totals[1:] = _per_step(adds, N)
     np.cumsum(totals, out=totals)
-    return Schedule(d, spec.is_exact, totals, np.array(d_ells, dtype=dtype),
-                    np.array(d_imms, dtype=dtype))
+    return Schedule(d, spec.is_exact, totals, ells, imms)
+
+
+def _product(values) -> int:
+    """Product of integers (1 for none), multiplied pairwise up a balanced
+    tree so that each product joins operands of similar size, which CPython
+    multiplies by Karatsuba rather than one short factor at a time
+    (Bernstein, "Fast multiplication and its applications", 2008).  The
+    package's one product over schedule totals."""
+    xs = list(values)
+    while len(xs) > 1:
+        xs = [a * b for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1:]
+    return xs[0] if xs else 1
 
 
 def total_balls(spec: UrnSpec, N: int):
@@ -589,8 +618,8 @@ def empirical_pmf(samples: Iterable) -> Pmf:
 
 
 # mode="auto" runs exact arithmetic up to about 1 s of work.  Measured on
-# polya_young(2, 1, 1, 1, 1), 2-vCPU host: exact 0.013 s at N = 200, 0.43 s
-# at 800, 0.82 s at 1,000 and 1.4 s at 1,200; float 0.015 s at 1,200.
+# polya_young(2, 1, 1, 1, 1), 2-vCPU host: exact 0.012 s at N = 200, 0.44 s
+# at 800, 0.85 s at 1,000 and 1.5 s at 1,200; float 0.017 s at 1,200.
 _AUTO_EXACT_MAX_N = 1_000
 
 
@@ -617,7 +646,8 @@ def exact_pmf_dp(spec: UrnSpec, N: int, mode: str = "auto") -> Pmf:
     Both modes run one two-slice update over the draw count.  Exact mode
     carries integer path weights (d*white and d*(T - white) per step, d the
     schedule's common denominator) and divides once by prod_j d*T_j, so the
-    result sums to 1 exactly; float mode carries float64 probabilities.
+    result sums to 1 exactly; float mode carries float64 probabilities in one
+    buffer, updated in place.
     """
     if spec.kind != "py_like" or spec.colors != 2:
         raise ValueError("exact_pmf_dp supports two-color py_like specs")
@@ -632,29 +662,33 @@ def exact_pmf_dp(spec: UrnSpec, N: int, mode: str = "auto") -> Pmf:
         w0 = int(spec.initial[0] * d)
         draws = np.arange(N + 1, dtype=object) * int(spec.sigma * d)
         probs = np.ones(1, dtype=object)
+        for i in range(N):
+            white = w0 + draws[: i + 1] + imm[i]
+            nxt = np.zeros(i + 2, dtype=object)
+            nxt[1:] = probs * white
+            nxt[:-1] += probs * (totals[i] - white)
+            probs = nxt
+        den = _product(totals[:N])
+        support = [Fraction(w, d) for w in (w0 + draws + imm[N]).tolist()]
+        probs = [Fraction(q, den) for q in probs]
     else:
         totals = sched.real(sched.totals).tolist()
         imm = sched.real(imm).tolist()
-        w0 = float(spec.initial[0])
-        draws = np.arange(N + 1) * float(spec.sigma)
-        probs = np.ones(1)
-    for i in range(N):
-        white = w0 + draws[: i + 1] + imm[i]
-        if exact:
-            up, stay = white, totals[i] - white
-        else:
-            up = white / totals[i]
-            stay = 1 - up
-        nxt = np.zeros(i + 2, dtype=probs.dtype)
-        nxt[1:] = probs * up
-        nxt[:-1] += probs * stay
-        probs = nxt
-    support = (w0 + draws + imm[N]).tolist()
-    if exact:
-        den = math.prod(totals[:N])
-        support = [Fraction(w, d) for w in support]
-        probs = [Fraction(q, den) for q in probs]
-    else:
+        white = float(spec.initial[0]) + np.arange(N + 1) * float(spec.sigma)
+        # probs[:i+1] is the law before step i+1; up and stay are work rows
+        probs, up, stay = np.zeros(N + 1), np.empty(N + 1), np.empty(N + 1)
+        probs[0] = 1.0
+        for i in range(N):
+            p, u, s = probs[: i + 1], up[: i + 1], stay[: i + 1]
+            np.add(white[: i + 1], imm[i], out=u)
+            np.divide(u, totals[i], out=u)
+            np.subtract(1, u, out=s)
+            np.multiply(p, u, out=u)
+            np.multiply(p, s, out=s)
+            probs[i + 1] = u[i]
+            np.add(u[:i], s[1:], out=probs[1 : i + 1])
+            probs[0] = s[0]
+        support = (white + imm[N]).tolist()
         probs = probs.tolist()
     # unreachable counts (e.g. "all draws black" when the black side starts
     # empty) carry probability exactly 0 in both arithmetic modes; drop them
@@ -730,7 +764,7 @@ def enumerate_histories(spec: UrnSpec, N: int) -> Pmf:
             raise ValueError(f"urn became untenable at step {i + 1} drawing color {color}")
         stack.extend((i + 1, child[s:s + _ENUM_CHUNK], weight[s:s + _ENUM_CHUNK])
                      for s in reversed(range(0, len(weight), _ENUM_CHUNK)))
-    support, den = sorted(acc), math.prod(dT)
+    support, den = sorted(acc), _product(dT)
     pmf = Pmf(tuple(tuple(Fraction(c, d) for c in s) if exact else s for s in support),
               tuple(Fraction(acc[s], den) if exact else acc[s] for s in support))
     pmf.check_total(tol=1e-9)

@@ -24,6 +24,16 @@ running sum over the slots; the package kernel draws a weight class and an
 entity inside it.  `tv_floor` is the noise floor that the TV checks print
 next to each TV, and `tv_null_quantile` the bound they hold the TV to.
 
+The exact layer keeps its earlier code here as oracles, from before it moved
+to integer and vector arithmetic; the tests assert that both return the same
+values, Fraction for Fraction and bit for bit.  `per_step_schedule` resolves
+every step of a cycle by `ell_at` and `immigration_at` (one Fraction each)
+and takes the lcm over all of them.  `binomial_moments` inverts the rising
+moments with Fraction sums over `lah_number` and `falling_factorial`;
+`pgf` and `pmf_via_moments` read from it, and the latter drops atoms of
+probability 0 as the package does.  `exact_pmf_dp_float` is the float DP that
+allocates a fresh row every step.
+
 One line differs from the old kernels on purpose: when the float cumulative
 sum falls short of u*total, they took the last colour or slot (M - 1), which
 can have weight 0; `_clamp` takes the last one with positive weight, as
@@ -35,9 +45,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from polyaurn.moments import product_ratio
+from polyaurn.specialfn import falling_factorial, lah_number, rising_factorial
 from polyaurn.stirling import _check_params, block_count
 from polyaurn.trees import forest_total_weight, gport_family
-from polyaurn.urns import _ENUM_GUARD, Pmf, UrnSpec, _per_step, ell_at, immigration_at, schedule
+from polyaurn.urns import (_ENUM_GUARD, Pmf, Schedule, UrnSpec, _per_step, ell_at,
+                           immigration_at, schedule)
 
 
 def draw_color(counts, total, u: float) -> int:
@@ -110,6 +123,80 @@ def enumerate_histories(spec: UrnSpec, N: int) -> Pmf:
     pmf = Pmf(tuple(support), tuple(acc[s] for s in support))
     pmf.check_total(tol=1e-9)
     return pmf
+
+
+def per_step_schedule(spec: UrnSpec, N: int) -> Schedule:
+    """Step schedule of `spec` for steps 1..N, each step of the cycle (the
+    period, or all N steps for a sequence-driven spec) resolved on its own."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    cycle = max(N, 1) if spec.sequence_name is not None else spec.period
+    base = Fraction(sum(spec.matrices[0]) if spec.kind == "branch" else spec.sigma)
+    ells = [Fraction(ell_at(spec, i)) for i in range(1, cycle + 1)]
+    imms = [Fraction(immigration_at(spec, i)) for i in range(1, cycle + 1)]
+    t0 = Fraction(spec.total_initial)
+    values = [t0, base, *map(Fraction, spec.initial), *ells, *imms]
+    d = math.lcm(*(v.denominator for v in values))
+    d_ells = [int(v * d) for v in ells]
+    d_imms = [int(v * d) for v in imms]
+    d_adds = [int(base * d) + e + m for e, m in zip(d_ells, d_imms)]
+    big = max(abs(v) for v in (d, int(t0 * d), *d_ells, *d_imms, *d_adds))
+    dtype = np.int64 if big * (N + 1) < 2**53 else object
+    totals = np.empty(N + 1, dtype=dtype)
+    totals[0] = int(t0 * d)
+    totals[1:] = _per_step(np.array(d_adds, dtype=dtype), N)
+    np.cumsum(totals, out=totals)
+    return Schedule(d, spec.is_exact, totals, np.array(d_ells, dtype=dtype),
+                    np.array(d_imms, dtype=dtype))
+
+
+def binomial_moments(spec: UrnSpec, N: int) -> list[Fraction]:
+    """B_s = E[binom(K, s)], s = 0..N, by Fraction sums: rising moments to
+    falling moments by signed Lah numbers, then the Vandermonde shift by
+    c = w0/sigma."""
+    c = spec.initial[0] / spec.sigma
+    R = [rising_factorial(c, m) * product_ratio(spec, N, m, "exact") for m in range(N + 1)]
+    F = [sum((-1) ** (j - m) * lah_number(j, m) * R[m] for m in range(j + 1))
+         for j in range(N + 1)]
+    falling = [falling_factorial(-c, m) for m in range(N + 1)]
+    return [sum(math.comb(s, j) * falling[s - j] * F[j] for j in range(s + 1)) / math.factorial(s)
+            for s in range(N + 1)]
+
+
+def pgf(B: list, v):
+    """E[v^K] = sum_s B_s (v - 1)^s from the binomial moments B."""
+    v = Fraction(v) if not isinstance(v, float) else v
+    return sum(b * (v - 1) ** s for s, b in enumerate(B))
+
+
+def pmf_via_moments(spec: UrnSpec, B: list) -> Pmf:
+    """Law of W_N by inclusion-exclusion on the binomial moments B (N + 1 of
+    them), without the atoms of probability 0."""
+    N = len(B) - 1
+    probs = [sum((-1) ** (s - k) * math.comb(s, k) * B[s] for s in range(k, N + 1))
+             for k in range(N + 1)]
+    kept = [(spec.initial[0] + k * spec.sigma, q) for k, q in enumerate(probs) if q != 0]
+    return Pmf(tuple(w for w, _ in kept), tuple(q for _, q in kept))
+
+
+def exact_pmf_dp_float(spec: UrnSpec, N: int) -> Pmf:
+    """The float DP over the color-0 draw count, one fresh row per step."""
+    sched = schedule(spec, N)
+    imm = sched.real(np.concatenate(([0], np.cumsum(_per_step(sched.imm, N))))).tolist()
+    totals = sched.real(sched.totals).tolist()
+    w0 = float(spec.initial[0])
+    draws = np.arange(N + 1) * float(spec.sigma)
+    probs = np.ones(1)
+    for i in range(N):
+        white = w0 + draws[: i + 1] + imm[i]
+        up = white / totals[i]
+        stay = 1 - up
+        nxt = np.zeros(i + 2)
+        nxt[1:] = probs * up
+        nxt[:-1] += probs * stay
+        probs = nxt
+    kept = [(w, q) for w, q in zip((w0 + draws + imm[N]).tolist(), probs.tolist()) if q != 0]
+    return Pmf(tuple(w for w, _ in kept), tuple(q for _, q in kept))
 
 
 def _clamp(target: np.ndarray, weights: np.ndarray) -> np.ndarray:

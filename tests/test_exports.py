@@ -73,3 +73,28 @@ def test_every_mode_follows_the_one_rule():
             call(7, 1, "banana")
         floats = type(call(N, 1, "float"))
         assert type(call(N, 0, "auto")) is type(call(N, 1, "auto")) is floats, qual
+
+
+def _prod_calls(tree):
+    """math.prod, np.prod and bare prod calls, with the names in their arguments."""
+    for call in ast.walk(tree):
+        func = getattr(call, "func", None)
+        if (isinstance(func, ast.Attribute) and func.attr == "prod") or (
+                isinstance(func, ast.Name) and func.id == "prod"):
+            names = {n.id for n in ast.walk(call) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(call) if isinstance(n, ast.Attribute)}
+            yield call, names
+
+
+def test_schedule_totals_multiply_through_the_one_helper():
+    # urns._product multiplies schedule totals pairwise up a tree; a left to
+    # right product over them elsewhere would grow one short factor at a time
+    helper = next(node for node in ast.walk(ast.parse(inspect.getsource(urns)))
+                  if isinstance(node, ast.FunctionDef) and node.name == "_product")
+    assert not list(_prod_calls(helper))
+    offenders = []
+    for path in sorted(Path(polyaurn.__file__).parent.glob("*.py")):
+        for call, names in _prod_calls(ast.parse(path.read_text(encoding="utf-8"))):
+            if any(key in name for name in names for key in ("total", "dT", "sched")):
+                offenders.append(f"{path.name}:{call.lineno}")
+    assert offenders == []

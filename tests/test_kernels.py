@@ -19,7 +19,7 @@ from test_acceptance import CRITERION_9_SETTINGS, GRID
 from test_trees import _exact_branch_mean, enumerate_forest
 from polyaurn.crp import (CrpParams, simulate_table_count_batch, table_count_pmf,
                           table_count_urn, tree_equivalents)
-from polyaurn import urns
+from polyaurn import moments, urns
 from polyaurn.stirling import (_block_counts, all_words, block_count, block_count_urn,
                                simulate_block_counts)
 from polyaurn.trees import (
@@ -517,3 +517,58 @@ def test_enumeration_keeps_its_guard_and_errors():
                                               (Fraction(0), Fraction(1))))
     with pytest.raises(ValueError, match="not balanced: totals differ before step 2"):
         enumerate_histories(unbalanced, 3)
+
+
+# ---------------------------------------------------------------------------
+# the exact layer against its earlier Fraction and allocating code
+
+_TM = sequence_urn("thue_morse", 1, (1, 2), 1, 1)
+
+
+@pytest.mark.parametrize("spec", [
+    _TM,
+    sequence_urn("thue_morse", Fraction(1, 2), (Fraction(1, 3), Fraction(5, 2)), Fraction(3, 4),
+                 Fraction(2, 5)),
+    with_white_immigration(_TM, [Fraction(1, 3)]),
+    sequence_urn("thue_morse", 0.7, (0.3, 1.1), 0.9, 1.3),  # object totals over d = 2^k
+    sequence_urn("thue_morse", 1, (10**17, 1), 1, 1),  # ells[0] unused up to N = 2
+    polya_young(3, 1, 2, 1, 1),
+    triangular(3, Fraction(2, 3), Fraction(1, 4), Fraction(5, 2), Fraction(7, 3), 1, offset=1),
+    multicolor_polya_young(2, 1, 1, (2, 1, 1)),
+    branch_urn(Fraction(1, 2), 2, 1, 3),
+], ids=["tm", "tm_rational", "tm_immigration", "tm_float", "tm_huge_ell", "py", "tri",
+        "multicolour", "branch"])
+def test_schedule_matches_the_per_step_reference(spec):
+    for N in (0, 1, 2, 3, 7, 64, 65, 1000, 5000):
+        got, want = urns.schedule(spec, N), ref.per_step_schedule(spec, N)
+        assert (got.d, got.exact) == (want.d, want.exact)
+        for name in ("totals", "ells", "imm"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), (N, name)
+
+
+@pytest.mark.parametrize("spec", [
+    polya_young(3, Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1, 5)),
+    triangular(3, Fraction(2, 3), Fraction(1, 4), Fraction(5, 2), Fraction(7, 3), Fraction(1, 6)),
+    sequence_urn("thue_morse", Fraction(1, 2), (Fraction(1, 3), Fraction(5, 2)), Fraction(3, 4),
+                 Fraction(2, 5)),
+], ids=["py", "tri", "seq"])
+def test_moment_inversion_matches_the_fraction_reference(spec):
+    for N in range(61):
+        B = ref.binomial_moments(spec, N)
+        assert moments.binomial_moments(spec, N) == B
+        for v in (Fraction(2, 3), 0.3):
+            got, want = moments.pgf(spec, N, v), ref.pgf(B, v)
+            assert got == want and type(got) is type(want)
+        assert moments.pmf_via_moments(spec, N) == ref.pmf_via_moments(spec, B)
+
+
+@pytest.mark.parametrize("spec", [polya_young(2, 1, 1, 1, 1),
+                                  with_white_immigration(triangular(2, 0.7, 0.3, 1.1, 0.9, 1.3),
+                                                         [0.2, 0.5])],
+                         ids=["std", "immigration"])
+def test_float_dp_matches_the_allocating_loop(spec):
+    def hexes(pmf):
+        return [x.hex() for x in pmf.support], [q.hex() for q in pmf.probs]
+    for N in (1, 7, 500, 2000):
+        assert hexes(exact_pmf_dp(spec, N, "float")) == hexes(ref.exact_pmf_dp_float(spec, N))

@@ -17,6 +17,7 @@ from polyaurn.specialfn import rising_factorial
 from polyaurn.urns import (
     enumerate_histories,
     exact_pmf_dp,
+    marginal_pmf,
     polya_young,
     sequence_urn,
     triangular,
@@ -109,6 +110,22 @@ def test_pmf_via_moments_equals_dp():
     for spec, nmax in cases:
         for N in range(1, nmax + 1):
             assert pmf_via_moments(spec, N).as_dict() == exact_pmf_dp(spec, N).as_dict()
+
+
+def test_pmf_via_moments_drops_impossible_atoms():
+    # the black side starts empty and gains its first ball at step 2, so the
+    # first two draws are white: W_4 = 1 or 2 has probability 0, and all three
+    # exact routes leave those counts out
+    spec = polya_young(2, 1, 1, 1, 0)
+    law = pmf_via_moments(spec, 4)
+    assert law == exact_pmf_dp(spec, 4) == marginal_pmf(enumerate_histories(spec, 4), 0)
+    assert law.support == (3, 4, 5) and 0 not in law.probs
+
+
+def test_moment_inversion_at_its_guard():
+    assert pmf_via_moments(STD, 600) == exact_pmf_dp(STD, 600, "exact")
+    with pytest.raises(ValueError, match="keep N <= 600"):
+        binomial_moments(STD, 601)
 
 
 def test_binomial_moments_and_pgf():

@@ -10,6 +10,7 @@ from polyaurn.crp import CrpParams, table_count_urn
 from polyaurn.urns import (
     _AUTO_EXACT_MAX_N,
     Pmf,
+    _thue_morse_prefix,
     apply_draw,
     branch_urn,
     empirical_pmf,
@@ -219,6 +220,13 @@ def test_sequence_urn_thue_morse():
         expect += 1 + (1, 2)[thue_morse_index(i) - 1]
     law = exact_pmf_dp(spec, 5)
     assert marginal_pmf(enumerate_histories(spec, 5), 0).as_dict() == law.as_dict()
+
+
+def test_thue_morse_prefix_is_the_scalar_index():
+    n = 2**14
+    assert _thue_morse_prefix(n).tolist() == [thue_morse_index(k) for k in range(n)]
+    assert _thue_morse_prefix(1000).tolist() == _thue_morse_prefix(n)[:1000].tolist()
+    assert _thue_morse_prefix(0).tolist() == []
 
 
 def test_spec_json_roundtrip():
