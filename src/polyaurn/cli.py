@@ -213,7 +213,7 @@ def cmd_urn_sim(args) -> int:
     _check_sizes(args.N, args.replicates)  # one message for both kernels
     spec = args.model
     seed = args.seed = resolve_master_seed(args.seed)
-    if spec.kind == "py_like" and spec.colors == 2:
+    if spec.colors == 2:
         samples = simulate_white_batch(spec, [args.N], args.replicates, seed)[0]
     else:
         samples = simulate_counts_batch(spec, args.N, args.replicates, seed)[:, 0]

@@ -3,7 +3,7 @@
 A Law is a small immutable tree: leaves are named distributions (beta,
 generalized gamma, a three-parameter Mittag-Leffler family, the local time at
 zero of a squared Bessel-type bridge) and inner nodes are transforms
-(independent product, scaling, powering, exponential tilt).  The only
+(independent product, powering, exponential tilt).  The only
 operation every law supports is `moment_at(law, u)` for real u >= 0, and
 `mixed_moment_at` gives the mixed moments of a Dirichlet leaf.
 
@@ -40,7 +40,6 @@ __all__ = [
     "local_time_law",
     "dirichlet_law",
     "product_law",
-    "scaled_law",
     "powered_law",
     "tilted_law",
     "moment_at",
@@ -115,10 +114,6 @@ def product_law(*laws: Law) -> Law:
     return Law("product", (), tuple(flat))
 
 
-def scaled_law(law: Law, c) -> Law:
-    return Law("scaled", (_pos("scale", c),), (law,))
-
-
 def powered_law(law: Law, d) -> Law:
     return Law("powered", (_pos("exponent", d),), (law,))
 
@@ -182,8 +177,6 @@ def moment_at(law: Law, u) -> float:
         return mu1 * _local_time_tilt_moment(alpha, beta, u - 1.0)
     if law.kind == "product":
         return math.prod(moment_at(c, u) for c in law.children)
-    if law.kind == "scaled":
-        return law.params[0] ** u * moment_at(law.children[0], u)
     if law.kind == "powered":
         return moment_at(law.children[0], law.params[0] * u)
     if law.kind == "tilted":

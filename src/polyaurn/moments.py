@@ -49,8 +49,6 @@ __all__ = [
 
 
 def _require_product_form(spec: UrnSpec) -> None:
-    if spec.kind != "py_like":
-        raise ValueError("moment products need a py_like spec")
     if spec.white_immigration is not None and any(v != 0 for v in spec.white_immigration):
         raise ValueError("moment products do not cover immigration variants")
 
@@ -214,8 +212,6 @@ def mixed_rising_moment(spec: UrnSpec, N: int, svec, mode: str = "auto"):
     The product form requires the refreshed color (the last one) to carry
     order 0: a deterministic addition to a counted color breaks the telescoping
     one-step identity, while additions entering only the totals do not."""
-    if spec.kind != "py_like":
-        raise ValueError("mixed moments need a py_like spec")
     if len(svec) != spec.colors:
         raise ValueError("need one order per color")
     refreshed = (spec.phase_ells is not None and any(spec.phase_ells)) or (
@@ -247,7 +243,7 @@ class LimitConstants:
 
 
 def asymptotic_constants(spec: UrnSpec) -> LimitConstants:
-    if spec.kind != "py_like" or spec.offset != 0 or spec.white_immigration is not None:
+    if spec.offset != 0 or spec.white_immigration is not None:
         raise ValueError("limit constants cover standard-phase periodic specs")
     if spec.family not in ("polya_young", "triangular", "multicolor"):
         raise ValueError(f"no limit constants for family {spec.family!r}")

@@ -61,13 +61,16 @@ def run_blocks(
     The partition and per-block seeds depend only on (total, block_size,
     master_seed); `threads` affects scheduling only.  Workers must be
     deterministic functions of their arguments.  With threads > 1 the blocks
-    run in separate processes (numpy-heavy workers do not share state).
+    run in separate processes (numpy-heavy workers do not share state), at
+    most one per block.
     """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     blocks = block_ranges(total, block_size)
     jobs = [(derive_seed(master_seed, idx), stop - start) for idx, start, stop in blocks]
-    if threads <= 1 or len(jobs) <= 1:
+    if threads == 1 or len(jobs) <= 1:
         return [worker(seed, count, *worker_args) for seed, count in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
         futures = [pool.submit(worker, seed, count, *worker_args) for seed, count in jobs]
         return [fut.result() for fut in futures]
 

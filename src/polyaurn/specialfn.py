@@ -1,9 +1,8 @@
 """Special-function kernels used by the exact and asymptotic urn machinery.
 
 Everything here is elementary and dependency-free: a guarded log-gamma,
-rising/falling factorials that work on exact rationals as well as floats,
-and the combinatorial number triangles (Lah, Stirling second kind) needed
-to convert between moment families.
+a rising factorial that works on exact rationals as well as floats, and the
+Stirling numbers of the second kind.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from functools import lru_cache
 __all__ = [
     "log_gamma",
     "rising_factorial",
-    "falling_factorial",
-    "lah_number",
     "stirling2",
 ]
 
@@ -41,33 +38,6 @@ def rising_factorial(x, s: int):
     for k in range(int(s)):
         result = result * (x + k)
     return result
-
-
-def falling_factorial(x, s: int):
-    """x^(s) falling = x (x-1) ... (x-s+1); s=0 gives 1."""
-    if s < 0 or s != int(s):
-        raise ValueError(f"falling_factorial order must be a non-negative integer, got {s}")
-    result = x * 0 + 1
-    for k in range(int(s)):
-        result = result * (x - k)
-    return result
-
-
-def lah_number(s: int, r: int) -> int:
-    """Lah number L(s,r) = C(s,r) * (s-1)!/(r-1)! for 1 <= r <= s.
-
-    Boundary convention: L(0,0) = 1 and L(s,0) = 0 for s >= 1, which is the
-    convention under which the recurrence
-        L(s+1,r) = L(s,r-1) + (s+r) L(s,r)
-    closes; see the companion tests.
-    """
-    if s < 0 or r < 0:
-        raise ValueError(f"lah_number requires s, r >= 0, got ({s}, {r})")
-    if r > s:
-        raise ValueError(f"lah_number requires r <= s, got ({s}, {r})")
-    if r == 0:
-        return 1 if s == 0 else 0
-    return math.comb(s, r) * math.factorial(s - 1) // math.factorial(r - 1)
 
 
 @lru_cache(maxsize=None)

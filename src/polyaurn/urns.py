@@ -7,11 +7,11 @@ added to the last color at schedule-selected steps".  That shape includes the
 two-color periodic models (diagonal phase with a triangular refresh step),
 their phase-rotated variants needed for node-level laws in growth processes,
 the multicolor variant (refresh feeds the last color), and sequence-driven
-two-matrix urns (e.g. Thue-Morse).  A separate "branch" kind carries explicit
-replacement matrices with negative entries for the branch-size profile urn.
+two-matrix urns (e.g. Thue-Morse).
 
-Totals are deterministic for every supported spec, which is what makes the
-exact DP over white-draw counts linear in state.
+Every step adds sigma to the drawn color and fixed non-negative amounts
+elsewhere, so the totals are deterministic and no count goes negative; that
+is what makes the exact DP over white-draw counts linear in state.
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ __all__ = [
     "triangular",
     "multicolor_polya_young",
     "sequence_urn",
-    "branch_urn",
     "thue_morse_index",
-    "total_balls",
     "totals_list",
     "Schedule",
     "schedule",
@@ -102,11 +100,9 @@ _SEQUENCES: dict[str, tuple[Callable[[int], int], Callable[[int], np.ndarray]]] 
 class UrnSpec:
     """Immutable urn model description.
 
-    kind "py_like": drawn color gains sigma; the last color additionally
-    gains ell_at(i) at step i; color 0 may receive a deterministic
-    immigration amount per step (white_immigration, periodic).
-    kind "branch": explicit replacement matrices; the last color gains
-    ell at steps that are multiples of the period.
+    The drawn color gains sigma; the last color additionally gains ell_at(i)
+    at step i; color 0 may receive a deterministic immigration amount per
+    step (white_immigration, periodic).  kind is always "py_like".
     """
 
     kind: str
@@ -119,7 +115,6 @@ class UrnSpec:
     sequence_name: str | None = None
     sequence_ells: tuple | None = None
     white_immigration: tuple | None = None  # per-phase additions to color 0
-    matrices: tuple | None = None  # branch kind: row tuples
     ell: object | None = None  # canonical parameters for asymptotics
     ell1: object | None = None
     ell2: object | None = None
@@ -127,15 +122,10 @@ class UrnSpec:
 
     @property
     def is_exact(self) -> bool:
-        vals = list(self.initial)
-        if self.sigma is not None:
-            vals.append(self.sigma)
+        vals = [*self.initial, self.sigma]
         for group in (self.phase_ells, self.sequence_ells, self.white_immigration):
             if group is not None:
                 vals.extend(group)
-        if self.matrices is not None:
-            for row in self.matrices:
-                vals.extend(row)
         if self.ell is not None:
             vals.append(self.ell)
         return all(_is_exact(v) for v in vals)
@@ -149,23 +139,19 @@ class UrnSpec:
             raise ValueError("initial counts length must equal number of colors")
         if self.period < 1:
             raise ValueError("period must be >= 1")
-        if self.kind == "py_like":
-            if self.sigma is None or not self.sigma > 0:
-                raise ValueError("sigma must be positive")
-            if not self.initial[0] > 0:
-                raise ValueError("color 0 must start positive")
-            if any(c < 0 for c in self.initial):
-                raise ValueError("initial counts must be non-negative")
-            groups = self.phase_ells if self.phase_ells is not None else self.sequence_ells
-            if groups is None or any(e < 0 for e in groups):
-                raise ValueError("schedule additions must be non-negative")
-            if any(v < 0 for v in self.white_immigration or ()):
-                raise ValueError("immigration amounts must be non-negative")
-        elif self.kind == "branch":
-            if self.matrices is None or len(self.matrices) != self.colors:
-                raise ValueError("branch urns need one matrix row per color")
-        else:
+        if self.kind != "py_like":
             raise ValueError(f"unknown urn kind {self.kind!r}")
+        if self.sigma is None or not self.sigma > 0:
+            raise ValueError("sigma must be positive")
+        if not self.initial[0] > 0:
+            raise ValueError("color 0 must start positive")
+        if any(c < 0 for c in self.initial):
+            raise ValueError("initial counts must be non-negative")
+        groups = self.phase_ells if self.phase_ells is not None else self.sequence_ells
+        if groups is None or any(e < 0 for e in groups):
+            raise ValueError("schedule additions must be non-negative")
+        if any(v < 0 for v in self.white_immigration or ()):
+            raise ValueError("immigration amounts must be non-negative")
 
 
 def polya_young(p: int, sigma, ell, w0, b0, offset: int = 0) -> UrnSpec:
@@ -239,47 +225,12 @@ def sequence_urn(sequence: str, sigma, ells, w0, b0) -> UrnSpec:
 def with_white_immigration(spec: UrnSpec, per_phase: Sequence) -> UrnSpec:
     """Attach deterministic per-phase additions to color 0 (applied at every
     step i with amount per_phase[(i-1) % period], after the draw)."""
-    if spec.kind != "py_like" or spec.colors != 2:
+    if spec.colors != 2:
         raise ValueError("white immigration is defined for two-color py_like specs")
     amounts = _num_tuple(per_phase)
     if len(amounts) != spec.period:
         raise ValueError("need one immigration amount per phase")
     spec = replace(spec, white_immigration=amounts, family="custom")
-    spec.validate()
-    return spec
-
-
-def branch_urn(alpha, p: int, ell, max_size: int) -> UrnSpec:
-    """Urn tracking the connectivity mass of root branches by size.
-
-    Colors: 0 = root connectivity, m = branches of size m (1 <= m <= max_size,
-    connectivity weight m(alpha+1)-1 each), last = everything larger plus all
-    other nodes.  Drawing color 0 grows the root degree and creates a size-1
-    branch; drawing color m upgrades one size-m branch to size m+1; at steps
-    that are multiples of p the last color gains ell (immigration).
-    """
-    alpha, ell = _num(alpha), _num(ell)
-    t = max_size + 2
-    one = alpha * 0 + 1
-    rows = []
-    row0 = [one * 0] * t
-    row0[0] = one
-    row0[1] = alpha
-    rows.append(tuple(row0))
-    for m in range(1, max_size + 1):
-        row = [one * 0] * t
-        row[m] = -(m * (alpha + 1) - 1)
-        dest = m + 1 if m < max_size else t - 1
-        row[dest] = row[dest] + ((m + 1) * (alpha + 1) - 1)
-        rows.append(tuple(row))
-    last = [one * 0] * t
-    last[t - 1] = one + alpha
-    rows.append(tuple(last))
-    initial = [ell] + [ell * 0] * (t - 1)
-    spec = UrnSpec(
-        kind="branch", family="branch", colors=t, period=p,
-        initial=tuple(initial), matrices=tuple(rows), ell=ell,
-    )
     spec.validate()
     return spec
 
@@ -294,9 +245,6 @@ def ell_at(spec: UrnSpec, i: int):
         raise ValueError("steps are 1-based")
     if spec.sequence_name is not None:
         return spec.sequence_ells[_SEQUENCES[spec.sequence_name][0](i) - 1]
-    if spec.kind == "branch":
-        zero = spec.ell * 0
-        return spec.ell if i % spec.period == 0 else zero
     return spec.phase_ells[(i - 1) % spec.period]
 
 
@@ -354,7 +302,7 @@ def schedule(spec: UrnSpec, N: int) -> Schedule:
     used = np.bincount(kind, minlength=len(rows)) > 0  # drop the rows no step reads
     rows = [tuple(map(Fraction, row)) for row, u in zip(rows, used) if u]
     kind = (np.cumsum(used) - 1)[kind]
-    base = Fraction(sum(spec.matrices[0]) if spec.kind == "branch" else spec.sigma)
+    base = Fraction(spec.sigma)
     t0 = Fraction(spec.total_initial)
     values = [t0, base, *map(Fraction, spec.initial), *(v for row in rows for v in row)]
     d = math.lcm(*(v.denominator for v in values))
@@ -380,11 +328,6 @@ def _product(values) -> int:
     while len(xs) > 1:
         xs = [a * b for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1:]
     return xs[0] if xs else 1
-
-
-def total_balls(spec: UrnSpec, N: int):
-    """Total mass T_N after N steps (T_0 = sum of initial counts)."""
-    return schedule(spec, N).total(N)
 
 
 def totals_list(spec: UrnSpec, N: int) -> list:
@@ -425,36 +368,19 @@ def _cumulative_draw(n_reps: int):
 
 def _step_terms(spec: UrnSpec, i: int) -> list:
     """The additions of step i in apply_draw's order, each a vector per drawn
-    colour (term[color]) with int 0 where the step adds nothing: py_like adds
-    sigma to the drawn colour, ell_at(i) to the last and immigration_at(i) to
-    colour 0; branch adds the drawn colour's matrix row, then ell_at(i) to the
-    last colour."""
+    colour (term[color]) with int 0 where the step adds nothing: sigma to the
+    drawn colour, ell_at(i) to the last and immigration_at(i) to colour 0."""
     K = spec.colors
     def at(k: int, value) -> list:
         return [[value if c == k else 0 for c in range(K)]] * K
-    if spec.kind == "branch":
-        return [spec.matrices, at(K - 1, ell_at(spec, i))]
     sigma = [[spec.sigma if c == k else 0 for c in range(K)] for k in range(K)]
     return [sigma, at(K - 1, ell_at(spec, i)), at(0, immigration_at(spec, i))]
-
-
-# In float arithmetic a branch urn's emptied counts are rounding residues: a
-# size-1 branch enters with weight alpha and leaves with (alpha + 1) - 1,
-# which for alpha = 0.3 leaves -5.6e-17.  apply_draw and enumerate_histories
-# set counts within this distance of 0 to 0, and simulate_counts_batch lets
-# counts fall this far below 0.
-_ZERO_TOL = 1e-9
 
 
 def apply_draw(spec: UrnSpec, counts: Sequence, i: int, color: int) -> tuple:
     """Counts after step i given that `color` was drawn."""
     for term in _step_terms(spec, i):
         counts = [c + a for c, a in zip(counts, term[color])]
-    if spec.kind == "branch":
-        if not spec.is_exact:
-            counts = [0.0 if abs(c) <= _ZERO_TOL else c for c in counts]
-        if any(c < 0 for c in counts):
-            raise ValueError(f"urn became untenable at step {i} drawing color {color}")
     return tuple(counts)
 
 
@@ -487,7 +413,7 @@ def simulate_white_batch(
     checkpoint or a step with white immigration), where the immigration is
     added and the checkpoint recorded.
     """
-    if spec.kind != "py_like" or spec.colors != 2:
+    if spec.colors != 2:
         raise ValueError("white-batch simulation needs a two-color py_like spec")
     checkpoints = _checkpoint_list(checkpoints)
     N = checkpoints[-1]
@@ -530,11 +456,9 @@ def simulate_counts_batch(spec: UrnSpec, N: int, n_reps: int, seed: int) -> np.n
     """Vectorized multicolor simulation; returns counts array (n_reps, colors),
     grown colour by colour as shape (colors, n_reps)."""
     _check_sizes(N, n_reps)
-    adds = None if spec.kind == "py_like" else np.array(
-        [[float(v) for v in row] for row in spec.matrices]).T
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     counts = np.repeat([[float(c)] for c in spec.initial], n_reps, axis=1)
-    sigma = float(spec.sigma) if spec.sigma is not None else 0.0
+    sigma = float(spec.sigma)
     sched = schedule(spec, N)
     totals, ells, imms = (sched.real(v).tolist() for v in
                           (sched.totals, _per_step(sched.ells, N), _per_step(sched.imm, N)))
@@ -544,17 +468,12 @@ def simulate_counts_batch(spec: UrnSpec, N: int, n_reps: int, seed: int) -> np.n
         rng.random(out=u)
         u *= totals[i - 1]
         color = draw(counts, spec.colors, u)
-        if adds is None:
-            np.equal(color, colours, out=hit)
-            counts += hit if sigma == 1.0 else sigma * hit
-        else:
-            counts += adds[:, color]
+        np.equal(color, colours, out=hit)
+        counts += hit if sigma == 1.0 else sigma * hit
         if ells[i - 1]:
             counts[-1] += ells[i - 1]
         if imms[i - 1]:
             counts[0] += imms[i - 1]
-        if adds is not None and counts.min() < -_ZERO_TOL:
-            raise ValueError(f"urn became untenable at step {i}")
     return counts.T
 
 
@@ -649,7 +568,7 @@ def exact_pmf_dp(spec: UrnSpec, N: int, mode: str = "auto") -> Pmf:
     result sums to 1 exactly; float mode carries float64 probabilities in one
     buffer, updated in place.
     """
-    if spec.kind != "py_like" or spec.colors != 2:
+    if spec.colors != 2:
         raise ValueError("exact_pmf_dp supports two-color py_like specs")
     exact = _resolve_mode(spec, N, mode)
     sched = schedule(spec, N)
@@ -713,13 +632,12 @@ def enumerate_histories(spec: UrnSpec, N: int) -> Pmf:
     _ENUM_CHUNK rows, so memory stays bounded up to the guard.  Exact specs
     carry counts scaled by one common denominator d and each history's path
     weight as an integer, the product of d*w over its drawn colours; the
-    total d*T before each step is read from the rows, which must all agree
-    (a balance check), and each leaf state divides its summed weight once by
-    prod d*T.  Other specs carry the spec's own numbers as counts and float64
-    probabilities; each step adds its terms in apply_draw's order, so they
+    total d*T before each step, the same in every row, is read from the first
+    row to reach that step, and each leaf state divides its summed weight
+    once by prod d*T.  Other specs carry the spec's own numbers as counts and
+    float64 probabilities; each step adds its terms in apply_draw's order, so they
     round as the recursive enumeration in tests/kernel_reference.py does."""
     K, exact = spec.colors, spec.is_exact
-    residues = spec.kind == "branch" and not exact  # counts within _ZERO_TOL of 0 are 0
     if K**N > _ENUM_GUARD:
         raise ValueError(f"enumeration of {K}**{N} histories exceeds guard {_ENUM_GUARD}")
     terms = [_step_terms(spec, i) for i in range(1, N + 1)]
@@ -727,7 +645,7 @@ def enumerate_histories(spec: UrnSpec, N: int) -> Pmf:
     if exact:
         d = math.lcm(*(a.denominator for a in flat))
         num = lambda a: a.numerator * (d // a.denominator)
-        big = sum(abs(num(a)) for a in flat)  # bounds d*T before every step
+        big = sum(num(a) for a in flat)  # bounds d*T before every step
         cdtype = np.int64 if big < 2**63 else object
         wdtype = np.int64 if big**N < 2**63 else object
     else:
@@ -746,8 +664,6 @@ def enumerate_histories(spec: UrnSpec, N: int) -> Pmf:
         if exact:
             if len(dT) == i:  # depth first: the first chunk to reach step i + 1
                 dT.append(int(total[0]))
-            if (total != dT[i]).any():
-                raise ValueError(f"urn is not balanced: totals differ before step {i + 1}")
             weight = weight[:, None] * counts
         else:
             weight = weight[:, None] * (counts.astype(float) / total.astype(float)[:, None])
@@ -756,12 +672,6 @@ def enumerate_histories(spec: UrnSpec, N: int) -> Pmf:
             child = child + term
         drawn = counts != 0
         child, weight = child[drawn], weight[drawn]
-        if residues:
-            child[np.abs(child) <= _ZERO_TOL] = 0.0
-        bad = np.flatnonzero((child < 0).any(axis=1))
-        if bad.size:
-            color = np.nonzero(drawn)[1][bad[0]]
-            raise ValueError(f"urn became untenable at step {i + 1} drawing color {color}")
         stack.extend((i + 1, child[s:s + _ENUM_CHUNK], weight[s:s + _ENUM_CHUNK])
                      for s in reversed(range(0, len(weight), _ENUM_CHUNK)))
     support, den = sorted(acc), _product(dT)
@@ -803,8 +713,6 @@ def spec_to_json(spec: UrnSpec) -> str:
         payload["sequence_ells"] = [_json_num(v) for v in spec.sequence_ells]
     if spec.white_immigration is not None:
         payload["white_immigration"] = [_json_num(v) for v in spec.white_immigration]
-    if spec.matrices is not None:
-        payload["matrices"] = [[_json_num(v) for v in row] for row in spec.matrices]
     for name in ("ell", "ell1", "ell2"):
         v = getattr(spec, name)
         if v is not None:
@@ -829,7 +737,6 @@ def spec_from_json(text: str) -> UrnSpec:
         sequence_name=data.get("sequence"),
         sequence_ells=opt_tuple("sequence_ells"),
         white_immigration=opt_tuple("white_immigration"),
-        matrices=tuple(_num_tuple(row) for row in data["matrices"]) if "matrices" in data else None,
         ell=opt_num("ell"),
         ell1=opt_num("ell1"),
         ell2=opt_num("ell2"),

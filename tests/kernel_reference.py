@@ -29,9 +29,10 @@ to integer and vector arithmetic; the tests assert that both return the same
 values, Fraction for Fraction and bit for bit.  `per_step_schedule` resolves
 every step of a cycle by `ell_at` and `immigration_at` (one Fraction each)
 and takes the lcm over all of them.  `binomial_moments` inverts the rising
-moments with Fraction sums over `lah_number` and `falling_factorial`;
-`pgf` and `pmf_via_moments` read from it, and the latter drops atoms of
-probability 0 as the package does.  `exact_pmf_dp_float` is the float DP that
+moments with Fraction sums over `lah_number` and `falling_factorial`, which
+live here since no package code needs them; `pgf` and `pmf_via_moments`
+read from it, and the latter drops atoms of probability 0 as the package
+does.  `exact_pmf_dp_float` is the float DP that
 allocates a fresh row every step.
 
 One line differs from the old kernels on purpose: when the float cumulative
@@ -46,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from polyaurn.moments import product_ratio
-from polyaurn.specialfn import falling_factorial, lah_number, rising_factorial
+from polyaurn.specialfn import rising_factorial
 from polyaurn.stirling import _check_params, block_count
 from polyaurn.trees import forest_total_weight, gport_family
 from polyaurn.urns import (_ENUM_GUARD, Pmf, Schedule, UrnSpec, _per_step, ell_at,
@@ -82,14 +83,6 @@ def apply_draw(spec: UrnSpec, counts, i: int, color: int) -> tuple:
     """Counts after step i given that `color` was drawn, each term spelled out
     so that the oracle shares no step rule with the package."""
     counts = list(counts)
-    if spec.kind == "branch":
-        row = spec.matrices[color]
-        for c in range(spec.colors):
-            counts[c] = counts[c] + row[c]
-        counts[-1] = counts[-1] + ell_at(spec, i)
-        if any(c < 0 for c in counts):
-            raise ValueError(f"urn became untenable at step {i} drawing color {color}")
-        return tuple(counts)
     counts[color] = counts[color] + spec.sigma
     counts[-1] = counts[-1] + ell_at(spec, i)
     counts[0] = counts[0] + immigration_at(spec, i)
@@ -131,7 +124,7 @@ def per_step_schedule(spec: UrnSpec, N: int) -> Schedule:
     if N < 0:
         raise ValueError("N must be >= 0")
     cycle = max(N, 1) if spec.sequence_name is not None else spec.period
-    base = Fraction(sum(spec.matrices[0]) if spec.kind == "branch" else spec.sigma)
+    base = Fraction(spec.sigma)
     ells = [Fraction(ell_at(spec, i)) for i in range(1, cycle + 1)]
     imms = [Fraction(immigration_at(spec, i)) for i in range(1, cycle + 1)]
     t0 = Fraction(spec.total_initial)
@@ -148,6 +141,33 @@ def per_step_schedule(spec: UrnSpec, N: int) -> Schedule:
     np.cumsum(totals, out=totals)
     return Schedule(d, spec.is_exact, totals, np.array(d_ells, dtype=dtype),
                     np.array(d_imms, dtype=dtype))
+
+
+def falling_factorial(x, s: int):
+    """x^(s) falling = x (x-1) ... (x-s+1); s=0 gives 1."""
+    if s < 0 or s != int(s):
+        raise ValueError(f"falling_factorial order must be a non-negative integer, got {s}")
+    result = x * 0 + 1
+    for k in range(int(s)):
+        result = result * (x - k)
+    return result
+
+
+def lah_number(s: int, r: int) -> int:
+    """Lah number L(s,r) = C(s,r) * (s-1)!/(r-1)! for 1 <= r <= s.
+
+    Boundary convention: L(0,0) = 1 and L(s,0) = 0 for s >= 1, which is the
+    convention under which the recurrence
+        L(s+1,r) = L(s,r-1) + (s+r) L(s,r)
+    closes; see test_specialfn.
+    """
+    if s < 0 or r < 0:
+        raise ValueError(f"lah_number requires s, r >= 0, got ({s}, {r})")
+    if r > s:
+        raise ValueError(f"lah_number requires r <= s, got ({s}, {r})")
+    if r == 0:
+        return 1 if s == 0 else 0
+    return math.comb(s, r) * math.factorial(s - 1) // math.factorial(r - 1)
 
 
 def binomial_moments(spec: UrnSpec, N: int) -> list[Fraction]:
@@ -272,13 +292,9 @@ def simulate_table_count_batch(params, N, n_reps, seed):
 
 
 def simulate_counts_batch(spec, N, n_reps, seed):
-    if spec.kind == "py_like":
-        rows = None
-    else:
-        rows = np.array([[float(v) for v in row] for row in spec.matrices])
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     counts = np.tile([float(c) for c in spec.initial], (n_reps, 1))
-    sigma = float(spec.sigma) if spec.sigma is not None else 0.0
+    sigma = float(spec.sigma)
     sched = schedule(spec, N)
     totals, ells, imms = (sched.real(v).tolist() for v in
                           (sched.totals, _per_step(sched.ells, N), _per_step(sched.imm, N)))
@@ -288,16 +304,11 @@ def simulate_counts_batch(spec, N, n_reps, seed):
         x = (u * totals[i - 1])[:, None]
         cum = np.cumsum(counts, axis=1)
         color = _clamp((cum < x).sum(axis=1), counts)
-        if rows is None:
-            counts[idx, color] += sigma
-        else:
-            counts += rows[color]
+        counts[idx, color] += sigma
         if ells[i - 1]:
             counts[:, -1] += ells[i - 1]
         if imms[i - 1]:
             counts[:, 0] += imms[i - 1]
-        if rows is not None and counts.min() < -1e-9:
-            raise ValueError(f"urn became untenable at step {i}")
     return counts
 
 

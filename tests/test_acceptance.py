@@ -58,8 +58,8 @@ from polyaurn.urns import (
     marginal_pmf,
     multicolor_polya_young,
     polya_young,
+    schedule,
     simulate_counts_batch,
-    total_balls,
     triangular,
 )
 
@@ -124,7 +124,7 @@ def test_criterion_02_martingale_identities(acceptance):
     # conditional law of step i+1 depends on the prefix only through (i, W_i)
     for spec in GRID:
         for i in range(8):
-            T = total_balls(spec, i)
+            T = schedule(spec, i).total(i)
             g_now, g_next = g_factor(spec, i), g_factor(spec, i + 1)
             for w in exact_pmf_dp(spec, i).support:
                 cond_mean = w + spec.sigma * w / T

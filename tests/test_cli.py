@@ -341,6 +341,27 @@ def test_crp_seating_payload(tmp_path):
     assert res["tree_alpha"] == "1" and res["tree_ell"] == "1"
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--tables", "3,0"], "table sizes must be >= 1"),
+    (["--tables", "3,-1"], "table sizes must be >= 1"),
+    (["--tables", "3,2", "--bar-count", "2"], "bar_count > 0 needs a bar"),
+    (["--tables", "3,2", "--theta-bar", "1", "--bar-count", "-1"], "bar_count must be >= 0"),
+], ids=["empty-table", "negative-table", "bar-count-without-bar", "negative-bar-count"])
+def test_crp_impossible_seating_state_exits_1(capsys, flags, message):
+    # each state once printed probabilities (join -1/10, or a total of 9/11)
+    assert run(["crp", "--a", "1/2", "--theta", "1/2", "--p", "2"] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_tail_sum_fewer_than_one_thread_exits_1(capsys, threads):
+    assert run(["tail-sum", "--N", "5", "--far", "10", "--replicates", "16",
+                "--threads", threads]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: threads must be >= 1" in captured.err
+
+
 # the model flags of the urn subcommands; the echo replaces them with `model`
 URN_FLAGS = {"family", "p", "sigma", "ell", "ell1", "ell2", "w0", "b0", "offset", "initial",
              "sequence", "ells"}

@@ -188,3 +188,20 @@ def test_batch_deterministic():
     a = simulate_table_count_batch(HALF, 12, 400, seed=5)
     b = simulate_table_count_batch(HALF, 12, 400, seed=5)
     assert np.array_equal(a, b)
+
+
+BAR = CrpParams(Fraction(1, 2), Fraction(1, 2), 2, theta_bar=1)
+
+
+@pytest.mark.parametrize("params,sizes,N,bar,message", [
+    (HALF, (3, 0), 3, 0, "table sizes must be >= 1"),
+    (HALF, (3, 2), 7, 2, "bar_count > 0 needs a bar"),
+    (BAR, (3, 2), 4, -1, "bar_count must be >= 0"),
+    (HALF, (3, 2), 6, 0, "must add up to N"),
+    (BAR, (3, 2), 6, 0, "must add up to N"),
+])
+def test_seating_probabilities_reject_unreachable_states(params, sizes, N, bar, message):
+    # seating_weights still takes any state; the probabilities need a real one
+    seating_weights(params, sizes, N, bar)
+    with pytest.raises(ValueError, match=message):
+        seating_probabilities(params, sizes, N, bar)

@@ -7,7 +7,6 @@ recursive `kernel_reference.enumerate_histories`."""
 import math
 import re
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -32,10 +31,7 @@ from polyaurn.trees import (
     statistic_pmf,
 )
 from polyaurn.urns import (
-    UrnSpec,
     _cumulative_draw,
-    apply_draw,
-    branch_urn,
     enumerate_histories,
     exact_pmf_dp,
     immigration_at,
@@ -135,10 +131,11 @@ def test_forest_kernel_moments_match_the_exact_law(case, n_reps, seed):
         _assert_moments_match(sample, law, kernel.__module__)
 
 
-BRANCH_SETTINGS = [  # (alpha, p, ell, N, max_size); test_trees runs (1, 2, 1, 18, 4)
+BRANCH_SETTINGS = [  # (alpha, p, ell, N, max_size)
     (Fraction(1, 2), 1, 2, 10, 3),
     (2, 3, Fraction(1, 3), 12, 2),
     (Fraction(3, 2), 2, Fraction(1, 2), 8, 4),
+    (1, 2, 1, 18, 4),
 ]
 
 
@@ -147,7 +144,7 @@ BRANCH_SETTINGS = [  # (alpha, p, ell, N, max_size); test_trees runs (1, 2, 1, 1
 def test_branch_profile_means_match_the_branch_urn(alpha, p, ell, N, max_size):
     # colour m of the urn holds weight m*(alpha+1) - 1 per branch of size m
     reps = 20_000
-    exact = _exact_branch_mean(branch_urn(alpha, p, ell, max_size), N)
+    exact = _exact_branch_mean(alpha, p, ell, max_size, N)
     ours = simulate_statistic_batch(gport_family(alpha, ell), p, N, reps, 12,
                                     ("branch_profile", max_size), mode="crp")
     theirs = ref.simulate_branch_profile_batch(alpha, p, ell, N, reps, 12, max_size)
@@ -192,14 +189,12 @@ def test_forest_kernel_tv_at_the_noise_floor(k):
 
 @st.composite
 def urn_specs(draw):
-    kind = draw(st.sampled_from(["multi", "py", "tri", "sequence", "immigration", "branch"]))
+    kind = draw(st.sampled_from(["multi", "py", "tri", "sequence", "immigration"]))
     p = draw(st.integers(1, 3))
     if kind == "multi":
         rest = draw(st.lists(st.one_of(st.just(0), PARAM), min_size=1, max_size=3))
         initial = [draw(PARAM), *rest]
         return multicolor_polya_young(p, draw(PARAM), draw(PARAM), initial)
-    if kind == "branch":
-        return branch_urn(draw(RATIONAL), p, draw(RATIONAL), draw(st.integers(1, 4)))
     offset = draw(st.integers(0, p - 1))
     w0, b0 = draw(PARAM), draw(st.one_of(st.just(0), PARAM))
     if kind == "py":
@@ -235,18 +230,42 @@ def _moments(law: dict):
     return mean, q @ (x - mean) ** 2, q @ (x - mean) ** 4
 
 
+# Below this many replicates a sample variance is far from normal: 7 exact
+# draws from the law of polya_young(1, 2.0, 3/2, 12/5, 0) at N = 29 break the
+# 4-s.e. variance bound with probability 1.4e-3 (10^6 samples), not the 6e-5
+# that the bound stands for.  Smaller samples get a Monte Carlo test instead.
+_NORMAL_MIN_N = 100
+_NULL_DRAWS = 20_000
+
+
 def _assert_moments_match(sample: np.ndarray, law: dict, label):
-    """Sample mean and variance within 4 standard errors of the law's."""
+    """Sample mean and variance close to the law's: within 4 standard errors
+    from _NORMAL_MIN_N replicates on, and below that no farther from them
+    than the farthest of _NULL_DRAWS exact samples of the same size, which
+    an exact sample is with probability 1/(_NULL_DRAWS + 1) per moment (a
+    Monte Carlo test: Barnard 1963, Hope 1968)."""
     mean, var, m4 = _moments(law)
     n = len(sample)
     slack = 1e-9 * (1.0 + abs(mean))  # floating sums of a deterministic value
+    if n < _NORMAL_MIN_N:
+        x = np.array([float(w) for w in law])
+        q = np.array([float(v) for v in law.values()])
+        null = np.random.default_rng(0).choice(x, p=q / q.sum(), size=(_NULL_DRAWS, n))
+        pairs = [(sample.mean(), null.mean(axis=1), mean)]
+        if n > 1:
+            pairs.append((sample.var(ddof=1), null.var(axis=1, ddof=1), var))
+        for got, exact, want in pairs:
+            gap = abs(got - want)
+            assert gap <= slack or gap <= np.abs(exact - want).max(), (label, n, got, want)
+        return
     assert abs(sample.mean() - mean) <= 4 * math.sqrt(var / n) + slack, (label, sample.mean(), mean)
-    if n > 1:
-        se_var = math.sqrt(max(m4 - var**2 * (n - 3) / (n - 1), 0.0) / n)
-        assert abs(sample.var(ddof=1) - var) <= 4 * se_var + slack, (label, sample.var(ddof=1), var)
+    se_var = math.sqrt(max(m4 - var**2 * (n - 3) / (n - 1), 0.0) / n)
+    assert abs(sample.var(ddof=1) - var) <= 4 * se_var + slack, (label, sample.var(ddof=1), var)
 
 
-# derandomized: a fixed set of examples, so the 4 s.e. checks cannot flake
+# derandomized: a fixed set of examples for a fixed source tree.  Hypothesis
+# also draws constants found in every loaded local module, so an edit
+# anywhere in the package or the tests draws a new set
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(spec=urn_specs().filter(lambda spec: spec.kind == "py_like" and spec.colors == 2),
        checkpoints=st.lists(st.integers(0, 40), min_size=1, max_size=4),
@@ -359,20 +378,6 @@ def test_seating_kernel_tv_to_the_exact_law(k):
         assert abs(block.mean() - mean) <= 4 * math.sqrt(var / len(block)), block.mean()
 
 
-@pytest.mark.parametrize("n_reps", [3, 512])
-def test_untenable_urn_fails_at_the_same_step(n_reps):
-    # drawing colour 0 takes a ball of colour 1, which soon runs out
-    spec = UrnSpec(kind="branch", family="branch", colors=2, period=1,
-                   initial=(Fraction(1), Fraction(1)),
-                   matrices=((Fraction(2), Fraction(-1)), (Fraction(0), Fraction(1))),
-                   ell=Fraction(0))
-    with pytest.raises(ValueError, match="untenable") as ours:
-        simulate_counts_batch(spec, 30, n_reps, seed=4)
-    with pytest.raises(ValueError) as theirs:
-        ref.simulate_counts_batch(spec, 30, n_reps, seed=4)
-    assert str(ours.value) == str(theirs.value)
-
-
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(1, 3), p=st.integers(1, 3), t=st.integers(1, 3), N=st.integers(0, 10),
        n_reps=REPS, seed=SEEDS)
@@ -428,8 +433,7 @@ def test_enumeration_matches_the_recursion_on_multicolour_and_tree_urns():
     for N in range(7):
         _same_law(multicolor_polya_young(2, 1, 1, (2, 1, 1)), N)
     families = [recursive_family(1), dary_family(2, 1), gport_family(Fraction(1, 2), 1)]
-    urns = [branch_urn(1, 2, 1, 3), branch_urn(2, 1, Fraction(1, 2), 2)]
-    urns += [descendants_urn(f, p, j) for f in families for p, j in ((1, 2), (2, 3))]
+    urns = [descendants_urn(f, p, j) for f in families for p, j in ((1, 2), (2, 3))]
     urns += [outdegree_urn(families[2], p, j) for p, j in ((1, 1), (3, 2))]
     for spec in urns:
         for N in range(8):
@@ -455,44 +459,12 @@ def test_enumeration_matches_the_recursion_bit_for_bit_on_float_specs(seed):
             _same_law(spec, N)
 
 
-def test_float_branch_urns_enumerate_as_their_rational_twins():
-    # an emptied branch keeps a rounding residue in float arithmetic: alpha =
-    # 0.3 enters as 0.3 and leaves as (0.3 + 1) - 1, so the count reads
-    # -5.6e-17, which is 0, neither an untenable urn nor a drawable colour
-    assert apply_draw(branch_urn(0.3, 2, 0.7, 3), (0.7, 0.3, 0.0, 0.0, 0.0), 2, 1) == \
-        (0.7, 0.0, 1.6, 0.0, 0.7)
-    rng = np.random.default_rng(14)
-    for _ in range(200):
-        a, e = rng.integers(1, 21, size=2)
-        p, size, N = (int(v) for v in rng.integers(1, [4, 4, 8]))
-        law = enumerate_histories(branch_urn(a / 10, p, e / 10, size), N)
-        twin = enumerate_histories(branch_urn(Fraction(a, 10), p, Fraction(e, 10), size), N)
-        assert min(law.probs) >= 0.0
-        mass = dict.fromkeys(twin.support, 0.0)
-        for x, q in zip(law.support, law.probs):
-            near = [y for y in twin.support
-                    if max(abs(float(u) - float(v)) for u, v in zip(x, y)) <= 1e-9]
-            assert len(near) == 1, (a, e, p, size, N, x)
-            mass[near[0]] += q
-        for y, q in zip(twin.support, twin.probs):
-            assert mass[y] == pytest.approx(float(q), rel=0, abs=1e-12)
-    # exact arithmetic stays strict: a count 1e-12 below 0 is untenable
-    tiny = UrnSpec(kind="branch", family="branch", colors=2, period=1,
-                   initial=(Fraction(1), Fraction(1, 10**12)),
-                   matrices=((Fraction(1), Fraction(-2, 10**12)), (Fraction(0), Fraction(1))),
-                   ell=Fraction(0))
-    with pytest.raises(ValueError, match="^urn became untenable at step 1 drawing color 0$"):
-        apply_draw(tiny, tiny.initial, 1, 0)
-    with pytest.raises(ValueError, match="^urn became untenable at step 1 drawing color 0$"):
-        enumerate_histories(tiny, 1)
-
-
 def test_enumeration_in_small_chunks_is_unchanged(monkeypatch):
     # four rows a chunk split the frontier from the third step on
     monkeypatch.setattr(urns, "_ENUM_CHUNK", 4)
     for spec in (polya_young(2, Fraction(1, 2), 1, 1, Fraction(1, 3)),
                  with_white_immigration(triangular(2, 0.7, 0.3, 1.1, 0.9, 1.3), [0.2, 0.5]),
-                 multicolor_polya_young(2, 1, 1, (2, 1, 1)), branch_urn(1, 2, 1, 3)):
+                 multicolor_polya_young(2, 1, 1, (2, 1, 1))):
         for N in range(8):
             _same_law(spec, N)
 
@@ -503,20 +475,6 @@ def test_enumeration_keeps_its_guard_and_errors():
     for enumerate_ in (enumerate_histories, ref.enumerate_histories):
         with pytest.raises(ValueError, match=re.escape(message)):
             enumerate_(std, 24)
-    # drawing colour 1 takes a ball of colour 0, which history (1, 1) lacks
-    # at step 2; the frontier holds two tenable rows before it
-    untenable = UrnSpec(kind="branch", family="branch", colors=2, period=1,
-                        initial=(Fraction(1), Fraction(1)),
-                        matrices=((Fraction(1), Fraction(0)), (Fraction(-1), Fraction(2))),
-                        ell=Fraction(0))
-    for enumerate_ in (enumerate_histories, ref.enumerate_histories):
-        with pytest.raises(ValueError, match="^urn became untenable at step 2 drawing color 1$"):
-            enumerate_(untenable, 3)
-    # an exact urn whose totals depend on the draws is refused, not enumerated
-    unbalanced = replace(untenable, matrices=((Fraction(2), Fraction(0)),
-                                              (Fraction(0), Fraction(1))))
-    with pytest.raises(ValueError, match="not balanced: totals differ before step 2"):
-        enumerate_histories(unbalanced, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +493,8 @@ _TM = sequence_urn("thue_morse", 1, (1, 2), 1, 1)
     polya_young(3, 1, 2, 1, 1),
     triangular(3, Fraction(2, 3), Fraction(1, 4), Fraction(5, 2), Fraction(7, 3), 1, offset=1),
     multicolor_polya_young(2, 1, 1, (2, 1, 1)),
-    branch_urn(Fraction(1, 2), 2, 1, 3),
 ], ids=["tm", "tm_rational", "tm_immigration", "tm_float", "tm_huge_ell", "py", "tri",
-        "multicolour", "branch"])
+        "multicolour"])
 def test_schedule_matches_the_per_step_reference(spec):
     for N in (0, 1, 2, 3, 7, 64, 65, 1000, 5000):
         got, want = urns.schedule(spec, N), ref.per_step_schedule(spec, N)

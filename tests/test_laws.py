@@ -18,7 +18,6 @@ from polyaurn.laws import (
     moment_at,
     powered_law,
     product_law,
-    scaled_law,
     tilted_law,
     verify_decomposition,
     verify_multicolor_decomposition,
@@ -48,9 +47,6 @@ def test_leaf_moments_match_scipy():
 def test_law_algebra_moment_relations():
     base = beta_law(2.0, 3.0)
     for s in (1, 2, 3):
-        assert moment_at(scaled_law(base, 2.5), s) == pytest.approx(
-            2.5**s * moment_at(base, s), rel=1e-13
-        )
         assert moment_at(powered_law(base, 0.5), s) == pytest.approx(
             moment_at(base, 0.5 * s), rel=1e-13
         )

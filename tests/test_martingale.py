@@ -41,11 +41,11 @@ def test_mean_over_exact_law_is_initial_white_mass():
 def test_one_step_conditional_identity():
     # E[M_{i+1} | W_i] = M_i reduces to g_{i+1} * (T_i + sigma) / T_i == g_i,
     # which must hold exactly at every step
-    from polyaurn.urns import total_balls
+    from polyaurn.urns import schedule
 
     for spec in (STD, SIG2, TRI):
         for i in range(0, 12):
-            T = total_balls(spec, i)
+            T = schedule(spec, i).total(i)
             assert g_factor(spec, i + 1) * (T + spec.sigma) / T == g_factor(spec, i)
 
 

@@ -1,10 +1,12 @@
 """Seed derivation and deterministic block scheduling."""
 
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from polyaurn import rng as rng_module
 from polyaurn.rng import (
     block_ranges,
     derive_seed,
@@ -58,3 +60,45 @@ def test_resolve_master_seed(monkeypatch):
     assert resolve_master_seed(1) == 1  # explicit beats environment
     monkeypatch.delenv("POLYA_SEED")
     assert resolve_master_seed(None) == 0
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs each
+    job in this process, so no worker is started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("threads,total,pool", [
+    (4, 2048, 2), (64, 2048, 2), (2, 4096, 2), (3, 10_000, 3), (1_000_000, 3072, 3),
+])
+def test_run_blocks_starts_no_idle_workers(monkeypatch, threads, total, pool):
+    # the pool is capped at one worker per block; the results do not move
+    monkeypatch.setattr(rng_module, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    out = run_blocks(_sum_worker, total=total, block_size=1024, master_seed=5, threads=threads)
+    assert _RecordingPool.sizes == [pool]
+    assert out == run_blocks(_sum_worker, total=total, block_size=1024, master_seed=5, threads=1)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_run_blocks_rejects_fewer_than_one_thread(monkeypatch, threads):
+    monkeypatch.setattr(rng_module, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    with pytest.raises(ValueError, match="^threads must be >= 1$"):
+        run_blocks(_sum_worker, total=4096, block_size=1024, master_seed=5, threads=threads)
+    assert _RecordingPool.sizes == []

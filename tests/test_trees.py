@@ -18,7 +18,6 @@ from polyaurn.trees import (
     simulate_statistic_batch,
     statistic_pmf,
 )
-from polyaurn.urns import branch_urn, ell_at, simulate_counts_batch, total_balls
 
 
 def enumerate_forest(family, p, N, statistic, mode="standard", bar_beta=None):
@@ -275,35 +274,32 @@ def test_batch_simulator_deterministic():
         simulate_statistic_batch(fam, 2, 10, 10, seed=1, statistic=("median",))
 
 
-def _exact_branch_mean(spec, N):
-    """Exact mean counts of a balanced matrix urn by the linear recursion."""
-    means = [Fraction(v) for v in spec.initial]
-    for i in range(1, N + 1):
-        T = total_balls(spec, i - 1)
-        draw_mean = [m / T for m in means]
-        delta = [Fraction(0)] * spec.colors
-        for c, pc in enumerate(draw_mean):
-            for k, add in enumerate(spec.matrices[c]):
-                delta[k] += pc * Fraction(add)
-        means = [m + d for m, d in zip(means, delta)]
-        extra = ell_at(spec, i)
-        if extra:
-            means[-1] += Fraction(extra)
-    return means
+def _exact_branch_mean(alpha, p, ell, max_size, N):
+    """Exact mean counts of the balanced matrix urn of root-0 branch weights,
+    by the linear mean recursion.
 
-
-def test_branch_profile_batches_match_exact_means():
-    alpha, p, ell, N, max_size = 1, 2, 1, 18, 4
-    spec = branch_urn(alpha, p, ell, max_size)
-    exact = _exact_branch_mean(spec, N)
-    reps = 20_000
-    counts = simulate_counts_batch(spec, N, n_reps=reps, seed=11)
-    assert np.allclose(counts.sum(axis=1), float(total_balls(spec, N)))
-    profile = simulate_statistic_batch(gport_family(alpha, ell), p, N, reps, 12,
-                                       ("branch_profile", max_size), mode="crp")
+    Colours: 0 = root-0 weight, m = branches of size m (1 <= m <= max_size,
+    weight m*(alpha+1) - 1 each), last = everything else.  Drawing colour 0
+    grows the root and starts a size-1 branch; drawing colour m moves one
+    size-m branch up a size; each drawn entity also adds alpha for its new
+    child, and steps that are multiples of p add ell (a new root) to the
+    last colour."""
+    alpha, ell = Fraction(alpha), Fraction(ell)
+    K = max_size + 2
+    rows = [[Fraction(0)] * K for _ in range(K)]
+    rows[0][0], rows[0][1] = Fraction(1), alpha
     for m in range(1, max_size + 1):
-        weight = m * (alpha + 1) - 1
-        expected = float(exact[m]) / weight
-        for emp in (counts[:, m] / weight, profile[:, m].astype(float)):
-            se = emp.std(ddof=1) / np.sqrt(reps)
-            assert abs(emp.mean() - expected) < 5 * se + 1e-9, (m, emp.mean(), expected)
+        rows[m][m] -= m * (alpha + 1) - 1
+        rows[m][m + 1 if m < max_size else K - 1] += (m + 1) * (alpha + 1) - 1
+    rows[K - 1][K - 1] = 1 + alpha
+    means = [ell] + [Fraction(0)] * (K - 1)
+    T = ell
+    for i in range(1, N + 1):
+        means = [mk + sum(mc / T * row[k] for mc, row in zip(means, rows))
+                 for k, mk in enumerate(means)]
+        T += 1 + alpha
+        if i % p == 0:
+            means[-1] += ell
+            T += ell
+    assert sum(means) == T  # balanced: every row adds 1 + alpha
+    return means

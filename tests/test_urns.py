@@ -1,5 +1,6 @@
 """Urn constructors, exact laws, enumeration agreement, serialization."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,6 @@ from polyaurn.urns import (
     Pmf,
     _thue_morse_prefix,
     apply_draw,
-    branch_urn,
     empirical_pmf,
     enumerate_histories,
     exact_pmf_dp,
@@ -27,7 +27,6 @@ from polyaurn.urns import (
     spec_from_json,
     spec_to_json,
     thue_morse_index,
-    total_balls,
     totals_list,
     triangular,
     with_white_immigration,
@@ -56,12 +55,17 @@ def test_constructor_validation():
         with_white_immigration(polya_young(1, 1, 1, 1, 1), [-3])
 
 
+def _total(spec, N):
+    """T_N, the total mass after N steps."""
+    return schedule(spec, N).total(N)
+
+
 def test_total_balls_closed_form():
     # first totals: 2, 3, 5, 6, 8 (refresh adds the extra ball on even steps)
-    assert [total_balls(STD, N) for N in range(5)] == [2, 3, 5, 6, 8]
+    assert [_total(STD, N) for N in range(5)] == [2, 3, 5, 6, 8]
     for N in range(0, 25):
         n, k = divmod(N, 2)
-        assert total_balls(STD, N) == n * 3 + k + 2
+        assert _total(STD, N) == n * 3 + k + 2
 
 
 def test_total_balls_general_grid():
@@ -70,7 +74,7 @@ def test_total_balls_general_grid():
             spec = polya_young(p, sigma, ell, 1, 1)
             for N in range(0, 3 * p + 2):
                 n, k = divmod(N, p)
-                assert total_balls(spec, N) == n * (p * sigma + ell) + k * sigma + 2
+                assert _total(spec, N) == n * (p * sigma + ell) + k * sigma + 2
 
 
 def test_exact_pmf_small_frozen():
@@ -133,7 +137,7 @@ def test_polya_young_is_triangular_with_zero_ordinary_refresh():
 def test_white_immigration_changes_law_and_totals():
     spec = with_white_immigration(triangular(2, 1, 1, 1, 1, 1), [0, 1])
     # immigration adds one white ball after every second step
-    assert total_balls(spec, 4) == total_balls(triangular(2, 1, 1, 1, 1, 1), 4) + 2
+    assert _total(spec, 4) == _total(triangular(2, 1, 1, 1, 1, 1), 4) + 2
     law = exact_pmf_dp(spec, 4)
     law.check_total()
     assert marginal_pmf(enumerate_histories(spec, 4), 0).as_dict() == law.as_dict()
@@ -152,15 +156,15 @@ def test_multicolor_joint_sums_to_one_and_conserves_total():
     joint = enumerate_histories(spec, 5)
     joint.check_total()
     for state in joint.support:
-        assert sum(state) == total_balls(spec, 5)
+        assert sum(state) == _total(spec, 5)
 
 
 def test_trajectory_totals_follow_the_schedule():
-    # apply_draw over a random colour sequence, one spec of every kind: the
+    # apply_draw over a random colour sequence, one spec of every family: the
     # total after step i is the schedule's T_i whatever was drawn, and colour
-    # 0 of a py_like spec moves by sigma exactly when it is drawn (plus its
-    # immigration).  The float spec's denominator 2**55 takes d*T_N past
-    # 2**63, which the schedule must hold
+    # 0 moves by sigma exactly when it is drawn (plus its immigration).  The
+    # float spec's denominator 2**55 takes d*T_N past 2**63, which the
+    # schedule must hold
     floats = polya_young(1, 0.1, 0.1, 1.0, 1.0)
     specs = [
         (STD, 40),
@@ -169,7 +173,6 @@ def test_trajectory_totals_follow_the_schedule():
         (multicolor_polya_young(3, 1, 2, (1, 2, 1)), 40),
         (sequence_urn("thue_morse", 1, (1, 2), 1, 1), 40),
         (with_white_immigration(triangular(2, 1, 1, 1, 1, 1), [0, 1]), 40),
-        (branch_urn(1, 2, 1, 4), 40),
         (floats, 10_000),
     ]
     rng = np.random.default_rng(11)
@@ -186,12 +189,11 @@ def test_trajectory_totals_follow_the_schedule():
             drawable = [c for c, w in enumerate(counts) if w > 0]
             color = drawable[int(rng.integers(len(drawable)))]
             after = apply_draw(spec, counts, i + 1, color)
-            if spec.kind == "py_like":
-                moved = after[0] - counts[0] - immigration_at(spec, i + 1)
-                assert moved == pytest.approx(spec.sigma if color == 0 else 0, abs=1e-9)
+            moved = after[0] - counts[0] - immigration_at(spec, i + 1)
+            assert moved == pytest.approx(spec.sigma if color == 0 else 0, abs=1e-9)
             counts = after
     assert schedule(floats, 10_000).totals[-1] > 2**63
-    assert total_balls(floats, 10_000) == float(2 + 20_000 * Fraction(0.1))
+    assert _total(floats, 10_000) == float(2 + 20_000 * Fraction(0.1))
 
 
 def test_simulate_white_batch_matches_exact_mean():
@@ -206,7 +208,7 @@ def test_simulate_counts_batch_total_is_deterministic():
     spec = multicolor_polya_young(2, 1, 1, (1, 1, 1))
     counts = simulate_counts_batch(spec, 12, n_reps=256, seed=5)
     assert counts.shape == (256, 3)
-    assert np.all(counts.sum(axis=1) == float(total_balls(spec, 12)))
+    assert np.all(counts.sum(axis=1) == float(_total(spec, 12)))
 
 
 def test_sequence_urn_thue_morse():
@@ -216,7 +218,7 @@ def test_sequence_urn_thue_morse():
     # step i adds sigma + ells[b_i - 1]
     expect = 2
     for i in range(1, 8):
-        assert total_balls(spec, i - 1) == expect
+        assert _total(spec, i - 1) == expect
         expect += 1 + (1, 2)[thue_morse_index(i) - 1]
     law = exact_pmf_dp(spec, 5)
     assert marginal_pmf(enumerate_histories(spec, 5), 0).as_dict() == law.as_dict()
@@ -244,6 +246,14 @@ def test_spec_json_roundtrip():
         assert back.initial == spec.initial  # Fractions survive, not floats
         if spec.is_exact:
             assert all(isinstance(v, Fraction) for v in back.initial)
+
+
+def test_spec_json_rejects_other_kinds():
+    # the spec echo carries kind "py_like"; any other kind read back is refused
+    payload = json.loads(spec_to_json(STD))
+    for kind in ("branch", "matrix", ""):
+        with pytest.raises(ValueError, match=f"^unknown urn kind {kind!r}$"):
+            spec_from_json(json.dumps({**payload, "kind": kind}))
 
 
 def test_pmf_helpers():
