@@ -307,8 +307,7 @@ def cmd_crp(args) -> int:
     if args.tables is not None:
         args.seed = None  # seating probabilities are exact; the echo names no seed
         sizes = [int(s) for s in args.tables.split(",") if s.strip()]
-        probs, fresh, bar = seating_probabilities(params, sizes, sum(sizes) + args.bar_count,
-                                                  args.bar_count)
+        probs, fresh, bar = seating_probabilities(params, sizes, args.bar_count)
         alpha, ell, beta = tree_equivalents(params)
         payload = {
             "join": [_fmt(q, args.mode) for q in probs],

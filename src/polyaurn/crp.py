@@ -81,18 +81,18 @@ def seating_weights(params: CrpParams, table_sizes, N: int, bar_count: int = 0):
     return tables, fresh, bar
 
 
-def seating_probabilities(params: CrpParams, table_sizes, N: int, bar_count: int = 0):
-    """Same split as seating_weights, normalized by the capacity.  The state
-    must be one the process reaches: every table seats at least one customer,
-    only a bar holds bar customers, and the N customers are all seated."""
+def seating_probabilities(params: CrpParams, table_sizes, bar_count: int = 0):
+    """Same split as seating_weights, normalized by the capacity, at the time
+    N = sum(table_sizes) + bar_count of the state.  The state must be one the
+    process reaches: every table seats at least one customer and only a bar
+    holds bar customers."""
     if any(s < 1 for s in table_sizes):
         raise ValueError("table sizes must be >= 1")
     if bar_count < 0:
         raise ValueError("bar_count must be >= 0")
     if bar_count and params.theta_bar is None:
         raise ValueError("bar_count > 0 needs a bar (theta_bar)")
-    if sum(table_sizes) + bar_count != N:
-        raise ValueError("table sizes plus bar_count must add up to N")
+    N = sum(table_sizes) + bar_count
     tables, fresh, bar = seating_weights(params, table_sizes, N, bar_count)
     c = capacity(params, N)
     probs = [w / c for w in tables]

@@ -339,7 +339,7 @@ def test_criterion_11_crp(acceptance):
             bar = N - sum(sizes)
             if bar and params.theta_bar is None:
                 continue
-            probs, fresh, barp = seating_probabilities(params, sizes, N, bar)
+            probs, fresh, barp = seating_probabilities(params, sizes, bar)
             c = capacity(params, N)
             for s, q in zip(sizes, probs):
                 assert q == (s * scale - 1) / (scale * c)

@@ -67,13 +67,12 @@ def test_capacity_frozen():
 
 def test_seating_probabilities_sum_to_one():
     cases = [
-        (HALF, (3, 2, 1), 6, 0),
-        (THIRD, (4, 1), 5, 0),
-        (CrpParams(Fraction(1, 2), Fraction(1, 2), 2, theta_bar=2), (2, 2), 7, 3),
+        (HALF, (3, 2, 1), 0),
+        (THIRD, (4, 1), 0),
+        (CrpParams(Fraction(1, 2), Fraction(1, 2), 2, theta_bar=2), (2, 2), 3),
     ]
-    for params, sizes, N, bar in cases:
-        assert sum(sizes) + bar == N
-        probs, fresh, barp = seating_probabilities(params, sizes, N, bar)
+    for params, sizes, bar in cases:
+        probs, fresh, barp = seating_probabilities(params, sizes, bar)
         total = sum(probs) + fresh + (barp or 0)
         assert total == 1
         assert all(q > 0 for q in probs) and fresh > 0
@@ -197,11 +196,9 @@ BAR = CrpParams(Fraction(1, 2), Fraction(1, 2), 2, theta_bar=1)
     (HALF, (3, 0), 3, 0, "table sizes must be >= 1"),
     (HALF, (3, 2), 7, 2, "bar_count > 0 needs a bar"),
     (BAR, (3, 2), 4, -1, "bar_count must be >= 0"),
-    (HALF, (3, 2), 6, 0, "must add up to N"),
-    (BAR, (3, 2), 6, 0, "must add up to N"),
 ])
 def test_seating_probabilities_reject_unreachable_states(params, sizes, N, bar, message):
     # seating_weights still takes any state; the probabilities need a real one
     seating_weights(params, sizes, N, bar)
     with pytest.raises(ValueError, match=message):
-        seating_probabilities(params, sizes, N, bar)
+        seating_probabilities(params, sizes, bar)
