@@ -325,6 +325,9 @@ def limit_mixed_moment(spec: UrnSpec, svec) -> float:
 
 # density_cutoff stops at the first probe with f(x)*(1+x)^2 below this.
 _CUTOFF_THRESHOLD = 1e-13
+# It evaluates the probes this many to an engine call; the specs in the
+# tests and the benchmark stop at the 8th to 13th probe.
+_CUTOFF_BATCH = 4
 # The trapezoid rule on the contour.  With step h, the first pole of M(u)
 # a distance d left of the line costs about exp(-2*pi*d/h); ending the range
 # at T drops about exp(-pi*(1-Lambda)*T/2).  Both are held to exp(-_LOG_ERR).
@@ -334,9 +337,20 @@ _CUTOFF_THRESHOLD = 1e-13
 _LOG_ERR = 40.0
 _PER_SD = 4.0
 _SD_SPAN = 12.0
-# The bisection stops within this fraction of the distance to the pole, or
-# at adjacent floats; the contour need not pass exactly through the saddle.
-_SADDLE_TOL = 1e-6
+# About this many contour nodes go through one loggamma call.  A 400-point
+# quadrature on polya_young(3, 2, 1, 1, 1) has 570,000, whose temporaries
+# took 98 MB in one call.
+_GRID_NODES = 1 << 13
+# The saddle search stops once its bracket is within this fraction of the
+# distance to the pole, or at adjacent floats.  The contour need not pass
+# through the saddle itself: every line right of the pole carries the same
+# integral, and the step h and the span are computed at the line actually
+# used (its distance to the pole and phi'' there), so both error bounds above
+# hold on it.  A line this close to the saddle also leaves the bump nearly
+# real: its height exceeds the saddle's by exp(phi''*du^2/2), du <= 1% of the
+# distance to the pole.  At 1e-6 the search took about 24 digamma calls a
+# point; at 1e-2 it takes about 10.
+_SADDLE_TOL = 1e-2
 
 
 def _saddle(shift: np.ndarray, scale: np.ndarray, sign: np.ndarray, log_x: float) -> float:
@@ -346,8 +360,10 @@ def _saddle(shift: np.ndarray, scale: np.ndarray, sign: np.ndarray, log_x: float
     term), and its derivative runs from -inf at the pole to +inf."""
     from scipy.special import digamma
 
+    slope_weight = sign * scale
+
     def slope(u):
-        return sign * scale @ digamma(shift + scale * u) - log_x
+        return float(np.add.reduce(slope_weight * digamma(shift + scale * u))) - log_x
 
     pole = -shift[0]
     lo, width = pole, 1.0
@@ -361,20 +377,44 @@ def _saddle(shift: np.ndarray, scale: np.ndarray, sign: np.ndarray, log_x: float
     return 0.5 * (lo + hi)
 
 
-def _mellin_density(spec: UrnSpec, x: float, tilt: float = 0.0) -> float:
-    """x^tilt * f(x) for x > 0, by Mellin-Barnes inversion of the moments.
+def _line(shift: np.ndarray, scale: np.ndarray, sign: np.ndarray, log_x: float,
+          Lambda: float) -> tuple[float, float, int]:
+    """(u0, h, n) for one point: the contour's line Re u = u0 through the
+    saddle, the trapezoid step h on it and the number n of nodes t >= 0."""
+    from scipy.special import zeta
+
+    u0 = _saddle(shift, scale, sign, log_x)
+    # phi'' on the line; zeta(2, v) is the trigamma function
+    kappa2 = float(np.add.reduce(sign * scale**2 * zeta(2.0, shift + scale * u0)))
+    sd = 1.0 / math.sqrt(kappa2)
+    h = min(sd / _PER_SD, 2.0 * math.pi * (u0 + shift[0]) / _LOG_ERR)
+    span = max(_SD_SPAN * sd, 2.0 * _LOG_ERR / (math.pi * (1.0 - Lambda)))
+    return u0, h, int(span / h) + 1
+
+
+def _mellin_density(spec: UrnSpec, xs: np.ndarray, tilt: float = 0.0) -> np.ndarray:
+    """x^tilt * f(x) for each x > 0 of the 1-D array xs, by Mellin-Barnes
+    inversion of the moments.
 
     The limit law has moments of Gamma type: with a_r = r/psi + z,
     step = delta/psi and c = w0/sigma, M(u) = E[X^(u-1)]
     = Gamma(c+u-1)/Gamma(c) * prod_r Gamma(a_r)/Gamma(a_r+(u-1)*step), so
     f(x) = (1/2pi) int M(u0+it) x^-(u0+it) dt on any line right of the first
     pole of M (u = 1-c unless the rest mass is 0).  On the line |M| decays
-    like exp(-pi*(1-Lambda)*|t|/2).  The line runs through the real saddle of
-    phi(u) = log M(u) - u*log x, so the integrand is a bump of height
-    exp(phi(u0)) with no cancellation, and the trapezoid rule in t converges
-    geometrically (Trefethen & Weideman 2014).
+    like exp(-pi*(1-Lambda)*|t|/2).  The line runs through (next to, see
+    _SADDLE_TOL) the real saddle of phi(u) = log M(u) - u*log x, so the
+    integrand is a bump of height exp(phi(u0)) with no cancellation, and the
+    trapezoid rule in t converges geometrically (Trefethen & Weideman 2014).
+
+    The spec's terms are built once per call.  Each point's line is a scalar
+    saddle search; the contour nodes of all points then form one ragged grid
+    that goes through loggamma together, and np.add.reduceat sums each
+    point's nodes.  Sums over the p+1 Gamma terms are elementwise, never a
+    matrix product: numpy hands a float-by-complex product to BLAS, whose
+    worker thread then spins beside the main one.  Each point's value
+    depends on that point alone, not on the batch.
     """
-    from scipy.special import loggamma, polygamma
+    from scipy.special import loggamma
 
     cst = asymptotic_constants(spec)
     if cst.Lambda >= 1.0:
@@ -395,17 +435,33 @@ def _mellin_density(spec: UrnSpec, x: float, tilt: float = 0.0) -> float:
     while (hit := np.flatnonzero(np.abs(shift[1:] - step * shift[0]) < 1e-9)).size:
         shift[[0, 1 + hit[0]]] += 1.0
         log_const += math.log(step)
-    log_x = math.log(x)
-    u0 = _saddle(shift, scale, sign, log_x)
-    kappa2 = sign * scale**2 @ polygamma(1, shift + scale * u0)
-    sd = 1.0 / math.sqrt(kappa2)
-    h = min(sd / _PER_SD, 2.0 * math.pi * (u0 + shift[0]) / _LOG_ERR)
-    span = max(_SD_SPAN * sd, 2.0 * _LOG_ERR / (math.pi * (1.0 - cst.Lambda)))
-    t = h * np.arange(int(span / h) + 1)
-    log_m = sign @ loggamma(shift[:, None] + scale[:, None] * (u0 + 1j * t))
-    bump = np.exp(log_m[1:] - log_m[0] - 1j * t[1:] * log_x).real
-    log_peak = log_m[0].real + log_const + (tilt - u0) * log_x
-    return math.exp(log_peak) * h / (2.0 * math.pi) * (1.0 + 2.0 * bump.sum())
+    # one (log x, u0, h, n) per point, in runs of whole points whose nodes
+    # t = h*k, k < n, go through loggamma together, about _GRID_NODES a run
+    runs, size = [[]], 0
+    for log_x in np.log(xs).tolist():
+        if size >= _GRID_NODES:
+            runs.append([])
+            size = 0
+        line = (log_x, *_line(shift, scale, sign, log_x, cst.Lambda))
+        runs[-1].append(line)
+        size += line[3]
+    col = (slice(None), None)
+    values = []
+    for run in runs:
+        log_x, u0, h, n = (np.array(v) for v in zip(*run))
+        starts = np.cumsum(n) - n
+        t = np.concatenate([h_k * np.arange(n_k) for _, _, h_k, n_k in run])
+        gammas = loggamma(shift[col] + scale[col] * (np.repeat(u0, n) + 1j * t))
+        log_m = gammas[0] - np.sum(gammas[1:], axis=0)  # numerator over denominators
+        # the integrand over its value at t = 0, real part
+        rel = log_m - np.repeat(log_m[starts], n)
+        bump = np.exp(rel.real) * np.cos(rel.imag - t * np.repeat(log_x, n))
+        # the t = 0 node (bump exactly 1) counts once; every other node also
+        # stands for its conjugate at -t
+        total = 2.0 * np.add.reduceat(bump, starts) - 1.0
+        log_peak = log_m[starts].real + log_const + (tilt - u0) * log_x
+        values.append(np.exp(log_peak) * h / (2.0 * math.pi) * total)
+    return np.concatenate(values)
 
 
 def limit_density(spec: UrnSpec, x):
@@ -414,30 +470,39 @@ def limit_density(spec: UrnSpec, x):
     float64 throughout, for every Lambda < 1."""
     c = float(_scaled_start(spec))
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if c <= 1 and np.any(xs == 0.0):
+        raise ValueError("density at 0 needs w0/sigma > 1")
     out = np.zeros_like(xs)
-    for idx, xv in enumerate(xs):
-        if xv < 0 or (xv == 0.0 and c > 1):
-            continue
-        if xv == 0.0:
-            raise ValueError("density at 0 needs w0/sigma > 1")
-        out[idx] = _mellin_density(spec, float(xv))
+    inside = ~(xs <= 0.0)  # NaN goes on to the engine, which rejects it
+    if inside.any():
+        out[inside] = _mellin_density(spec, xs[inside])
     return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
 
 def density_cutoff(spec: UrnSpec) -> float:
     """Smallest probed x with f(x)*(1+x)^2 below 1e-13: quadratures stop
     where the integrand mass is already negligible instead of at a fixed
-    multiple of the mean."""
+    multiple of the mean.  The probes x0*1.2^k run from x0 = mean + 1 up to
+    1000, _CUTOFF_BATCH to an engine call."""
     x = limit_moments(spec, 1, "per_period")[0] + 1.0
-    while x < 1000.0 and _mellin_density(spec, x) * (1.0 + x) ** 2 >= _CUTOFF_THRESHOLD:
+    probes = []
+    while x < 1000.0:
+        probes.append(x)
         x *= 1.2
+    for first in range(0, len(probes), _CUTOFF_BATCH):
+        xs = np.array(probes[first:first + _CUTOFF_BATCH])
+        low = np.flatnonzero(_mellin_density(spec, xs) * (1.0 + xs) ** 2 < _CUTOFF_THRESHOLD)
+        if low.size:
+            return probes[first + low[0]]
     return x
 
 
-def tilted_density_moment(spec: UrnSpec, s: float, upper: float | None = None,
-                          points: int = 400) -> float:
+def tilted_density_moment(spec: UrnSpec, s, upper: float | None = None,
+                          points: int = 400) -> float | list[float]:
     """Quadrature moment integral x^s f(x) dx of the limit density over
-    [0, upper]; mostly a validation helper.
+    [0, upper]; mostly a validation helper.  s is one order (the result is a
+    float) or a sequence of orders (a list of floats), which share the cutoff
+    and one evaluation of the nodes.
 
     Gauss-Jacobi nodes carry the weight x^(c-1), c = w0/sigma, and integrate
     the smooth part f(x)/x^(c-1), so a density unbounded at 0 (c < 1) loses
@@ -451,5 +516,7 @@ def tilted_density_moment(spec: UrnSpec, s: float, upper: float | None = None,
     nodes, weights = roots_jacobi(points, 0.0, c - 1.0)
     xs = 0.5 * upper * (nodes + 1.0)
     ws = (0.5 * upper) ** c * weights
-    gs = np.array([_mellin_density(spec, float(xv), 1.0 - c) for xv in xs])
-    return float(np.sum(ws * gs * xs**s))
+    wgs = ws * _mellin_density(spec, xs, 1.0 - c)
+    if np.ndim(s):
+        return [float(np.sum(wgs * xs**order)) for order in s]
+    return float(np.sum(wgs * xs**s))

@@ -566,20 +566,24 @@ def exact_pmf_dp(spec: UrnSpec, N: int, mode: str = "auto") -> Pmf:
     carries integer path weights (d*white and d*(T - white) per step, d the
     schedule's common denominator) and divides once by prod_j d*T_j, so the
     result sums to 1 exactly; float mode carries float64 probabilities in one
-    buffer, updated in place.
+    buffer, updated in place.  Its draw probability d*white / d*T is one
+    correctly rounded division of numerators over d (exact in float64 below
+    2**53), so a white count equal to the total gives exactly 1 and no atom
+    of probability 0 picks up rounding noise.
     """
     if spec.colors != 2:
         raise ValueError("exact_pmf_dp supports two-color py_like specs")
     exact = _resolve_mode(spec, N, mode)
     sched = schedule(spec, N)
-    # imm[i]: immigration into color 0 before step i+1
+    d = sched.d
+    # counts over d: imm[i] is the immigration into color 0 before step
+    # i+1, w0 the start of color 0 and gain its gain per color-0 draw
     imm = np.concatenate(([0], np.cumsum(_per_step(sched.imm, N))))
+    w0, gain = (int(Fraction(v) * d) for v in (spec.initial[0], spec.sigma))
     if exact:
-        d = sched.d
         totals = sched.totals.tolist()
         imm = imm.tolist()
-        w0 = int(spec.initial[0] * d)
-        draws = np.arange(N + 1, dtype=object) * int(spec.sigma * d)
+        draws = np.arange(N + 1, dtype=object) * gain
         probs = np.ones(1, dtype=object)
         for i in range(N):
             white = w0 + draws[: i + 1] + imm[i]
@@ -591,9 +595,11 @@ def exact_pmf_dp(spec: UrnSpec, N: int, mode: str = "auto") -> Pmf:
         support = [Fraction(w, d) for w in (w0 + draws + imm[N]).tolist()]
         probs = [Fraction(q, den) for q in probs]
     else:
-        totals = sched.real(sched.totals).tolist()
-        imm = sched.real(imm).tolist()
-        white = float(spec.initial[0]) + np.arange(N + 1) * float(spec.sigma)
+        support = (float(spec.initial[0]) + np.arange(N + 1) * float(spec.sigma)
+                   + sched.real(imm[N])).tolist()
+        totals = np.asarray(sched.totals, dtype=float).tolist()
+        imm = np.asarray(imm, dtype=float).tolist()
+        white = float(w0) + np.arange(N + 1) * float(gain)
         # probs[:i+1] is the law before step i+1; up and stay are work rows
         probs, up, stay = np.zeros(N + 1), np.empty(N + 1), np.empty(N + 1)
         probs[0] = 1.0
@@ -607,7 +613,6 @@ def exact_pmf_dp(spec: UrnSpec, N: int, mode: str = "auto") -> Pmf:
             probs[i + 1] = u[i]
             np.add(u[:i], s[1:], out=probs[1 : i + 1])
             probs[0] = s[0]
-        support = (white + imm[N]).tolist()
         probs = probs.tolist()
     # unreachable counts (e.g. "all draws black" when the black side starts
     # empty) carry probability exactly 0 in both arithmetic modes; drop them

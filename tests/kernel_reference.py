@@ -200,22 +200,25 @@ def pmf_via_moments(spec: UrnSpec, B: list) -> Pmf:
 
 
 def exact_pmf_dp_float(spec: UrnSpec, N: int) -> Pmf:
-    """The float DP over the color-0 draw count, one fresh row per step."""
+    """The float DP over the color-0 draw count, one fresh row per step;
+    draw probabilities are ratios of counts over the schedule's denominator."""
     sched = schedule(spec, N)
-    imm = sched.real(np.concatenate(([0], np.cumsum(_per_step(sched.imm, N))))).tolist()
-    totals = sched.real(sched.totals).tolist()
-    w0 = float(spec.initial[0])
-    draws = np.arange(N + 1) * float(spec.sigma)
+    imm_d = np.concatenate(([0], np.cumsum(_per_step(sched.imm, N))))
+    imm = sched.real(imm_d).tolist()
+    w0, sigma, d = Fraction(spec.initial[0]), Fraction(spec.sigma), sched.d
+    draws = np.arange(N + 1) * float(sigma)
+    draws_d = np.arange(N + 1) * float(sigma * d)
     probs = np.ones(1)
     for i in range(N):
-        white = w0 + draws[: i + 1] + imm[i]
-        up = white / totals[i]
+        white_d = float(w0 * d) + draws_d[: i + 1] + float(imm_d[i])
+        up = white_d / float(sched.totals[i])
         stay = 1 - up
         nxt = np.zeros(i + 2)
         nxt[1:] = probs * up
         nxt[:-1] += probs * stay
         probs = nxt
-    kept = [(w, q) for w, q in zip((w0 + draws + imm[N]).tolist(), probs.tolist()) if q != 0]
+    kept = [(w, q) for w, q in zip((float(w0) + draws + imm[N]).tolist(), probs.tolist())
+            if q != 0]
     return Pmf(tuple(w for w, _ in kept), tuple(q for _, q in kept))
 
 

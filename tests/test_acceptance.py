@@ -194,9 +194,8 @@ def test_criterion_06_density_quadrature(acceptance):
     worst = 0.0
     for spec in (STD, PY312, TRI):
         mus = limit_moments(spec, 2, normalization="per_period")
-        worst = max(worst, abs(tilted_density_moment(spec, 0) - 1.0))
-        worst = max(worst, abs(tilted_density_moment(spec, 1) / mus[0] - 1.0))
-        worst = max(worst, abs(tilted_density_moment(spec, 2) / mus[1] - 1.0))
+        q0, q1, q2 = tilted_density_moment(spec, (0, 1, 2))
+        worst = max(worst, abs(q0 - 1.0), abs(q1 / mus[0] - 1.0), abs(q2 / mus[1] - 1.0))
     ok = worst < 1e-6
     acceptance(6, "limit density integrates to 1 and matches mu1, mu2 (two PY + one tri)",
                ok, f"worst quadrature residual {worst:.2e}")

@@ -1,6 +1,9 @@
 """Exact moments, moment-inverted pmfs, limit constants, limit density."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -264,10 +267,31 @@ def test_limit_density_frozen_values():
         assert float(limit_density(TRI, x)) == pytest.approx(f, rel=1e-9)
 
 
+# Criterion 6's specs, the benchmark's two density-grid specs and SINGULAR,
+# with the cutoff that the probe-by-probe search returned for each.
+CUTOFF_SPECS = [
+    (STD, 10.820077734576978),
+    (PY312, 16.604996383482195),
+    (TRI, 24.377743568719655),
+    (polya_young(1, 1, 1, 1, 1), 13.178362809582657),
+    (polya_young(1, 1, Fraction(1, 2), 1, 1), 6.78288784064831),
+    (SINGULAR, 6.299956122740407),
+]
+
+
 def test_density_cutoff_probes_negligible_tail():
-    cut = density_cutoff(STD)
-    assert cut == pytest.approx(10.820077734576975, rel=1e-9)
-    assert float(limit_density(STD, cut)) * (1 + cut) ** 2 < 1e-13
+    for spec, frozen in CUTOFF_SPECS:
+        cut = density_cutoff(spec)
+        assert cut == frozen
+        # cut is x0*1.2^k for the smallest k whose probe is below 1e-13
+        x, probes = limit_moments(spec, 1, "per_period")[0] + 1.0, []
+        while x < cut:
+            probes.append(x)
+            x *= 1.2
+        assert x == cut
+        xs = np.array([*probes, cut])
+        tail = limit_density(spec, xs) * (1.0 + xs) ** 2
+        assert np.all(tail[:-1] >= 1e-13) and tail[-1] < 1e-13
 
 
 def test_density_quadrature_recovers_mass_and_mean():
@@ -286,6 +310,64 @@ def test_density_series_values_do_not_depend_on_call_order():
     assert limit_density(STD, xs) == pytest.approx(forward, rel=1e-9)
 
 
+def test_limit_density_does_not_depend_on_the_batch():
+    xs = np.concatenate((np.linspace(0.02, 3.0, 9), [4.5, 7.0, 11.0, 19.0, 30.0]))
+    for spec in (STD, PY312, TRI, SINGULAR):
+        batch = limit_density(spec, xs)
+        assert batch.tolist() == [limit_density(spec, float(x)) for x in xs]
+
+
+def test_tilted_moments_of_several_orders_equal_single_calls():
+    for spec in (STD, SINGULAR):
+        orders = (0, 1, 2.5)
+        together = tilted_density_moment(spec, orders, points=40)
+        assert together == [tilted_density_moment(spec, s, points=40) for s in orders]
+        assert isinstance(tilted_density_moment(spec, 1, points=40), float)
+
+
+# Runs in a fresh interpreter: prints the CPU ticks (utime + stime) that a
+# 200-point density grid, repeated until the main thread has spent at least
+# 0.2 s, puts on the main thread and on every other thread of the process.
+_THREAD_TICKS = """
+import os
+import numpy as np
+from polyaurn.moments import limit_density
+from polyaurn.urns import polya_young
+
+def ticks():
+    out = {}
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/stat") as f:
+            fields = f.read().rsplit(")", 1)[1].split()
+        out[int(tid)] = int(fields[11]) + int(fields[12])
+    return out
+
+spec, xs = polya_young(2, 1, 1, 1, 1), np.linspace(0.05, 12.0, 200)
+limit_density(spec, xs)
+before, hz, pid = ticks(), os.sysconf("SC_CLK_TCK"), os.getpid()
+for _ in range(200):
+    limit_density(spec, xs)
+    spent = {tid: t - before.get(tid, 0) for tid, t in ticks().items()}
+    if spent[pid] >= 0.2 * hz:
+        break
+print(spent[pid], sum(t for tid, t in spent.items() if tid != pid))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_density_engine_keeps_to_the_calling_thread():
+    # a float-by-complex matrix product on the contour once sent the sum to
+    # BLAS, whose worker thread then spun beside the main thread as long
+    # as the grid ran
+    root = os.path.dirname(os.path.dirname(moments.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (root, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", _THREAD_TICKS], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    main, others = map(int, out.split())
+    assert others < 0.1 * main, (main, others)
+
+
 def test_reference_series_frozen_far_tail_value():
     # x = 16 on STD climbs to 151 digits with 4,113 terms at each precision
     assert reference_density(STD, 16.0) == 4.874789285212977e-67
@@ -300,9 +382,10 @@ def test_density_below_the_series_floor_is_zero():
 
 def test_singular_density_quadrature_recovers_moments():
     mus = limit_moments(SINGULAR, 2, "per_period")
-    assert tilted_density_moment(SINGULAR, 0, points=20) == pytest.approx(1.0, abs=1e-6)
-    assert tilted_density_moment(SINGULAR, 1, points=20) == pytest.approx(mus[0], rel=1e-6)
-    assert tilted_density_moment(SINGULAR, 2, points=20) == pytest.approx(mus[1], rel=1e-6)
+    q0, q1, q2 = tilted_density_moment(SINGULAR, (0, 1, 2), points=20)
+    assert q0 == pytest.approx(1.0, abs=1e-6)
+    assert q1 == pytest.approx(mus[0], rel=1e-6)
+    assert q2 == pytest.approx(mus[1], rel=1e-6)
 
 
 def _factorized_density(spec, x):
@@ -363,9 +446,10 @@ BEYOND_THE_SERIES = [
     "py2_1_half", "py2_2_1", "py3_1_1", "py3_1_half", "py3_2_1", "py_float", "multi3"])
 def test_density_quadrature_beyond_the_series(spec):
     mus = limit_moments(spec, 2, "per_period")
-    assert tilted_density_moment(spec, 0) == pytest.approx(1.0, abs=1e-6)
-    assert tilted_density_moment(spec, 1) == pytest.approx(mus[0], rel=1e-6)
-    assert tilted_density_moment(spec, 2) == pytest.approx(mus[1], rel=1e-6)
+    q0, q1, q2 = tilted_density_moment(spec, (0, 1, 2))
+    assert q0 == pytest.approx(1.0, abs=1e-6)
+    assert q1 == pytest.approx(mus[0], rel=1e-6)
+    assert q2 == pytest.approx(mus[1], rel=1e-6)
 
 
 _ELLS = [Fraction(1, 3), Fraction(1, 2), 1, Fraction(3, 2), 2]

@@ -118,6 +118,25 @@ def test_dp_matches_enumeration_offsets_and_triangular():
         assert flt.probs == pytest.approx([float(q) for q in exact.probs], rel=1e-12, abs=1e-12)
 
 
+def test_float_dp_keeps_the_support_of_the_exact_law():
+    # the black side starts empty, so the first draws are white for certain;
+    # float mode once summed the white count in float, read up = white/T just
+    # above 1 and gave the impossible all-black count probability -2.2e-16
+    pairs = [
+        (multicolor_polya_young(2, 1.0, 1.0, (Fraction(5, 3), 0)),
+         multicolor_polya_young(2, 1, 1, (Fraction(5, 3), 0))),
+        (polya_young(3, 0.5, 0.25, Fraction(7, 3), 0),
+         polya_young(3, Fraction(1, 2), Fraction(1, 4), Fraction(7, 3), 0)),
+        (triangular(2, 1.5, 0.25, 0.75, Fraction(2, 3), 0),
+         triangular(2, Fraction(3, 2), Fraction(1, 4), Fraction(3, 4), Fraction(2, 3), 0)),
+    ]
+    for flt_spec, exact_spec in pairs:
+        for N in range(1, 9):
+            flt, exact = exact_pmf_dp(flt_spec, N), exact_pmf_dp(exact_spec, N)
+            assert min(flt.probs) >= 0.0, (flt_spec, N)
+            assert flt.support == pytest.approx([float(w) for w in exact.support], rel=1e-15)
+
+
 def test_zero_refresh_reduces_to_classical_polya():
     # sigma=1, ell=0, w0=b0=1: color-0 count is uniform on {1..N+1}
     for p in (1, 2, 3):
