@@ -72,6 +72,13 @@ def _fmt(x, mode: str) -> str:
     return str(x)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the count flags (--moments, --smax): an integer >= 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _fraction_list(text: str) -> list[Fraction]:
     return [Fraction(part) for part in text.split(",") if part.strip()]
 
@@ -217,7 +224,7 @@ def cmd_urn_sim(args) -> int:
         samples = simulate_white_batch(spec, [args.N], args.replicates, seed)[0]
     else:
         samples = simulate_counts_batch(spec, args.N, args.replicates, seed)[:, 0]
-    pmf = empirical_pmf(samples.tolist())
+    pmf = empirical_pmf(samples)
     _emit(args, rows=_pmf_rows(pmf, args.mode), header=["value", "probability"])
     return 0
 
@@ -275,7 +282,7 @@ def cmd_tree_sim(args) -> int:
              if args.compare else None)
     values = simulate_statistic_batch(family, args.p, args.N, args.replicates, seed,
                                       statistic, mode=args.tree_mode, bar_beta=bar_beta)
-    pmf = empirical_pmf(values.tolist())
+    pmf = empirical_pmf(values)
     rows = _pmf_rows(pmf, args.mode)
     if exact is not None:
         rows.append(("tv_vs_urn", format(float(pmf.tv_distance(exact)), ".15g")))
@@ -297,7 +304,7 @@ def cmd_stirling(args) -> int:
         seed = args.seed = resolve_master_seed(args.seed)
         counts = simulate_block_counts(args.d, args.p, args.t, args.N,
                                        args.replicates, seed)
-        pmf = empirical_pmf(counts.tolist())
+        pmf = empirical_pmf(counts)
     _emit(args, rows=_pmf_rows(pmf, args.mode), header=["blocks", "probability"])
     return 0
 
@@ -322,7 +329,7 @@ def cmd_crp(args) -> int:
         return 0
     seed = args.seed = resolve_master_seed(args.seed)
     counts = simulate_table_count_batch(params, args.N, args.replicates, seed)
-    pmf = empirical_pmf(counts.tolist())
+    pmf = empirical_pmf(counts)
     _emit(args, rows=_pmf_rows(pmf, args.mode), header=["tables", "probability"])
     return 0
 
@@ -389,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("urn-exact", cmd_urn_exact, reads=("mode",))
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--moments", type=int, default=2)
+    sp.add_argument("--moments", type=_positive_int, default=2)
     sp.add_argument("--pmf", action="store_true", help="emit the distribution instead")
 
     sp = add("urn-sim", cmd_urn_sim, reads=("seed", "mode"))
@@ -397,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--replicates", type=int, default=10_000)
 
     sp = add("urn-limit", cmd_urn_limit)
-    sp.add_argument("--smax", type=int, default=3)
+    sp.add_argument("--smax", type=_positive_int, default=3)
     sp.add_argument("--normalization", choices=["family", "per_period", "per_step"],
                     default="family")
     sp.add_argument("--density-grid", default=None, help="comma list of x values")
@@ -450,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("verify", cmd_verify)
     sp.add_argument("--what", choices=["decomposition", "martingale", "density"],
                     required=True)
-    sp.add_argument("--smax", type=int, default=6)
+    sp.add_argument("--smax", type=_positive_int, default=6)
     sp.add_argument("--tol", type=float, default=None,
                     help="default 1e-9 (decomposition, martingale) or 1e-6 (density)")
 
@@ -472,7 +479,11 @@ def run(argv=None) -> int:
         unknown = sorted(set(defaults) - known)
         if unknown:
             parser.error(f"unknown config keys: {', '.join(unknown)}")
-        sub.set_defaults(**defaults)
+        # argparse runs a flag's type on string defaults only: pass the values
+        # of typed flags as strings, so they are checked as on the command line
+        typed = {action.dest for action in sub._actions if action.type is not None}
+        sub.set_defaults(**{key: str(value) if key in typed and value is not None else value
+                            for key, value in defaults.items()})
         args = parser.parse_args(argv)
     try:
         if hasattr(args, "family"):  # an urn subcommand: resolve its model once

@@ -46,9 +46,11 @@ __all__ = [
     "mixed_moment_at",
     "BesselParams",
     "bessel_params_from_urn",
+    "Decomposition",
     "decomposition_for",
     "DecompositionReport",
     "verify_decomposition",
+    "verify_multicolor_decomposition",
 ]
 
 

@@ -74,6 +74,8 @@ def _products(spec: UrnSpec, N: int, orders, mode: str, start: int = 0) -> tuple
     values are Fractions (numerator and denominator accumulated as integers,
     reduced once); float values are log P_s, a vectorized log1p sum."""
     _require_product_form(spec)
+    if N < 0:
+        raise ValueError("N must be >= 0")
     if not 0 <= start <= N:
         raise ValueError("need 0 <= start <= N")
     exact = _resolve_mode(spec, N, mode, _AUTO_EXACT_MAX_N)

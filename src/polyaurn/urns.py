@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,17 +31,17 @@ __all__ = [
     "triangular",
     "multicolor_polya_young",
     "sequence_urn",
-    "thue_morse_index",
+    "with_white_immigration",
     "totals_list",
     "Schedule",
     "schedule",
-    "ell_at",
     "immigration_at",
-    "apply_draw",
     "simulate_white_batch",
     "simulate_counts_batch",
+    "empirical_pmf",
     "exact_pmf_dp",
     "enumerate_histories",
+    "marginal_pmf",
     "spec_to_json",
     "spec_from_json",
 ]
@@ -72,37 +72,29 @@ def _json_num(x):
     return x
 
 
-def thue_morse_index(n: int) -> int:
-    """Index b_n in {1,2} of the matrix applied at step n: b_n = t_n + 1 where
-    t is the Thue-Morse sequence (t_0 = 0, t_{2n} = t_n, t_{2n+1} = 1 - t_n)."""
-    if n < 0:
-        raise ValueError("sequence index must be >= 0")
-    return (bin(n).count("1") & 1) + 1
-
-
 def _thue_morse_prefix(n: int) -> np.ndarray:
-    """[b_0, ..., b_{n-1}] of thue_morse_index, with t built by doubling: the
-    next 2^k terms of t are 1 - (the first 2^k), since t_{n + 2^k} = 1 - t_n
-    for n < 2^k."""
+    """[b_0, ..., b_{n-1}] with b_n = t_n + 1, t the Thue-Morse sequence
+    (t_0 = 0, t_{2n} = t_n, t_{2n+1} = 1 - t_n), built by doubling: the next
+    2^k terms of t are 1 - (the first 2^k), since t_{n + 2^k} = 1 - t_n for
+    n < 2^k."""
     t = np.zeros(1, dtype=np.intp)
     while t.size < n:
         t = np.concatenate((t, 1 - t))
     return t[:n] + 1
 
 
-# sequence name -> (scalar b_n, vector [b_0, ..., b_{n-1}])
-_SEQUENCES: dict[str, tuple[Callable[[int], int], Callable[[int], np.ndarray]]] = {
-    "thue_morse": (thue_morse_index, _thue_morse_prefix),
-}
+# sequence name -> its prefix [b_0, ..., b_{n-1}], each b_n in {1, 2}
+_SEQUENCES: dict[str, Callable[[int], np.ndarray]] = {"thue_morse": _thue_morse_prefix}
 
 
 @dataclass(frozen=True)
 class UrnSpec:
     """Immutable urn model description.
 
-    The drawn color gains sigma; the last color additionally gains ell_at(i)
-    at step i; color 0 may receive a deterministic immigration amount per
-    step (white_immigration, periodic).  kind is always "py_like".
+    The drawn color gains sigma; the last color additionally gains an ell at
+    every step, from phase_ells or from a named sequence (see _step_rule);
+    color 0 may receive a deterministic immigration amount per step
+    (white_immigration, periodic).  kind is always "py_like".
     """
 
     kind: str
@@ -135,88 +127,87 @@ class UrnSpec:
         return sum(self.initial)
 
     def validate(self) -> None:
+        """The one shape rule, which every constructor and spec_from_json run:
+        a period >= 1; either one phase_ells entry per phase or a registered
+        sequence with two sequence_ells (and period 1); white immigration only
+        on two colors, one amount per phase; then the signs of the values."""
         if self.colors != len(self.initial):
             raise ValueError("initial counts length must equal number of colors")
         if self.period < 1:
             raise ValueError("period must be >= 1")
         if self.kind != "py_like":
             raise ValueError(f"unknown urn kind {self.kind!r}")
+        if (self.phase_ells is None) == (self.sequence_name is None and self.sequence_ells is None):
+            raise ValueError("a spec takes phase_ells or a sequence, exactly one of them")
+        if self.phase_ells is not None:
+            if len(self.phase_ells) != self.period:
+                raise ValueError("need one phase_ells entry per phase")
+        else:
+            if self.sequence_name not in _SEQUENCES:
+                raise ValueError(f"unknown sequence {self.sequence_name!r}; "
+                                 f"known: {sorted(_SEQUENCES)}")
+            if self.sequence_ells is None or len(self.sequence_ells) != 2:
+                raise ValueError("sequence urns take exactly two off-diagonal values")
+            if self.period != 1:
+                raise ValueError("sequence urns have period 1")
+        if self.white_immigration is not None:
+            if self.colors != 2:
+                raise ValueError("white immigration is defined for two-color py_like specs")
+            if len(self.white_immigration) != self.period:
+                raise ValueError("need one immigration amount per phase")
         if self.sigma is None or not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        if not self.initial[0] > 0:
+        if not self.initial or not self.initial[0] > 0:
             raise ValueError("color 0 must start positive")
         if any(c < 0 for c in self.initial):
             raise ValueError("initial counts must be non-negative")
-        groups = self.phase_ells if self.phase_ells is not None else self.sequence_ells
-        if groups is None or any(e < 0 for e in groups):
+        if any(e < 0 for e in self.phase_ells or self.sequence_ells):
             raise ValueError("schedule additions must be non-negative")
         if any(v < 0 for v in self.white_immigration or ()):
             raise ValueError("immigration amounts must be non-negative")
 
 
+def _periodic(family: str, p: int, sigma, ordinary, refresh, initial, offset: int = 0,
+              **canonical) -> UrnSpec:
+    """A periodic spec whose last color gains `refresh` at steps = offset
+    (mod p) and `ordinary` at the others.  A period below 1 gives no phases
+    and leaves the offset as it is, so it reaches validate, which refuses it."""
+    phases = tuple(refresh if (i + 1 - offset) % p == 0 else ordinary for i in range(p))
+    spec = UrnSpec(kind="py_like", family=family, colors=len(initial), period=p,
+                   initial=initial, sigma=sigma, phase_ells=phases, offset=offset % max(p, 1),
+                   **canonical)
+    spec.validate()
+    return spec
+
+
 def polya_young(p: int, sigma, ell, w0, b0, offset: int = 0) -> UrnSpec:
     """Two-color periodic urn: diagonal steps plus an off-diagonal refresh of
     size ell into the black column at steps = offset (mod p)."""
-    if p < 1:
-        raise ValueError("period must be a positive integer")
     sigma, ell, w0, b0 = _num(sigma), _num(ell), _num(w0), _num(b0)
-    phase = [sigma * 0] * p
-    phase[(offset - 1) % p] = ell
-    spec = UrnSpec(
-        kind="py_like", family="polya_young", colors=2, period=p,
-        initial=(w0, b0), sigma=sigma, phase_ells=tuple(phase),
-        ell=ell, offset=offset % p,
-    )
-    spec.validate()
-    return spec
+    return _periodic("polya_young", p, sigma, sigma * 0, ell, (w0, b0), offset, ell=ell)
 
 
 def triangular(p: int, sigma, ell1, ell2, w0, b0, offset: int = 0) -> UrnSpec:
     """Two-color periodic triangular urn: off-diagonal ell1 at ordinary steps,
     ell2 at steps = offset (mod p)."""
-    if p < 1:
-        raise ValueError("period must be a positive integer")
     sigma, ell1, ell2, w0, b0 = map(_num, (sigma, ell1, ell2, w0, b0))
-    phase = [ell1] * p
-    phase[(offset - 1) % p] = ell2
-    spec = UrnSpec(
-        kind="py_like", family="triangular", colors=2, period=p,
-        initial=(w0, b0), sigma=sigma, phase_ells=tuple(phase),
-        ell1=ell1, ell2=ell2, offset=offset % p,
-    )
-    spec.validate()
-    return spec
+    return _periodic("triangular", p, sigma, ell1, ell2, (w0, b0), offset, ell1=ell1, ell2=ell2)
 
 
 def multicolor_polya_young(p: int, sigma, ell, initial) -> UrnSpec:
     """t-color periodic urn: drawn color gains sigma; the last color gains ell
     at steps that are multiples of p."""
-    if p < 1:
-        raise ValueError("period must be a positive integer")
     sigma, ell = _num(sigma), _num(ell)
-    initial = _num_tuple(initial)
-    phase = [sigma * 0] * p
-    phase[p - 1] = ell
-    spec = UrnSpec(
-        kind="py_like", family="multicolor", colors=len(initial), period=p,
-        initial=initial, sigma=sigma, phase_ells=tuple(phase), ell=ell,
-    )
-    spec.validate()
-    return spec
+    return _periodic("multicolor", p, sigma, sigma * 0, ell, _num_tuple(initial), ell=ell)
 
 
 def sequence_urn(sequence: str, sigma, ells, w0, b0) -> UrnSpec:
     """Two-color urn driven by a named {1,2}-valued sequence: step i applies
     the matrix with off-diagonal ells[b_i - 1]."""
-    if sequence not in _SEQUENCES:
-        raise ValueError(f"unknown sequence {sequence!r}; known: {sorted(_SEQUENCES)}")
-    sigma, w0, b0 = _num(sigma), _num(w0), _num(b0)
-    ells = _num_tuple(ells)
-    if len(ells) != 2:
-        raise ValueError("sequence urns take exactly two off-diagonal values")
     spec = UrnSpec(
         kind="py_like", family="sequence", colors=2, period=1,
-        initial=(w0, b0), sigma=sigma, sequence_name=sequence, sequence_ells=ells,
+        initial=(_num(w0), _num(b0)), sigma=_num(sigma), sequence_name=sequence,
+        sequence_ells=_num_tuple(ells),
     )
     spec.validate()
     return spec
@@ -225,12 +216,7 @@ def sequence_urn(sequence: str, sigma, ells, w0, b0) -> UrnSpec:
 def with_white_immigration(spec: UrnSpec, per_phase: Sequence) -> UrnSpec:
     """Attach deterministic per-phase additions to color 0 (applied at every
     step i with amount per_phase[(i-1) % period], after the draw)."""
-    if spec.colors != 2:
-        raise ValueError("white immigration is defined for two-color py_like specs")
-    amounts = _num_tuple(per_phase)
-    if len(amounts) != spec.period:
-        raise ValueError("need one immigration amount per phase")
-    spec = replace(spec, white_immigration=amounts, family="custom")
+    spec = replace(spec, white_immigration=_num_tuple(per_phase), family="custom")
     spec.validate()
     return spec
 
@@ -239,16 +225,28 @@ def with_white_immigration(spec: UrnSpec, per_phase: Sequence) -> UrnSpec:
 # per-step schedule resolution and totals
 
 
-def ell_at(spec: UrnSpec, i: int):
-    """Off-diagonal addition applied at step i (1-based)."""
-    if i < 1:
-        raise ValueError("steps are 1-based")
+def _step_rule(spec: UrnSpec, N: int) -> tuple[list, np.ndarray]:
+    """The package's one step rule: (rows, kind) for steps 1..N.  A row is an
+    (ell, immigration) pair of additions in the spec's own numbers, ell into
+    the last color and immigration into color 0: one row per phase, or one
+    per sequence value.  kind[i - 1] is the row of step i over one cycle of
+    steps (the period, or steps 1..max(N, 1) of a sequence spec), which
+    repeats to cover steps 1..N.  Only the rows some step of the cycle reads
+    are kept."""
+    imm = spec.white_immigration or (0,) * spec.period
     if spec.sequence_name is not None:
-        return spec.sequence_ells[_SEQUENCES[spec.sequence_name][0](i) - 1]
-    return spec.phase_ells[(i - 1) % spec.period]
+        kind = _SEQUENCES[spec.sequence_name](max(N, 1) + 1)[1:] - 1
+        rows = [(e, imm[0]) for e in spec.sequence_ells]
+    else:
+        kind = np.arange(spec.period)
+        rows = list(zip(spec.phase_ells, imm))
+    used = np.bincount(kind, minlength=len(rows)) > 0
+    return [row for row, u in zip(rows, used) if u], (np.cumsum(used) - 1)[kind]
 
 
 def immigration_at(spec: UrnSpec, i: int):
+    """Addition to color 0 at step i (1-based), for callers outside the
+    package; the package itself reads _step_rule."""
     if spec.white_immigration is None:
         return 0
     return spec.white_immigration[(i - 1) % spec.period]
@@ -257,10 +255,11 @@ def immigration_at(spec: UrnSpec, i: int):
 @dataclass(frozen=True)
 class Schedule:
     """Deterministic step schedule up to step N, as integers over one common
-    denominator d: totals[j] = d*T_j for j = 0..N; ells and imm hold
-    d*ell_at(i) and d*immigration_at(i) over one cycle of steps i = 1, 2, ...,
-    which repeats to cover steps 1..N.  The arrays are int64 while every
-    value stays below 2**53 and hold Python ints beyond, so they never wrap."""
+    denominator d: totals[j] = d*T_j for j = 0..N; ells and imm hold d*ell and
+    d*immigration of each step over one cycle of steps i = 1, 2, ... (see
+    _step_rule), which repeats to cover steps 1..N.  The arrays are int64
+    while every value stays below 2**53 and hold Python ints beyond, so they
+    never wrap."""
 
     d: int
     exact: bool
@@ -284,24 +283,15 @@ def _per_step(row: np.ndarray, N: int) -> np.ndarray:
 
 
 def schedule(spec: UrnSpec, N: int) -> Schedule:
-    """Step schedule of `spec` for steps 1..N.
+    """Step schedule of `spec` for steps 1..N, from the rows of _step_rule.
 
-    A cycle of steps (the period, or all N steps for a sequence-driven spec)
-    picks each step's (ell_at, immigration_at) from a short table: one row per
-    phase, or one per sequence value.  The common denominator covers the rows
-    the cycle uses.  The totals are the running sum of the per-step additions,
-    which by balance do not depend on the drawn color."""
+    The common denominator covers the rows the cycle uses.  The totals are
+    the running sum of the per-step additions, which by balance do not depend
+    on the drawn color."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    if spec.sequence_name is not None:
-        kind = _SEQUENCES[spec.sequence_name][1](max(N, 1) + 1)[1:] - 1
-        rows = [(e, immigration_at(spec, 1)) for e in spec.sequence_ells]
-    else:
-        kind = np.arange(spec.period)
-        rows = [(ell_at(spec, i), immigration_at(spec, i)) for i in range(1, spec.period + 1)]
-    used = np.bincount(kind, minlength=len(rows)) > 0  # drop the rows no step reads
-    rows = [tuple(map(Fraction, row)) for row, u in zip(rows, used) if u]
-    kind = (np.cumsum(used) - 1)[kind]
+    rows, kind = _step_rule(spec, N)
+    rows = [tuple(map(Fraction, row)) for row in rows]
     base = Fraction(spec.sigma)
     t0 = Fraction(spec.total_initial)
     values = [t0, base, *map(Fraction, spec.initial), *(v for row in rows for v in row)]
@@ -364,24 +354,6 @@ def _cumulative_draw(n_reps: int):
         return target
 
     return draw
-
-
-def _step_terms(spec: UrnSpec, i: int) -> list:
-    """The additions of step i in apply_draw's order, each a vector per drawn
-    colour (term[color]) with int 0 where the step adds nothing: sigma to the
-    drawn colour, ell_at(i) to the last and immigration_at(i) to colour 0."""
-    K = spec.colors
-    def at(k: int, value) -> list:
-        return [[value if c == k else 0 for c in range(K)]] * K
-    sigma = [[spec.sigma if c == k else 0 for c in range(K)] for k in range(K)]
-    return [sigma, at(K - 1, ell_at(spec, i)), at(0, immigration_at(spec, i))]
-
-
-def apply_draw(spec: UrnSpec, counts: Sequence, i: int, color: int) -> tuple:
-    """Counts after step i given that `color` was drawn."""
-    for term in _step_terms(spec, i):
-        counts = [c + a for c, a in zip(counts, term[color])]
-    return tuple(counts)
 
 
 def _check_sizes(N: int, n_reps: int) -> None:
@@ -526,14 +498,12 @@ class Pmf:
         return 0.5 * float(sum(abs(float(mine.get(k, 0)) - float(theirs.get(k, 0))) for k in keys))
 
 
-def empirical_pmf(samples: Iterable) -> Pmf:
-    counts: dict = {}
-    n = 0
-    for s in samples:
-        counts[s] = counts.get(s, 0) + 1
-        n += 1
-    support = sorted(counts)
-    return Pmf(tuple(support), tuple(Fraction(counts[s], n) for s in support))
+def empirical_pmf(samples) -> Pmf:
+    """Observed law of an array of samples: sorted distinct values and their
+    shares as Fractions."""
+    values, counts = np.unique(np.asarray(samples), return_counts=True)
+    n = int(counts.sum())
+    return Pmf(tuple(values.tolist()), tuple(Fraction(c, n) for c in counts.tolist()))
 
 
 # mode="auto" runs exact arithmetic up to about 1 s of work.  Measured on
@@ -635,29 +605,35 @@ def enumerate_histories(spec: UrnSpec, N: int) -> Pmf:
     sequence of positive probability in lexicographic order, and histories
     merge only at the leaves.  It is split depth-first into chunks of at most
     _ENUM_CHUNK rows, so memory stays bounded up to the guard.  Exact specs
-    carry counts scaled by one common denominator d and each history's path
-    weight as an integer, the product of d*w over its drawn colours; the
-    total d*T before each step, the same in every row, is read from the first
-    row to reach that step, and each leaf state divides its summed weight
-    once by prod d*T.  Other specs carry the spec's own numbers as counts and
-    float64 probabilities; each step adds its terms in apply_draw's order, so they
-    round as the recursive enumeration in tests/kernel_reference.py does."""
+    carry counts scaled by the schedule's common denominator d and each
+    history's path weight as an integer, the product of d*w over its drawn
+    colours; each leaf state divides its summed weight once by prod d*T_j.
+    Other specs carry the spec's own numbers as counts and float64
+    probabilities; each step adds sigma to the drawn colour, then ell to the
+    last and immigration to colour 0, so they round as the recursive
+    enumeration in tests/kernel_reference.py does."""
     K, exact = spec.colors, spec.is_exact
     if K**N > _ENUM_GUARD:
         raise ValueError(f"enumeration of {K}**{N} histories exceeds guard {_ENUM_GUARD}")
-    terms = [_step_terms(spec, i) for i in range(1, N + 1)]
-    flat = [*spec.initial, *(a for t in terms for term in t for row in term for a in row)]
     if exact:
-        d = math.lcm(*(a.denominator for a in flat))
-        num = lambda a: a.numerator * (d // a.denominator)
-        big = sum(num(a) for a in flat)  # bounds d*T before every step
-        cdtype = np.int64 if big < 2**63 else object
-        wdtype = np.int64 if big**N < 2**63 else object
+        sched = schedule(spec, N)
+        d, den = sched.d, _product(sched.totals[:N].tolist())
+        num = lambda a: int(a * d)
+        cdtype = np.int64 if int(sched.totals[-1]) < 2**63 else object
+        wdtype = np.int64 if den < 2**63 else object  # a path weight is at most den
     else:
         num, cdtype, wdtype = (lambda a: a), object, float
-    rules = np.array([[[[num(a) for a in row] for row in term] for term in t] for t in terms],
-                     cdtype)
-    acc, dT = {}, []
+    rows, kind = _step_rule(spec, N)
+    ells, imms = ([num(rows[k][c]) for k in _per_step(kind, N)] for c in (0, 1))
+    # the terms of each step, row k when colour k is drawn: sigma to colour k,
+    # ell to the last colour, immigration to colour 0; integers add in one go
+    rules = np.zeros((N, 3, K, K), cdtype)
+    rules[:, 0, range(K), range(K)] = num(spec.sigma)
+    rules[:, 1, :, -1] = np.array(ells, cdtype)[:, None]
+    rules[:, 2, :, 0] = np.array(imms, cdtype)[:, None]
+    if exact:
+        rules = rules.sum(axis=1, keepdims=True)
+    acc = {}
     stack = [(0, np.array([[num(c) for c in spec.initial]], cdtype), np.ones(1, wdtype))]
     while stack:
         i, counts, weight = stack.pop()
@@ -665,12 +641,10 @@ def enumerate_histories(spec: UrnSpec, N: int) -> Pmf:
             for key, w in zip(map(tuple, counts.tolist()), weight.tolist()):
                 acc[key] = acc.get(key, 0) + w
             continue
-        total = sum(counts.T)  # left to right, as the recursion's sum(counts)
         if exact:
-            if len(dT) == i:  # depth first: the first chunk to reach step i + 1
-                dT.append(int(total[0]))
             weight = weight[:, None] * counts
         else:
+            total = sum(counts.T)  # left to right, as the recursion's sum(counts)
             weight = weight[:, None] * (counts.astype(float) / total.astype(float)[:, None])
         child = counts[:, None, :]
         for term in rules[i]:
@@ -679,7 +653,7 @@ def enumerate_histories(spec: UrnSpec, N: int) -> Pmf:
         child, weight = child[drawn], weight[drawn]
         stack.extend((i + 1, child[s:s + _ENUM_CHUNK], weight[s:s + _ENUM_CHUNK])
                      for s in reversed(range(0, len(weight), _ENUM_CHUNK)))
-    support, den = sorted(acc), _product(dT)
+    support = sorted(acc)
     pmf = Pmf(tuple(tuple(Fraction(c, d) for c in s) if exact else s for s in support),
               tuple(Fraction(acc[s], den) if exact else acc[s] for s in support))
     pmf.check_total(tol=1e-9)

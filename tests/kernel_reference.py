@@ -9,8 +9,9 @@ draw that `polyaurn.urns._cumulative_draw` runs column by column; the tests
 assert that both pick the same colour.  `enumerate_histories` is the
 recursive history enumeration that `polyaurn.urns.enumerate_histories` runs
 as integer-weight arrays: one step by its own `apply_draw` (the step rule
-spelled out, not read from the package) and one Fraction (or float) product
-per history node; the tests assert that both return the same `Pmf`, Fraction
+spelled out by `ell_at` and `immigration_at` here, with Thue-Morse by bit
+parity, not read from the package) and one Fraction (or float) product per
+history node; the tests assert that both return the same `Pmf`, Fraction
 for Fraction and bit for bit.
 
 The other kernels agree with the package in law, not in values, and the
@@ -27,13 +28,13 @@ next to each TV, and `tv_null_quantile` the bound they hold the TV to.
 The exact layer keeps its earlier code here as oracles, from before it moved
 to integer and vector arithmetic; the tests assert that both return the same
 values, Fraction for Fraction and bit for bit.  `per_step_schedule` resolves
-every step of a cycle by `ell_at` and `immigration_at` (one Fraction each)
-and takes the lcm over all of them.  `binomial_moments` inverts the rising
-moments with Fraction sums over `lah_number` and `falling_factorial`, which
-live here since no package code needs them; `pgf` and `pmf_via_moments`
-read from it, and the latter drops atoms of probability 0 as the package
-does.  `exact_pmf_dp_float` is the float DP that
-allocates a fresh row every step.
+every step of a cycle by this file's `ell_at` and `immigration_at` (one
+Fraction each) and takes the lcm over all of them.  `binomial_moments`
+inverts the rising moments with Fraction sums over `lah_number` and
+`falling_factorial`, which live here since no package code needs them; `pgf`
+and `pmf_via_moments` read from it, and the latter drops atoms of
+probability 0 as the package does.  `exact_pmf_dp_float` is the float DP
+that allocates a fresh row every step.
 
 One line differs from the old kernels on purpose: when the float cumulative
 sum falls short of u*total, they took the last colour or slot (M - 1), which
@@ -50,8 +51,7 @@ from polyaurn.moments import product_ratio
 from polyaurn.specialfn import rising_factorial
 from polyaurn.stirling import _check_params, block_count
 from polyaurn.trees import forest_total_weight, gport_family
-from polyaurn.urns import (_ENUM_GUARD, Pmf, Schedule, UrnSpec, _per_step, ell_at,
-                           immigration_at, schedule)
+from polyaurn.urns import _ENUM_GUARD, Pmf, Schedule, UrnSpec, _per_step, schedule
 
 
 def draw_color(counts, total, u: float) -> int:
@@ -77,6 +77,28 @@ def draw_color(counts, total, u: float) -> int:
     if last_nonzero < 0:
         raise ValueError("cannot draw from an empty urn")
     return last_nonzero  # u*total landed above acc by rounding
+
+
+def thue_morse_index(n: int) -> int:
+    """b_n = t_n + 1 in {1, 2}, with t_n the parity of the binary digits of n
+    (the Thue-Morse sequence)."""
+    return (bin(n).count("1") & 1) + 1
+
+
+def ell_at(spec: UrnSpec, i: int):
+    """Addition to the last colour at step i (1-based): phase_ells[(i - 1) %
+    period], or sequence_ells[b_i - 1] for a Thue-Morse spec."""
+    if spec.sequence_name is not None:
+        assert spec.sequence_name == "thue_morse"
+        return spec.sequence_ells[thue_morse_index(i) - 1]
+    return spec.phase_ells[(i - 1) % spec.period]
+
+
+def immigration_at(spec: UrnSpec, i: int):
+    """Addition to colour 0 at step i (1-based)."""
+    if spec.white_immigration is None:
+        return 0
+    return spec.white_immigration[(i - 1) % spec.period]
 
 
 def apply_draw(spec: UrnSpec, counts, i: int, color: int) -> tuple:

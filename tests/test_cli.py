@@ -152,7 +152,7 @@ def test_urn_limit_moments_and_density(tmp_path):
     assert float(rows[2][2]) == pytest.approx(0.37155800989482735, rel=1e-8)
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["urn-exact", "--family", "py"])  # missing required --N
     assert exc.value.code == 2
@@ -162,12 +162,32 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["urn-exact", "--family", "seq", "--sequence", "thue-morse", "--N", "2"])
     assert exc.value.code == 2
+    # the count flags take positive integers: verify died on an IndexError
+    # for --smax 0, and the other two printed an empty table, also when the
+    # value came from a config file
+    cfg = tmp_path / "cfg.json"
+    for argv, flag, value in ((["verify", "--what", "decomposition"], "--smax", 0),
+                              (["urn-limit", "--p", "2"], "--smax", -2),
+                              (["urn-exact", "--N", "2"], "--moments", -1),
+                              (["urn-exact", "--N", "2"], "--moments", "two")):
+        cfg.write_text(json.dumps({flag[2:]: value}))
+        for extra in ([flag, str(value)], ["--config", str(cfg)]):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                run(argv + extra)
+            assert exc.value.code == 2, argv + extra
+            assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
 
 
 def test_domain_errors_exit_1(capsys):
     code = run(["constants", "--family", "py", "--p", "2", "--offset", "1"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    # both urn-exact routes name the bad N
+    for flags in ([], ["--pmf"]):
+        assert run(["urn-exact", "--N", "-1"] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: N must be >= 0" in captured.err, flags
 
 
 @pytest.mark.parametrize("flags,message", [

@@ -30,6 +30,18 @@ def test_package_imports_resolve():
         assert hasattr(polyaurn, name), f"polyaurn does not provide {name!r}"
 
 
+def test_package_imports_are_in_module_all():
+    # the package re-exports a module's public names only: each name it
+    # imports from a module is in that module's __all__
+    tree = ast.parse(Path(polyaurn.__file__).read_text(encoding="utf-8"))
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            listed = importlib.import_module(f"polyaurn.{node.module}").__all__
+            missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in listed]
+    assert missing == []
+
+
 def _public_functions():
     for info in pkgutil.iter_modules(polyaurn.__path__):
         module = importlib.import_module(f"polyaurn.{info.name}")

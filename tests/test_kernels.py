@@ -34,7 +34,6 @@ from polyaurn.urns import (
     _cumulative_draw,
     enumerate_histories,
     exact_pmf_dp,
-    immigration_at,
     multicolor_polya_young,
     polya_young,
     sequence_urn,
@@ -258,7 +257,8 @@ def _draw_count_tv(spec, N, W) -> tuple[float, float]:
     """TV distance of the sampled white-draw counts at step N from the exact
     law, and its noise floor: the expected TV of an exact sample of that size
     (normal approximation to E|p_hat - p| per atom)."""
-    base = float(spec.initial[0]) + sum(float(immigration_at(spec, i)) for i in range(1, N + 1))
+    base = float(spec.initial[0]) + sum(float(ref.immigration_at(spec, i))
+                                        for i in range(1, N + 1))
     law = exact_pmf_dp(spec, N)
     exact = {round((float(w) - base) / float(spec.sigma)): float(q)
              for w, q in zip(law.support, law.probs)}

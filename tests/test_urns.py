@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kernel_reference import apply_draw, immigration_at, thue_morse_index
 from polyaurn.crp import CrpParams, table_count_urn
 from polyaurn.urns import (
     _AUTO_EXACT_MAX_N,
     Pmf,
     _thue_morse_prefix,
-    apply_draw,
     empirical_pmf,
     enumerate_histories,
     exact_pmf_dp,
-    immigration_at,
     marginal_pmf,
     multicolor_polya_young,
     polya_young,
@@ -26,8 +25,6 @@ from polyaurn.urns import (
     simulate_white_batch,
     spec_from_json,
     spec_to_json,
-    thue_morse_index,
-    totals_list,
     triangular,
     with_white_immigration,
 )
@@ -179,9 +176,10 @@ def test_multicolor_joint_sums_to_one_and_conserves_total():
 
 
 def test_trajectory_totals_follow_the_schedule():
-    # apply_draw over a random colour sequence, one spec of every family: the
-    # total after step i is the schedule's T_i whatever was drawn, and colour
-    # 0 moves by sigma exactly when it is drawn (plus its immigration).  The
+    # the oracle's apply_draw over a random colour sequence, one spec of every
+    # family: the total after step i is the schedule's T_i whatever was drawn,
+    # and colour 0 moves by sigma exactly when it is drawn (plus its
+    # immigration).  The
     # float spec's denominator 2**55 takes d*T_N past 2**63, which the
     # schedule must hold
     floats = polya_young(1, 0.1, 0.1, 1.0, 1.0)
@@ -196,7 +194,8 @@ def test_trajectory_totals_follow_the_schedule():
     ]
     rng = np.random.default_rng(11)
     for spec, N in specs:
-        totals = totals_list(spec, N + 1)
+        sched = schedule(spec, N)
+        totals = [sched.total(j) for j in range(N + 1)]
         counts = tuple(spec.initial)
         for i, T in enumerate(totals):
             if spec.is_exact:
@@ -244,6 +243,7 @@ def test_sequence_urn_thue_morse():
 
 
 def test_thue_morse_prefix_is_the_scalar_index():
+    # the doubling prefix against the oracle's bit-parity definition
     n = 2**14
     assert _thue_morse_prefix(n).tolist() == [thue_morse_index(k) for k in range(n)]
     assert _thue_morse_prefix(1000).tolist() == _thue_morse_prefix(n)[:1000].tolist()
@@ -273,6 +273,30 @@ def test_spec_json_rejects_other_kinds():
     for kind in ("branch", "matrix", ""):
         with pytest.raises(ValueError, match=f"^unknown urn kind {kind!r}$"):
             spec_from_json(json.dumps({**payload, "kind": kind}))
+
+
+_MALFORMED = {  # field overrides of a valid spec's JSON -> the rule they break
+    "period 3, 2 phase_ells": (STD, {"period": 3}, "one phase_ells entry per phase"),
+    "3 sequence_ells": (sequence_urn("thue_morse", 1, (1, 2), 1, 1),
+                        {"sequence_ells": [1, 2, 3]}, "exactly two off-diagonal values"),
+    "unknown sequence": (sequence_urn("thue_morse", 1, (1, 2), 1, 1),
+                         {"sequence": "fib"}, "unknown sequence 'fib'"),
+    "3-colour immigration": (multicolor_polya_young(1, 1, 1, (1, 1, 1)),
+                             {"white_immigration": [1]}, "two-color"),
+    "1 amount, period 2": (with_white_immigration(STD, [1, 0]),
+                           {"white_immigration": [1]}, "one immigration amount per phase"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_spec_json_rejects_malformed_shapes(case):
+    # spec_from_json once read each of these; later calls then raised an
+    # IndexError or KeyError, dropped a value, or simulated a 3-colour urn
+    # that with_white_immigration refuses
+    spec, fields, rule = _MALFORMED[case]
+    payload = {**json.loads(spec_to_json(spec)), **fields}
+    with pytest.raises(ValueError, match=rule):
+        spec_from_json(json.dumps(payload))
 
 
 def test_pmf_helpers():
