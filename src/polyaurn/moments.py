@@ -12,7 +12,7 @@ Limit constants use the Gamma function on the grid r/psi + z, r = 0..p-1,
 where psi is the number of steps per unit of scaled time and z the scaled
 initial mass.  The same Gamma products, continued to complex orders, are the
 Mellin transform of the limit law; the limit density inverts it along a
-vertical contour through the saddle point, in float64.
+vertical line at or right of the saddle point, in float64.
 """
 
 from __future__ import annotations
@@ -332,13 +332,30 @@ _CUTOFF_THRESHOLD = 1e-13
 _CUTOFF_BATCH = 4
 # The trapezoid rule on the contour.  With step h, the first pole of M(u)
 # a distance d left of the line costs about exp(-2*pi*d/h); ending the range
-# at T drops about exp(-pi*(1-Lambda)*T/2).  Both are held to exp(-_LOG_ERR).
-# Without the pole term, 8 of 300 fresh benchmark specs missed the 1e-9 gate.
-# The step also resolves the Gaussian bump at the saddle with _PER_SD nodes
-# per standard deviation, and the range spans at least _SD_SPAN of them.
+# at T drops about exp(-pi*(1-Lambda)*T/2).  Both are held to exp(-_LOG_ERR)
+# of the integrand's height on the line.  Without the pole term, 8 of 300
+# fresh benchmark specs missed the 1e-9 gate.  The step also resolves the
+# Gaussian bump at the saddle with _PER_SD nodes per standard deviation, and
+# the range spans at least _SD_SPAN of them.
 _LOG_ERR = 40.0
 _PER_SD = 4.0
 _SD_SPAN = 12.0
+# Near the pole (small x) the pole term sets the step at the saddle u0, and
+# the line may move right, to u0 + k*d0 for k in _MOVES, d0 the saddle's
+# distance to the pole: the step grows with the distance.  Every such line
+# carries the same integral, but the integrand there stands exp(excess)
+# above the saddle's height, excess = phi(u) - phi(u0), and so does its
+# roundoff.  So the step and the span on a moved line hold the error to
+# exp(-_LOG_ERR - excess), and of the candidates whose excess stays within
+# _EXCESS_BUDGET the one with the fewest nodes wins, if it has fewer than
+# the saddle's line.  On the 4-pass benchmark mix (seed 3) the budget of 1.5
+# halves the nodes (320,548 to 152,623); 2 and 3 save 3 % and 18 % more,
+# but raise the worst relative change of the mix's 1,540 points from
+# 2.9e-14 to 1.8e-13 and 5.2e-13.
+_MOVES = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+_EXCESS_BUDGET = 1.5
+# A point whose peak height exp(phi(u0)) lies below the smallest double is 0.
+_LOG_TINY = math.log(math.ulp(0.0))
 # About this many contour nodes go through one loggamma call.  A 400-point
 # quadrature on polya_young(3, 2, 1, 1, 1) has 570,000, whose temporaries
 # took 98 MB in one call.
@@ -355,19 +372,58 @@ _GRID_NODES = 1 << 13
 _SADDLE_TOL = 1e-2
 
 
-def _saddle(shift: np.ndarray, scale: np.ndarray, sign: np.ndarray, log_x: float) -> float:
+def _terms(spec: UrnSpec) -> tuple[list, float, float]:
+    """(terms, log_const, Lambda) with log M(u) = log_const + sum_k sign_k *
+    log Gamma(shift_k + scale_k*u) and terms = [(sign_k, shift_k, scale_k)]
+    in Python floats: the numerator first, so the signed scale is the slope
+    of each term's digamma in phi'.
+
+    With a_r = r/psi + z, step = delta/psi and c = w0/sigma, M(u) = E[X^(u-1)]
+    = Gamma(c+u-1)/Gamma(c) * prod_r Gamma(a_r)/Gamma(a_r+(u-1)*step)."""
+    cst = asymptotic_constants(spec)
+    if cst.Lambda >= 1.0:
+        raise ValueError(f"no density route at Lambda = {cst.Lambda:.6g} >= 1")
+    c = float(_scaled_start(spec))
+    a = [r / cst.psi + cst.z for r in range(cst.period)]
+    step = cst.delta / cst.psi
+    shift = [c - 1.0] + [a_r - step for a_r in a]
+    log_const = sum(map(math.lgamma, a)) - math.lgamma(c)
+    # With rest mass 0, a_0 = step*c and Gamma(step*(c+u-1)) cancels the pole
+    # of Gamma(c+u-1) at u = 1-c (for delta = 1, the next p-1 too).  Rewrite
+    # each such Gamma(v)/Gamma(step*v) as step*Gamma(v+1)/Gamma(step*v+1), so
+    # that u = -shift_0 is the first true pole of M.
+    while hit := [k for k in range(1, len(shift)) if abs(shift[k] - step * shift[0]) < 1e-9]:
+        shift[0] += 1.0
+        shift[hit[0]] += 1.0
+        log_const += math.log(step)
+    return [(1.0, shift[0], 1.0)] + [(-1.0, v, step) for v in shift[1:]], log_const, cst.Lambda
+
+
+def _add(vals: list) -> float:
+    """sum(vals) in np.add.reduce's order for a float64 array: left to right
+    from 0.0 below 8 terms, numpy's pairwise sum from 8 on."""
+    if len(vals) >= 8:
+        return float(np.add.reduce(vals))
+    acc = 0.0
+    for v in vals:
+        acc += v
+    return acc
+
+
+def _saddle(terms: list, log_x: float) -> float:
     """The real root u0 of phi'(u) = sum_k sign_k * scale_k *
     digamma(shift_k + scale_k*u) - log x above the pole u = -shift_0, by
-    bisection.  phi is convex (a cumulant generating function plus a linear
-    term), and its derivative runs from -inf at the pole to +inf."""
+    bisection on Python floats, terms = [(sign_k, shift_k, scale_k)].  phi is
+    convex (a cumulant generating function plus a linear term), and its
+    derivative runs from -inf at the pole to +inf.  The slope adds its terms
+    in np.add.reduce's order (_add), so u0 is bit for bit the root that the
+    same bisection on arrays finds."""
     from scipy.special import digamma
 
-    slope_weight = sign * scale
-
     def slope(u):
-        return float(np.add.reduce(slope_weight * digamma(shift + scale * u))) - log_x
+        return _add([s * b * float(digamma(a + b * u)) for s, a, b in terms]) - log_x
 
-    pole = -shift[0]
+    pole = -terms[0][1]
     lo, width = pole, 1.0
     while slope(lo + width) < 0.0:
         lo, width = lo + width, 2.0 * width
@@ -379,91 +435,130 @@ def _saddle(shift: np.ndarray, scale: np.ndarray, sign: np.ndarray, log_x: float
     return 0.5 * (lo + hi)
 
 
-def _line(shift: np.ndarray, scale: np.ndarray, sign: np.ndarray, log_x: float,
+def _step(terms: list, trigamma: list, d: float, target: float,
           Lambda: float) -> tuple[float, float, int]:
-    """(u0, h, n) for one point: the contour's line Re u = u0 through the
-    saddle, the trapezoid step h on it and the number n of nodes t >= 0."""
-    from scipy.special import zeta
+    """(sd, h, n) on a line a distance d right of the pole, with trigamma =
+    [zeta(2, shift_k + scale_k*u)] there: phi'' = 1/sd^2, the trapezoid step
+    h and the number n of nodes t >= 0 that hold the error to exp(-target)
+    of the integrand's height on the line."""
+    sd = 1.0 / math.sqrt(_add([s * b * b * v for (s, _, b), v in zip(terms, trigamma)]))
+    h = min(sd / _PER_SD, 2.0 * math.pi * d / target)
+    return sd, h, int(max(_SD_SPAN * sd, 2.0 * target / (math.pi * (1.0 - Lambda))) / h) + 1
 
-    u0 = _saddle(shift, scale, sign, log_x)
-    # phi'' on the line; zeta(2, v) is the trigamma function
-    kappa2 = float(np.add.reduce(sign * scale**2 * zeta(2.0, shift + scale * u0)))
-    sd = 1.0 / math.sqrt(kappa2)
-    h = min(sd / _PER_SD, 2.0 * math.pi * (u0 + shift[0]) / _LOG_ERR)
-    span = max(_SD_SPAN * sd, 2.0 * _LOG_ERR / (math.pi * (1.0 - Lambda)))
-    return u0, h, int(span / h) + 1
+
+def _line(terms: list, log_x: float, Lambda: float) -> tuple[float, float, int, float, float]:
+    """(u0, h, n, sd, log_m) for one point at its saddle: the line Re u = u0,
+    the trapezoid step h on it, the number n of nodes t >= 0, 1/sqrt(phi'')
+    and log M(u0) without its constant."""
+    from scipy.special import gammaln, zeta
+
+    u0 = _saddle(terms, log_x)
+    if u0 == math.inf:  # beyond every double: so is the peak's underflow
+        return u0, 0.0, 0, 0.0, -math.inf
+    args = [a + b * u0 for _, a, b in terms]
+    sd, h, n = _step(terms, [float(zeta(2.0, v)) for v in args], u0 + terms[0][1], _LOG_ERR,
+                     Lambda)
+    return u0, h, n, sd, _add([s * float(gammaln(v)) for (s, _, _), v in zip(terms, args)])
+
+
+def _lines(terms: list, log_const: float, Lambda: float, log_xs: np.ndarray,
+           tilt: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, h, n), one entry per point of log_xs: the contour's line Re u = u,
+    the trapezoid step h on it and the number n of nodes t >= 0, 0 where the
+    peak height of x^tilt * f(x) underflows.  The line is _line's through
+    the saddle u0 unless the pole sets the step there.  Then the candidate
+    lines u0 + k*d0, k in _MOVES, of all such points of the call go through
+    one gammaln and one zeta pass, and of the candidates whose excess stays
+    within _EXCESS_BUDGET the one with the fewest nodes wins, if it has
+    fewer than the saddle's line; otherwise the point keeps that line bit for
+    bit.  The excess grows with k (phi is convex), so the search stops at
+    the first candidate over the budget."""
+    from scipy.special import gammaln, zeta
+
+    lines, moved = [], []
+    for i, log_x in enumerate(log_xs.tolist()):
+        u, h, n, sd, log_m = _line(terms, log_x, Lambda)
+        if log_m + log_const + (tilt - u) * log_x < _LOG_TINY:
+            n = 0
+        elif h < sd / _PER_SD:  # the pole sets the step
+            moved.append(i)
+        lines.append([u, h, n, log_m, log_x])
+    if moved:
+        pole = -terms[0][1]
+        args = np.array([[a + b * (lines[i][0] + k * (lines[i][0] - pole)) for k in _MOVES
+                          for _, a, b in terms] for i in moved])
+        cut = range(0, args.shape[1], len(terms))
+        for i, g, z in zip(moved, gammaln(args).tolist(), zeta(2.0, args).tolist()):
+            u0, _, _, log_m0, log_x = line = lines[i]
+            for k, at in zip(_MOVES, cut):
+                u = u0 + k * (u0 - pole)
+                log_m = _add([s * v for (s, _, _), v in zip(terms, g[at:])])
+                excess = log_m - log_m0 - (u - u0) * log_x
+                if excess > _EXCESS_BUDGET:
+                    break
+                _, h, n = _step(terms, z[at:], u - pole, _LOG_ERR + excess, Lambda)
+                if n < line[2]:
+                    line[:3] = u, h, n
+    return tuple(np.array(v) for v in list(zip(*lines))[:3])
 
 
 def _mellin_density(spec: UrnSpec, xs: np.ndarray, tilt: float = 0.0) -> np.ndarray:
-    """x^tilt * f(x) for each x > 0 of the 1-D array xs, by Mellin-Barnes
-    inversion of the moments.
+    """x^tilt * f(x) for each finite x > 0 of the 1-D array xs, by
+    Mellin-Barnes inversion of the moments M(u) (see _terms).
 
-    The limit law has moments of Gamma type: with a_r = r/psi + z,
-    step = delta/psi and c = w0/sigma, M(u) = E[X^(u-1)]
-    = Gamma(c+u-1)/Gamma(c) * prod_r Gamma(a_r)/Gamma(a_r+(u-1)*step), so
-    f(x) = (1/2pi) int M(u0+it) x^-(u0+it) dt on any line right of the first
+    f(x) = (1/2pi) int M(u+it) x^-(u+it) dt on any line right of the first
     pole of M (u = 1-c unless the rest mass is 0).  On the line |M| decays
-    like exp(-pi*(1-Lambda)*|t|/2).  The line runs through (next to, see
-    _SADDLE_TOL) the real saddle of phi(u) = log M(u) - u*log x, so the
-    integrand is a bump of height exp(phi(u0)) with no cancellation, and the
-    trapezoid rule in t converges geometrically (Trefethen & Weideman 2014).
+    like exp(-pi*(1-Lambda)*|t|/2), and the trapezoid rule in t converges
+    geometrically (Trefethen & Weideman 2014).  The line runs through (next
+    to, see _SADDLE_TOL) the real saddle u0 of phi(u) = log M(u) - u*log x,
+    where the integrand is a bump of height exp(phi(u0)) with no
+    cancellation, unless the pole sets the step there (small x).  Then the
+    line moves right, as far as the roundoff budget _EXCESS_BUDGET allows,
+    to the candidate of _MOVES with the fewest nodes.  A point whose peak
+    height underflows is 0.0, without nodes.
 
-    The spec's terms are built once per call.  Each point's line is a scalar
-    saddle search; the contour nodes of all points then form one ragged grid
-    that goes through loggamma together, and np.add.reduceat sums each
-    point's nodes.  Sums over the p+1 Gamma terms are elementwise, never a
-    matrix product: numpy hands a float-by-complex product to BLAS, whose
-    worker thread then spins beside the main one.  Each point's value
+    The spec's terms are built once per call.  Each point's saddle is a
+    scalar search in Python floats, and the candidate lines of all points go
+    through one pass (_lines).  The contour nodes of all points then form one
+    ragged grid that goes through loggamma together, and np.add.reduceat
+    sums each point's nodes.  Sums over the p+1 Gamma terms are elementwise,
+    never a matrix product: numpy hands a float-by-complex product to BLAS,
+    whose worker thread then spins beside the main one.  Each point's value
     depends on that point alone, not on the batch.
     """
     from scipy.special import loggamma
 
-    cst = asymptotic_constants(spec)
-    if cst.Lambda >= 1.0:
-        raise ValueError(f"no density route at Lambda = {cst.Lambda:.6g} >= 1")
-    c = float(_scaled_start(spec))
-    a = np.arange(cst.period) / cst.psi + cst.z
-    step = cst.delta / cst.psi
-    # the Gamma arguments of M(u) are shift + scale*u: numerator first, so
-    # the signed scale is the slope of each term's digamma in phi'
-    shift = np.concatenate(([c - 1.0], a - step))
-    scale = np.concatenate(([1.0], np.full(cst.period, step)))
-    sign = np.concatenate(([1.0], np.full(cst.period, -1.0)))
-    log_const = sum(map(math.lgamma, a)) - math.lgamma(c)
-    # With rest mass 0, a_0 = step*c and Gamma(step*(c+u-1)) cancels the pole
-    # of Gamma(c+u-1) at u = 1-c (for delta = 1, the next p-1 too).  Rewrite
-    # each such Gamma(v)/Gamma(step*v) as step*Gamma(v+1)/Gamma(step*v+1), so
-    # that u = -shift_0 is the first true pole of M.
-    while (hit := np.flatnonzero(np.abs(shift[1:] - step * shift[0]) < 1e-9)).size:
-        shift[[0, 1 + hit[0]]] += 1.0
-        log_const += math.log(step)
-    # one (log x, u0, h, n) per point, in runs of whole points whose nodes
-    # t = h*k, k < n, go through loggamma together, about _GRID_NODES a run
+    terms, log_const, Lambda = _terms(spec)
+    log_xs = np.log(xs)
+    u, h, n = _lines(terms, log_const, Lambda, log_xs, tilt)
+    # runs of whole points whose nodes t = h*k, k < n, go through loggamma
+    # together, about _GRID_NODES a run
     runs, size = [[]], 0
-    for log_x in np.log(xs).tolist():
+    for i, n_i in enumerate(n.tolist()):
+        if not n_i:
+            continue
         if size >= _GRID_NODES:
             runs.append([])
             size = 0
-        line = (log_x, *_line(shift, scale, sign, log_x, cst.Lambda))
-        runs[-1].append(line)
-        size += line[3]
-    col = (slice(None), None)
-    values = []
-    for run in runs:
-        log_x, u0, h, n = (np.array(v) for v in zip(*run))
-        starts = np.cumsum(n) - n
-        t = np.concatenate([h_k * np.arange(n_k) for _, _, h_k, n_k in run])
-        gammas = loggamma(shift[col] + scale[col] * (np.repeat(u0, n) + 1j * t))
+        runs[-1].append(i)
+        size += n_i
+    _, shift, scale = (np.array(v)[:, None] for v in zip(*terms))
+    values = np.zeros(len(xs))
+    for run in filter(None, runs):
+        log_x, u_r, h_r, n_r = log_xs[run], u[run], h[run], n[run]
+        starts = np.cumsum(n_r) - n_r
+        t = np.repeat(h_r, n_r) * (np.arange(starts[-1] + n_r[-1]) - np.repeat(starts, n_r))
+        gammas = loggamma(shift + scale * (np.repeat(u_r, n_r) + 1j * t))
         log_m = gammas[0] - np.sum(gammas[1:], axis=0)  # numerator over denominators
         # the integrand over its value at t = 0, real part
-        rel = log_m - np.repeat(log_m[starts], n)
-        bump = np.exp(rel.real) * np.cos(rel.imag - t * np.repeat(log_x, n))
+        rel = log_m - np.repeat(log_m[starts], n_r)
+        bump = np.exp(rel.real) * np.cos(rel.imag - t * np.repeat(log_x, n_r))
         # the t = 0 node (bump exactly 1) counts once; every other node also
         # stands for its conjugate at -t
         total = 2.0 * np.add.reduceat(bump, starts) - 1.0
-        log_peak = log_m[starts].real + log_const + (tilt - u0) * log_x
-        values.append(np.exp(log_peak) * h / (2.0 * math.pi) * total)
-    return np.concatenate(values)
+        log_peak = log_m[starts].real + log_const + (tilt - u_r) * log_x
+        values[run] = np.exp(log_peak) * h_r / (2.0 * math.pi) * total
+    return values
 
 
 def limit_density(spec: UrnSpec, x):
@@ -475,7 +570,7 @@ def limit_density(spec: UrnSpec, x):
     if c <= 1 and np.any(xs == 0.0):
         raise ValueError("density at 0 needs w0/sigma > 1")
     out = np.zeros_like(xs)
-    inside = ~(xs <= 0.0)  # NaN goes on to the engine, which rejects it
+    inside = ~((xs <= 0.0) | (xs == np.inf))  # NaN goes on to the engine, which rejects it
     if inside.any():
         out[inside] = _mellin_density(spec, xs[inside])
     return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out

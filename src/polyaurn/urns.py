@@ -129,8 +129,10 @@ class UrnSpec:
     def validate(self) -> None:
         """The one shape rule, which every constructor and spec_from_json run:
         a period >= 1; either one phase_ells entry per phase or a registered
-        sequence with two sequence_ells (and period 1); white immigration only
-        on two colors, one amount per phase; then the signs of the values."""
+        sequence with two sequence_ells (and period 1); for the periodic
+        families, an offset in [0, period) and the phase_ells that _periodic
+        builds from their ell fields; white immigration only on two colors,
+        one amount per phase; then the signs of the values."""
         if self.colors != len(self.initial):
             raise ValueError("initial counts length must equal number of colors")
         if self.period < 1:
@@ -150,6 +152,14 @@ class UrnSpec:
                 raise ValueError("sequence urns take exactly two off-diagonal values")
             if self.period != 1:
                 raise ValueError("sequence urns have period 1")
+        if self.family in _CANONICAL:
+            names = _CANONICAL[self.family]
+            ordinary, refresh = (getattr(self, n) if n else 0 for n in names)
+            if not 0 <= self.offset < self.period:
+                raise ValueError(f"offset must be in [0, period), got {self.offset}")
+            if self.phase_ells != _phases(self.period, ordinary, refresh, self.offset):
+                raise ValueError(f"phase_ells disagree with the {self.family} family's "
+                                 f"{', '.join(filter(None, names))} and offset")
         if self.white_immigration is not None:
             if self.colors != 2:
                 raise ValueError("white immigration is defined for two-color py_like specs")
@@ -167,15 +177,26 @@ class UrnSpec:
             raise ValueError("immigration amounts must be non-negative")
 
 
+def _phases(p: int, ordinary, refresh, offset: int) -> tuple:
+    """The phase_ells of a periodic spec: `refresh` at steps = offset (mod p),
+    `ordinary` at the others."""
+    return tuple(refresh if (i + 1 - offset) % p == 0 else ordinary for i in range(p))
+
+
+# family -> the canonical fields (ordinary ell, refresh ell) that _periodic
+# builds its phases from; None stands for an ordinary ell of 0
+_CANONICAL = {"polya_young": (None, "ell"), "multicolor": (None, "ell"),
+              "triangular": ("ell1", "ell2")}
+
+
 def _periodic(family: str, p: int, sigma, ordinary, refresh, initial, offset: int = 0,
               **canonical) -> UrnSpec:
     """A periodic spec whose last color gains `refresh` at steps = offset
     (mod p) and `ordinary` at the others.  A period below 1 gives no phases
     and leaves the offset as it is, so it reaches validate, which refuses it."""
-    phases = tuple(refresh if (i + 1 - offset) % p == 0 else ordinary for i in range(p))
     spec = UrnSpec(kind="py_like", family=family, colors=len(initial), period=p,
-                   initial=initial, sigma=sigma, phase_ells=phases, offset=offset % max(p, 1),
-                   **canonical)
+                   initial=initial, sigma=sigma, phase_ells=_phases(p, ordinary, refresh, offset),
+                   offset=offset % max(p, 1), **canonical)
     spec.validate()
     return spec
 

@@ -13,6 +13,7 @@ from scipy import integrate
 
 from density_reference import reference_density
 from polyaurn import moments
+from polyaurn.cli import run
 from polyaurn.laws import decomposition_for
 from polyaurn.martingale import mean_square
 
@@ -315,6 +316,105 @@ def test_limit_density_does_not_depend_on_the_batch():
     for spec in (STD, PY312, TRI, SINGULAR):
         batch = limit_density(spec, xs)
         assert batch.tolist() == [limit_density(spec, float(x)) for x in xs]
+
+
+def _array_saddle(terms, log_x):
+    """The saddle bisection with its slope summed by np.add.reduce over
+    arrays, as the engine once ran it: the reference for the float search."""
+    from scipy.special import digamma
+
+    sign, shift, scale = map(np.array, zip(*terms))
+
+    def slope(u):
+        return float(np.add.reduce(sign * scale * digamma(shift + scale * u))) - log_x
+
+    pole = -shift[0]
+    lo, width = pole, 1.0
+    while slope(lo + width) < 0.0:
+        lo, width = lo + width, 2.0 * width
+    hi = lo + width
+    while hi - lo > moments._SADDLE_TOL * (hi - pole) and lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_saddle_matches_the_array_bisection():
+    # polya_young(8, ...) has 9 Gamma terms, past the 8 where numpy's sum
+    # turns pairwise
+    for spec in (STD, PY312, TRI, SINGULAR, polya_young(8, 1, 1, 1, 1)):
+        terms = moments._terms(spec)[0]
+        for log_x in np.log(np.geomspace(0.01, 30.0, 25)).tolist():
+            assert moments._saddle(terms, log_x) == _array_saddle(terms, log_x)
+
+
+# Points where the pole, not the bump, sets the step at the saddle, and the
+# zero-rest-mass spec, whose first pole is the rewritten one.
+POLE_BOUND = ([STD, PY312, TRI, SINGULAR, polya_young(2, 1, 1, 1, 0)],
+              np.geomspace(0.01, 0.5, 8))
+
+
+def test_moved_lines_match_the_reference_series():
+    specs, xs = POLE_BOUND
+    for spec in specs:
+        terms, log_const, Lambda = moments._terms(spec)
+        saddle = [moments._line(terms, log_x, Lambda) for log_x in np.log(xs).tolist()]
+        assert all(h < sd / moments._PER_SD for _, h, _, sd, _ in saddle)
+        u = moments._lines(terms, log_const, Lambda, np.log(xs))[0]
+        assert np.all(u > [line[0] for line in saddle])  # every line moved
+        # worst measured relative error 9.5e-15 (the zero-rest-mass spec);
+        # the gate leaves a margin of 5x
+        for x, f in zip(xs, limit_density(spec, xs)):
+            assert f == pytest.approx(reference_density(spec, x), rel=5e-14)
+
+
+def test_moved_lines_raise_their_error_target_by_the_excess():
+    # the moved line's integrand stands exp(excess) above the saddle's, and
+    # both the step and the span answer to exp(-_LOG_ERR - excess) of it
+    from scipy.special import gammaln
+
+    specs, xs = POLE_BOUND
+    for spec in specs:
+        terms, log_const, Lambda = moments._terms(spec)
+        sign, shift, scale = map(np.array, zip(*terms))
+        for log_x in np.log(xs).tolist():
+            u0 = moments._line(terms, log_x, Lambda)[0]
+            (u,), (h,), (n,) = moments._lines(terms, log_const, Lambda, np.array([log_x]))
+
+            def phi(v):
+                return math.fsum(sign * gammaln(shift + scale * v)) - v * log_x
+
+            excess = phi(u) - phi(u0)
+            assert 0.0 < excess <= moments._EXCESS_BUDGET
+            target = moments._LOG_ERR + excess
+            assert h <= 2.0 * math.pi * (u + shift[0]) / target * (1.0 + 1e-9)
+            assert n * h >= 2.0 * target / (math.pi * (1.0 - Lambda)) * (1.0 - 1e-9)
+
+
+def test_moved_line_cuts_the_nodes_next_to_the_pole():
+    terms, log_const, Lambda = moments._terms(STD)
+    # x = 0.1: the saddle line needs 1,581 nodes, the moved one 552
+    assert moments._line(terms, math.log(0.1), Lambda)[2] == 1581
+    assert moments._lines(terms, log_const, Lambda, np.log([0.1]))[2].tolist() == [552]
+    # x = 5: the bump sets the step, and the saddle line stays
+    u0, h, n = moments._line(terms, math.log(5.0), Lambda)[:3]
+    assert n == 49
+    assert [v.tolist() for v in moments._lines(terms, log_const, Lambda, np.log([5.0]))] == [
+        [u0], [h], [n]]
+
+
+def test_density_far_tail_is_positive_zero(capsys):
+    # the peak height underflows: +0.0 without contour nodes, where the
+    # engine returned -0.0 (1e4, 1e5), NaN (1e6) or raised (1e300, inf)
+    xs = [1e4, 1e5, 1e6, 1e300, math.inf]
+    for values in (limit_density(STD, np.array(xs)).tolist(),
+                   [limit_density(STD, x) for x in xs]):
+        assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values)
+    terms, log_const, Lambda = moments._terms(STD)
+    assert moments._lines(terms, log_const, Lambda, np.log(xs[:4]))[2].tolist() == [0] * 4
+    assert run(["urn-limit", "--p", "2", "--density-grid", "1e4,1e6,1e300,inf"]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()
+            if row.startswith("density,")]
+    assert [value for _, _, value in rows] == ["0"] * 4
 
 
 def test_tilted_moments_of_several_orders_equal_single_calls():

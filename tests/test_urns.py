@@ -285,6 +285,15 @@ _MALFORMED = {  # field overrides of a valid spec's JSON -> the rule they break
                              {"white_immigration": [1]}, "two-color"),
     "1 amount, period 2": (with_white_immigration(STD, [1, 0]),
                            {"white_immigration": [1]}, "one immigration amount per phase"),
+    # the limit constants read ell, ell1, ell2 and offset, the laws phase_ells
+    "phase_ells off ell": (STD, {"phase_ells": [5, 0]}, "phase_ells disagree with the "
+                           "polya_young family's ell and offset"),
+    "phase_ells off offset": (STD, {"offset": 1}, "phase_ells disagree"),
+    "offset past the period": (STD, {"offset": 2}, r"offset must be in \[0, period\)"),
+    "phase_ells off ell1": (triangular(2, 1, 1, 2, 1, 1), {"ell1": 3},
+                            "triangular family's ell1, ell2 and offset"),
+    "multicolour ell": (multicolor_polya_young(2, 1, 1, (1, 1, 1)), {"ell": 2},
+                        "phase_ells disagree"),
 }
 
 
