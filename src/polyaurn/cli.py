@@ -59,7 +59,7 @@ from .urns import (
     triangular,
 )
 
-CSV_SCHEMA_VERSION = 2
+CSV_SCHEMA_VERSION = 3
 
 
 def _fmt(x, mode: str) -> str:

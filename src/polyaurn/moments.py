@@ -216,10 +216,7 @@ def mixed_rising_moment(spec: UrnSpec, N: int, svec, mode: str = "auto"):
     one-step identity, while additions entering only the totals do not."""
     if len(svec) != spec.colors:
         raise ValueError("need one order per color")
-    refreshed = (spec.phase_ells is not None and any(spec.phase_ells)) or (
-        spec.sequence_ells is not None and any(spec.sequence_ells)
-    )
-    if refreshed and svec[-1] != 0:
+    if any(spec.phase_ells or spec.ells) and svec[-1] != 0:
         raise ValueError("the refreshed (last) color must carry order 0")
     exact, (P,) = _products(spec, N, (sum(svec),), mode)
     acc = Fraction(1) if exact else 1.0
@@ -251,8 +248,7 @@ def asymptotic_constants(spec: UrnSpec) -> LimitConstants:
         raise ValueError(f"no limit constants for family {spec.family!r}")
     p = spec.period
     sigma = float(spec.sigma)
-    ell1 = float(spec.ell1) if spec.ell1 is not None else 0.0
-    ell2 = float(spec.ell2) if spec.ell2 is not None else float(spec.ell)
+    ell1, ell2 = map(float, spec.ells)
     sigma_unit = sigma + ell1
     psi = p + (ell2 - ell1) / sigma_unit
     delta = sigma / sigma_unit
@@ -567,10 +563,12 @@ def limit_density(spec: UrnSpec, x):
     float64 throughout, for every Lambda < 1."""
     c = float(_scaled_start(spec))
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.isnan(xs).any():
+        raise ValueError("density needs a number x, got x = nan")
     if c <= 1 and np.any(xs == 0.0):
         raise ValueError("density at 0 needs w0/sigma > 1")
     out = np.zeros_like(xs)
-    inside = ~((xs <= 0.0) | (xs == np.inf))  # NaN goes on to the engine, which rejects it
+    inside = (xs > 0.0) & (xs < np.inf)
     if inside.any():
         out[inside] = _mellin_density(spec, xs[inside])
     return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out

@@ -82,10 +82,17 @@ def random_word(d: int, p: int, t: int, N: int, rng) -> list[int]:
     return word
 
 
+# words all_words may build: 329,472 words of order 7 (d = 2, p = 2, t = 1)
+# take about 2 s and 160 MB, so the guard admits that order and refuses the next
+_WORD_GUARD = 500_000
+
+
 def all_words(d: int, p: int, t: int, N: int) -> list[tuple[int, ...]]:
     """Exhaustive enumeration in insertion order (all words are distinct and
-    equally likely)."""
-    _check_params(d, p, t, N)
+    equally likely); the cost guard rejects more than _WORD_GUARD words."""
+    count = stirling_count(d, p, t, N)
+    if count > _WORD_GUARD:
+        raise ValueError(f"enumeration of {count} words exceeds guard {_WORD_GUARD}")
     words = [[]]
     for i in range(1, N + 1):
         words = [

@@ -103,6 +103,7 @@ def gport_family(alpha, ell) -> TreeFamily:
 def forest_total_weight(family: TreeFamily, p: int, N: int, mode: str = "standard",
                         bar_beta=None):
     """Total attachment weight after N insertions (deterministic)."""
+    _check_period(p)
     n, k = divmod(N, p)
     if mode == "standard":
         if N < 1:
@@ -116,6 +117,13 @@ def forest_total_weight(family: TreeFamily, p: int, N: int, mode: str = "standar
             total = total + bar_beta
         return total
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _check_period(p: int) -> None:
+    """The one period check of the forest routes: the kernel, statistic_pmf
+    and forest_total_weight."""
+    if p < 1:
+        raise ValueError("period must be >= 1")
 
 
 def _check_bar(mode: str, bar_beta) -> None:
@@ -191,6 +199,7 @@ def statistic_pmf(family: TreeFamily, p: int, N: int, statistic: tuple,
     theta = ell*a and theta_bar = beta*a.  No other pair has a route; with a
     bar, node j may never be born, so no node urn has a fixed start.
     """
+    _check_period(p)
     _check_bar(mode, bar_beta)
     kind = statistic[0]
     if mode == "crp" and kind == "table_count":
@@ -257,8 +266,7 @@ def simulate_statistic_batch(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "crp" and family.name != "gport":
         raise ValueError("crp mode uses the gport family")
-    if p < 1:
-        raise ValueError("period must be >= 1")
+    _check_period(p)
     _check_sizes(N, n_reps)
     kind = statistic[0]
     if kind not in _NODE_STATISTICS + ("table_count",) and (kind, mode) != ("branch_profile", "crp"):

@@ -89,37 +89,47 @@ _SEQUENCES: dict[str, Callable[[int], np.ndarray]] = {"thue_morse": _thue_morse_
 
 @dataclass(frozen=True)
 class UrnSpec:
-    """Immutable urn model description.
+    """Immutable urn model description; every instance passes validate.
 
     The drawn color gains sigma; the last color additionally gains an ell at
-    every step, from phase_ells or from a named sequence (see _step_rule);
-    color 0 may receive a deterministic immigration amount per step
-    (white_immigration, periodic).  kind is always "py_like".
+    every step (see _step_rule): ells = (ordinary, refresh) for a periodic
+    family, refresh at steps i = offset (mod period) and ordinary at the
+    others, or the two values a named sequence's b_i selects.  Color 0 may
+    receive a deterministic immigration amount per step (white_immigration,
+    periodic).
     """
 
-    kind: str
     family: str
-    colors: int
     period: int
     initial: tuple
-    sigma: object = None
-    phase_ells: tuple | None = None  # ell applied at step i is phase_ells[(i-1) % period]
+    sigma: object
+    ells: tuple
+    offset: int = 0
     sequence_name: str | None = None
-    sequence_ells: tuple | None = None
     white_immigration: tuple | None = None  # per-phase additions to color 0
-    ell: object | None = None  # canonical parameters for asymptotics
-    ell1: object | None = None
-    ell2: object | None = None
-    offset: int = 0  # refresh applied at steps i = offset (mod period); 0 is the standard phase
+
+    def __post_init__(self):
+        self.validate()
+
+    @property
+    def colors(self) -> int:
+        return len(self.initial)
+
+    @property
+    def phase_ells(self) -> tuple | None:
+        """The ell applied at step i is phase_ells[(i-1) % period]; None for a
+        sequence spec."""
+        if self.sequence_name is not None:
+            return None
+        ordinary, refresh = self.ells
+        return tuple(refresh if (i + 1 - self.offset) % self.period == 0 else ordinary
+                     for i in range(self.period))
 
     @property
     def is_exact(self) -> bool:
-        vals = [*self.initial, self.sigma]
-        for group in (self.phase_ells, self.sequence_ells, self.white_immigration):
-            if group is not None:
-                vals.extend(group)
-        if self.ell is not None:
-            vals.append(self.ell)
+        # the values the steps read
+        vals = (*self.initial, self.sigma, *(self.phase_ells or self.ells),
+                *(self.white_immigration or ()))
         return all(_is_exact(v) for v in vals)
 
     @property
@@ -127,42 +137,33 @@ class UrnSpec:
         return sum(self.initial)
 
     def validate(self) -> None:
-        """The one shape rule, which every constructor and spec_from_json run:
-        a period >= 1; either one phase_ells entry per phase or a registered
-        sequence with two sequence_ells (and period 1); for the periodic
-        families, an offset in [0, period) and the phase_ells that _periodic
-        builds from their ell fields; white immigration only on two colors,
-        one amount per phase; then the signs of the values."""
-        if self.colors != len(self.initial):
-            raise ValueError("initial counts length must equal number of colors")
+        """The one shape rule: a known family with a period >= 1 and an
+        offset in [0, period); exactly two ells, the ordinary one 0 for the
+        polya_young and multicolor families; a registered sequence (and
+        period 1) for the sequence family and for it only; white immigration
+        only on two colors, one amount per phase; then the signs of the
+        values."""
+        if self.family not in _FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}; known: {sorted(_FAMILIES)}")
         if self.period < 1:
             raise ValueError("period must be >= 1")
-        if self.kind != "py_like":
-            raise ValueError(f"unknown urn kind {self.kind!r}")
-        if (self.phase_ells is None) == (self.sequence_name is None and self.sequence_ells is None):
-            raise ValueError("a spec takes phase_ells or a sequence, exactly one of them")
-        if self.phase_ells is not None:
-            if len(self.phase_ells) != self.period:
-                raise ValueError("need one phase_ells entry per phase")
-        else:
+        if not 0 <= self.offset < self.period:
+            raise ValueError(f"offset must be in [0, period), got {self.offset}")
+        if len(self.ells) != 2:
+            raise ValueError(f"a spec takes exactly two ells, got {len(self.ells)}")
+        if self.family in _ZERO_ORDINARY and self.ells[0] != 0:
+            raise ValueError(f"the {self.family} family's ordinary ell must be 0")
+        if (self.family == "sequence") != (self.sequence_name is not None):
+            raise ValueError("a sequence spec names its sequence, and only a sequence spec does")
+        if self.sequence_name is not None:
             if self.sequence_name not in _SEQUENCES:
                 raise ValueError(f"unknown sequence {self.sequence_name!r}; "
                                  f"known: {sorted(_SEQUENCES)}")
-            if self.sequence_ells is None or len(self.sequence_ells) != 2:
-                raise ValueError("sequence urns take exactly two off-diagonal values")
             if self.period != 1:
                 raise ValueError("sequence urns have period 1")
-        if self.family in _CANONICAL:
-            names = _CANONICAL[self.family]
-            ordinary, refresh = (getattr(self, n) if n else 0 for n in names)
-            if not 0 <= self.offset < self.period:
-                raise ValueError(f"offset must be in [0, period), got {self.offset}")
-            if self.phase_ells != _phases(self.period, ordinary, refresh, self.offset):
-                raise ValueError(f"phase_ells disagree with the {self.family} family's "
-                                 f"{', '.join(filter(None, names))} and offset")
         if self.white_immigration is not None:
             if self.colors != 2:
-                raise ValueError("white immigration is defined for two-color py_like specs")
+                raise ValueError("white immigration is defined for two-color specs")
             if len(self.white_immigration) != self.period:
                 raise ValueError("need one immigration amount per phase")
         if self.sigma is None or not self.sigma > 0:
@@ -171,75 +172,49 @@ class UrnSpec:
             raise ValueError("color 0 must start positive")
         if any(c < 0 for c in self.initial):
             raise ValueError("initial counts must be non-negative")
-        if any(e < 0 for e in self.phase_ells or self.sequence_ells):
+        if any(e < 0 for e in self.ells):
             raise ValueError("schedule additions must be non-negative")
         if any(v < 0 for v in self.white_immigration or ()):
             raise ValueError("immigration amounts must be non-negative")
 
 
-def _phases(p: int, ordinary, refresh, offset: int) -> tuple:
-    """The phase_ells of a periodic spec: `refresh` at steps = offset (mod p),
-    `ordinary` at the others."""
-    return tuple(refresh if (i + 1 - offset) % p == 0 else ordinary for i in range(p))
-
-
-# family -> the canonical fields (ordinary ell, refresh ell) that _periodic
-# builds its phases from; None stands for an ordinary ell of 0
-_CANONICAL = {"polya_young": (None, "ell"), "multicolor": (None, "ell"),
-              "triangular": ("ell1", "ell2")}
-
-
-def _periodic(family: str, p: int, sigma, ordinary, refresh, initial, offset: int = 0,
-              **canonical) -> UrnSpec:
-    """A periodic spec whose last color gains `refresh` at steps = offset
-    (mod p) and `ordinary` at the others.  A period below 1 gives no phases
-    and leaves the offset as it is, so it reaches validate, which refuses it."""
-    spec = UrnSpec(kind="py_like", family=family, colors=len(initial), period=p,
-                   initial=initial, sigma=sigma, phase_ells=_phases(p, ordinary, refresh, offset),
-                   offset=offset % max(p, 1), **canonical)
-    spec.validate()
-    return spec
+_FAMILIES = {"polya_young", "triangular", "multicolor", "sequence"}
+_ZERO_ORDINARY = {"polya_young", "multicolor"}  # families whose ordinary steps add no ell
 
 
 def polya_young(p: int, sigma, ell, w0, b0, offset: int = 0) -> UrnSpec:
     """Two-color periodic urn: diagonal steps plus an off-diagonal refresh of
     size ell into the black column at steps = offset (mod p)."""
-    sigma, ell, w0, b0 = _num(sigma), _num(ell), _num(w0), _num(b0)
-    return _periodic("polya_young", p, sigma, sigma * 0, ell, (w0, b0), offset, ell=ell)
+    sigma, ell, w0, b0 = map(_num, (sigma, ell, w0, b0))
+    return UrnSpec("polya_young", p, (w0, b0), sigma, (sigma * 0, ell), offset % max(p, 1))
 
 
 def triangular(p: int, sigma, ell1, ell2, w0, b0, offset: int = 0) -> UrnSpec:
     """Two-color periodic triangular urn: off-diagonal ell1 at ordinary steps,
     ell2 at steps = offset (mod p)."""
     sigma, ell1, ell2, w0, b0 = map(_num, (sigma, ell1, ell2, w0, b0))
-    return _periodic("triangular", p, sigma, ell1, ell2, (w0, b0), offset, ell1=ell1, ell2=ell2)
+    return UrnSpec("triangular", p, (w0, b0), sigma, (ell1, ell2), offset % max(p, 1))
 
 
 def multicolor_polya_young(p: int, sigma, ell, initial) -> UrnSpec:
     """t-color periodic urn: drawn color gains sigma; the last color gains ell
     at steps that are multiples of p."""
     sigma, ell = _num(sigma), _num(ell)
-    return _periodic("multicolor", p, sigma, sigma * 0, ell, _num_tuple(initial), ell=ell)
+    return UrnSpec("multicolor", p, _num_tuple(initial), sigma, (sigma * 0, ell))
 
 
 def sequence_urn(sequence: str, sigma, ells, w0, b0) -> UrnSpec:
     """Two-color urn driven by a named {1,2}-valued sequence: step i applies
     the matrix with off-diagonal ells[b_i - 1]."""
-    spec = UrnSpec(
-        kind="py_like", family="sequence", colors=2, period=1,
-        initial=(_num(w0), _num(b0)), sigma=_num(sigma), sequence_name=sequence,
-        sequence_ells=_num_tuple(ells),
-    )
-    spec.validate()
-    return spec
+    return UrnSpec("sequence", 1, (_num(w0), _num(b0)), _num(sigma), _num_tuple(ells),
+                   sequence_name=sequence)
 
 
 def with_white_immigration(spec: UrnSpec, per_phase: Sequence) -> UrnSpec:
     """Attach deterministic per-phase additions to color 0 (applied at every
-    step i with amount per_phase[(i-1) % period], after the draw)."""
-    spec = replace(spec, white_immigration=_num_tuple(per_phase), family="custom")
-    spec.validate()
-    return spec
+    step i with amount per_phase[(i-1) % period], after the draw); the spec
+    keeps its family."""
+    return replace(spec, white_immigration=_num_tuple(per_phase))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +232,7 @@ def _step_rule(spec: UrnSpec, N: int) -> tuple[list, np.ndarray]:
     imm = spec.white_immigration or (0,) * spec.period
     if spec.sequence_name is not None:
         kind = _SEQUENCES[spec.sequence_name](max(N, 1) + 1)[1:] - 1
-        rows = [(e, imm[0]) for e in spec.sequence_ells]
+        rows = [(e, imm[0]) for e in spec.ells]
     else:
         kind = np.arange(spec.period)
         rows = list(zip(spec.phase_ells, imm))
@@ -407,7 +382,7 @@ def simulate_white_batch(
     added and the checkpoint recorded.
     """
     if spec.colors != 2:
-        raise ValueError("white-batch simulation needs a two-color py_like spec")
+        raise ValueError("white-batch simulation needs a two-color spec")
     checkpoints = _checkpoint_list(checkpoints)
     N = checkpoints[-1]
     _check_sizes(N, n_reps)
@@ -551,7 +526,7 @@ def exact_pmf_dp(spec: UrnSpec, N: int, mode: str = "auto") -> Pmf:
     """Law of the color-0 count after N steps, by dynamic programming over the
     number of color-0 draws.  Needs deterministic totals and a color-0
     increment of sigma exactly on color-0 draws, which holds for every
-    two-color py_like spec (including immigration variants).
+    two-color spec (including immigration variants).
 
     Both modes run one two-slice update over the draw count.  Exact mode
     carries integer path weights (d*white and d*(T - white) per step, d the
@@ -563,7 +538,7 @@ def exact_pmf_dp(spec: UrnSpec, N: int, mode: str = "auto") -> Pmf:
     of probability 0 picks up rounding noise.
     """
     if spec.colors != 2:
-        raise ValueError("exact_pmf_dp supports two-color py_like specs")
+        raise ValueError("exact_pmf_dp supports two-color specs")
     exact = _resolve_mode(spec, N, mode)
     sched = schedule(spec, N)
     d = sched.d
@@ -695,52 +670,40 @@ def marginal_pmf(joint: Pmf, index: int) -> Pmf:
 # serialization
 
 
+# the JSON keys: UrnSpec's fields, with sequence_name written as "sequence"
+_JSON_KEYS = {"family", "period", "initial", "sigma", "ells", "offset", "sequence",
+              "white_immigration"}
+
+
 def spec_to_json(spec: UrnSpec) -> str:
     payload = {
-        "kind": spec.kind,
         "family": spec.family,
-        "colors": spec.colors,
         "period": spec.period,
         "initial": [_json_num(v) for v in spec.initial],
+        "sigma": _json_num(spec.sigma),
+        "ells": [_json_num(v) for v in spec.ells],
         "offset": spec.offset,
     }
-    if spec.sigma is not None:
-        payload["sigma"] = _json_num(spec.sigma)
-    if spec.phase_ells is not None:
-        payload["phase_ells"] = [_json_num(v) for v in spec.phase_ells]
     if spec.sequence_name is not None:
         payload["sequence"] = spec.sequence_name
-        payload["sequence_ells"] = [_json_num(v) for v in spec.sequence_ells]
     if spec.white_immigration is not None:
         payload["white_immigration"] = [_json_num(v) for v in spec.white_immigration]
-    for name in ("ell", "ell1", "ell2"):
-        v = getattr(spec, name)
-        if v is not None:
-            payload[name] = _json_num(v)
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def spec_from_json(text: str) -> UrnSpec:
     data = json.loads(text)
-    def opt_num(key):
-        return _num(data[key]) if key in data else None
-    def opt_tuple(key):
-        return _num_tuple(data[key]) if key in data else None
-    spec = UrnSpec(
-        kind=data["kind"],
+    stray = sorted(set(data) - _JSON_KEYS)
+    if stray:
+        raise ValueError(f"unknown spec keys: {', '.join(stray)}")
+    immigration = data.get("white_immigration")
+    return UrnSpec(
         family=data["family"],
-        colors=int(data["colors"]),
         period=int(data["period"]),
         initial=_num_tuple(data["initial"]),
-        sigma=opt_num("sigma"),
-        phase_ells=opt_tuple("phase_ells"),
-        sequence_name=data.get("sequence"),
-        sequence_ells=opt_tuple("sequence_ells"),
-        white_immigration=opt_tuple("white_immigration"),
-        ell=opt_num("ell"),
-        ell1=opt_num("ell1"),
-        ell2=opt_num("ell2"),
+        sigma=_num(data["sigma"]),
+        ells=_num_tuple(data["ells"]),
         offset=int(data.get("offset", 0)),
+        sequence_name=data.get("sequence"),
+        white_immigration=None if immigration is None else _num_tuple(immigration),
     )
-    spec.validate()
-    return spec

@@ -49,8 +49,7 @@ class _Series:
         self.Lambda = cst.Lambda
         self.c = float(spec.initial[0] / spec.sigma)
         sigma = _exact(spec.sigma)
-        ell1 = _exact(spec.ell1) if spec.ell1 is not None else Fraction(0)
-        ell2 = _exact(spec.ell2 if spec.ell2 is not None else spec.ell)
+        ell1, ell2 = map(_exact, spec.ells)
         sigma_unit = sigma + ell1
         psi = spec.period + (ell2 - ell1) / sigma_unit
         step = (sigma / sigma_unit) / psi

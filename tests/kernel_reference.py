@@ -87,10 +87,10 @@ def thue_morse_index(n: int) -> int:
 
 def ell_at(spec: UrnSpec, i: int):
     """Addition to the last colour at step i (1-based): phase_ells[(i - 1) %
-    period], or sequence_ells[b_i - 1] for a Thue-Morse spec."""
+    period], or ells[b_i - 1] for a Thue-Morse spec."""
     if spec.sequence_name is not None:
         assert spec.sequence_name == "thue_morse"
-        return spec.sequence_ells[thue_morse_index(i) - 1]
+        return spec.ells[thue_morse_index(i) - 1]
     return spec.phase_ells[(i - 1) % spec.period]
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import shlex
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -495,6 +496,32 @@ def test_tree_sim_bar_that_is_not_positive_exits_1(capsys, beta, compare):
                + compare) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "error: bar_beta must be positive" in captured.err
+
+
+@pytest.mark.parametrize("compare", [[], ["--compare"]])
+def test_tree_sim_period_0_exits_1(capsys, compare):
+    # with --compare the exact law divided by the period first
+    assert run(["tree-sim", "--p", "0", "--N", "5", "--replicates", "10"] + compare) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: period must be >= 1" in captured.err
+
+
+def test_stirling_enumeration_past_its_guard_exits_1(capsys):
+    # 124,540,416 words: the enumeration ran out of memory instead of exiting
+    start = time.perf_counter()
+    assert run(["stirling", "--what", "enumerate-law", "--d", "2", "--p", "2", "--t", "1",
+                "--N", "9"]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: enumeration of 124540416 words exceeds guard" in captured.err
+
+
+def test_urn_limit_nan_density_point_exits_1(capsys):
+    # the saddle search failed first, with a message about the contour
+    assert run(["urn-limit", "--p", "2", "--density-grid", "1,nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: density needs a number x, got x = nan" in captured.err
 
 
 def test_tree_sim_compare_without_an_exact_law_exits_1(capsys):

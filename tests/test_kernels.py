@@ -393,7 +393,7 @@ _RATIONAL_ENUM_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("spec", GRID, ids=lambda s: f"{s.period}_{s.sigma}_{s.ell}")
+@pytest.mark.parametrize("spec", GRID, ids=lambda s: f"{s.period}_{s.sigma}_{s.ells[1]}")
 def test_enumeration_matches_the_recursion_on_the_criterion_1_grid(spec):
     for N in range(9):
         _same_law(spec, N)

@@ -268,6 +268,14 @@ def test_limit_density_frozen_values():
         assert float(limit_density(TRI, x)) == pytest.approx(f, rel=1e-9)
 
 
+@pytest.mark.parametrize("x", [math.nan, [0.5, math.nan, 2.0], np.array([[math.nan]])],
+                         ids=["scalar", "list", "array"])
+def test_limit_density_rejects_nan(x):
+    # the saddle search once failed first, with "no saddle right of the pole"
+    with pytest.raises(ValueError, match="^density needs a number x, got x = nan$"):
+        limit_density(STD, x)
+
+
 # Criterion 6's specs, the benchmark's two density-grid specs and SINGULAR,
 # with the cutoff that the probe-by-probe search returned for each.
 CUTOFF_SPECS = [

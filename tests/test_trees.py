@@ -223,6 +223,21 @@ def test_a_bar_that_is_not_positive_is_rejected(bar_beta):
         statistic_pmf(family, 2, 6, ("table_count",), "crp", bar_beta)
 
 
+@pytest.mark.parametrize("route", [
+    lambda p: statistic_pmf(recursive_family(1), p, 5, ("descendants", 1)),
+    lambda p: statistic_pmf(recursive_family(1), p, 5, ("root_descendants", 1)),
+    lambda p: statistic_pmf(gport_family(1, 1), p, 5, ("table_count",), "crp"),
+    lambda p: forest_total_weight(recursive_family(1), p, 5),
+    lambda p: simulate_statistic_batch(recursive_family(1), p, 5, 10, 1, ("descendants", 1)),
+], ids=["pmf_descendants", "pmf_root_descendants", "pmf_table_count", "total_weight",
+        "kernel"])
+@pytest.mark.parametrize("p", [0, -2])
+def test_every_forest_route_checks_the_period(route, p):
+    # statistic_pmf and forest_total_weight divided by p and raised ZeroDivisionError
+    with pytest.raises(ValueError, match="^period must be >= 1$"):
+        route(p)
+
+
 def test_descendants_urn_rejects_trimmed_dary():
     with pytest.raises(ValueError):
         descendants_urn(dary_family(3, Fraction(3, 2)), 2, 1)

@@ -12,6 +12,7 @@ from polyaurn.crp import CrpParams, table_count_urn
 from polyaurn.urns import (
     _AUTO_EXACT_MAX_N,
     Pmf,
+    UrnSpec,
     _thue_morse_prefix,
     empirical_pmf,
     enumerate_histories,
@@ -30,6 +31,8 @@ from polyaurn.urns import (
 )
 
 STD = polya_young(2, 1, 1, 1, 1)
+MULTI = multicolor_polya_young(2, 1, 1, (1, 1, 1))
+THUE_MORSE = sequence_urn("thue_morse", 1, (1, 2), 1, 1)
 
 
 def test_auto_mode_is_exact_up_to_the_cutoff():
@@ -257,7 +260,10 @@ def test_spec_json_roundtrip():
         triangular(2, 1, 1, 2, 1, 1),
         multicolor_polya_young(2, 1, 1, (1, 2, 3)),
         with_white_immigration(triangular(2, 1, 1, 1, 1, 1), [0, 1]),
-        sequence_urn("thue_morse", 1, (1, 2), 1, 1),
+        with_white_immigration(polya_young(3, 2, 1, 1, 0, offset=1), [1, 0, Fraction(1, 2)]),
+        THUE_MORSE,
+        with_white_immigration(THUE_MORSE, [2]),
+        polya_young(2, 1.5, 0.5, 1.0, 2.0),
     ]
     for spec in specs:
         back = spec_from_json(spec_to_json(spec))
@@ -267,41 +273,71 @@ def test_spec_json_roundtrip():
             assert all(isinstance(v, Fraction) for v in back.initial)
 
 
-def test_spec_json_rejects_other_kinds():
-    # the spec echo carries kind "py_like"; any other kind read back is refused
-    payload = json.loads(spec_to_json(STD))
-    for kind in ("branch", "matrix", ""):
-        with pytest.raises(ValueError, match=f"^unknown urn kind {kind!r}$"):
-            spec_from_json(json.dumps({**payload, "kind": kind}))
+def test_spec_stores_each_fact_once():
+    assert list(UrnSpec.__dataclass_fields__) == [
+        "family", "period", "initial", "sigma", "ells", "offset", "sequence_name",
+        "white_immigration"]
+    tri = triangular(3, 1, Fraction(1, 2), 2, 1, 1, offset=1)
+    assert (tri.ells, tri.colors, tri.phase_ells) == ((Fraction(1, 2), 2), 2, (2, 0.5, 0.5))
+    assert MULTI.colors == 3
+    assert THUE_MORSE.phase_ells is None
+    # immigration keeps the base family
+    for base in (STD, tri, THUE_MORSE):
+        assert with_white_immigration(base, [1] * base.period).family == base.family
+    # the shape rule runs on every instance, not only in the constructors
+    with pytest.raises(ValueError, match="ordinary ell must be 0"):
+        UrnSpec("polya_young", 2, (1, 1), 1, (1, 1))
+
+
+# the keys the schema-2 spec echo wrote that schema 3 drops, with values it wrote
+_DROPPED_KEYS = {"kind": "py_like", "colors": 2, "phase_ells": [0, 1], "sequence_ells": [1, 2],
+                 "ell": 1, "ell1": 0, "ell2": 1}
+
+
+@pytest.mark.parametrize("key", list(_DROPPED_KEYS))
+def test_spec_json_rejects_each_dropped_key(key):
+    payload = {**json.loads(spec_to_json(STD)), key: _DROPPED_KEYS[key]}
+    with pytest.raises(ValueError, match=f"^unknown spec keys: {key}$"):
+        spec_from_json(json.dumps(payload))
+
+
+def test_spec_json_rejects_a_schema_2_echo():
+    schema_2 = {"colors": 2, "ell": 1, "family": "polya_young", "initial": [1, 1],
+                "kind": "py_like", "offset": 0, "period": 2, "phase_ells": [0, 1], "sigma": 1}
+    with pytest.raises(ValueError, match="^unknown spec keys: colors, ell, kind, phase_ells$"):
+        spec_from_json(json.dumps(schema_2))
 
 
 _MALFORMED = {  # field overrides of a valid spec's JSON -> the rule they break
-    "period 3, 2 phase_ells": (STD, {"period": 3}, "one phase_ells entry per phase"),
-    "3 sequence_ells": (sequence_urn("thue_morse", 1, (1, 2), 1, 1),
-                        {"sequence_ells": [1, 2, 3]}, "exactly two off-diagonal values"),
-    "unknown sequence": (sequence_urn("thue_morse", 1, (1, 2), 1, 1),
-                         {"sequence": "fib"}, "unknown sequence 'fib'"),
+    "3 sequence_ells": (THUE_MORSE, {"ells": [1, 2, 3]}, "exactly two ells, got 3"),
+    "three ells": (STD, {"ells": [0, 1, 2]}, "exactly two ells, got 3"),
+    "unknown sequence": (THUE_MORSE, {"sequence": "fib"}, "unknown sequence 'fib'"),
+    "sequence on a periodic family": (STD, {"sequence": "thue_morse"}, "only a sequence spec"),
+    "sequence family without a sequence": (STD, {"family": "sequence"}, "names its sequence"),
+    "unknown family": (STD, {"family": "mystery"}, "unknown family 'mystery'"),
+    "polya_young ordinary ell": (STD, {"ells": [1, 1]},
+                                 "the polya_young family's ordinary ell must be 0"),
+    "multicolour ordinary ell": (MULTI, {"ells": [2, 1]},
+                                 "the multicolor family's ordinary ell must be 0"),
     "3-colour immigration": (multicolor_polya_young(1, 1, 1, (1, 1, 1)),
                              {"white_immigration": [1]}, "two-color"),
     "1 amount, period 2": (with_white_immigration(STD, [1, 0]),
                            {"white_immigration": [1]}, "one immigration amount per phase"),
-    # the limit constants read ell, ell1, ell2 and offset, the laws phase_ells
-    "phase_ells off ell": (STD, {"phase_ells": [5, 0]}, "phase_ells disagree with the "
-                           "polya_young family's ell and offset"),
-    "phase_ells off offset": (STD, {"offset": 1}, "phase_ells disagree"),
     "offset past the period": (STD, {"offset": 2}, r"offset must be in \[0, period\)"),
+    # schema 2 stored the ells up to three times; a stray copy is refused by name
+    "phase_ells off ell": (STD, {"phase_ells": [5, 0]}, "^unknown spec keys: phase_ells$"),
     "phase_ells off ell1": (triangular(2, 1, 1, 2, 1, 1), {"ell1": 3},
-                            "triangular family's ell1, ell2 and offset"),
-    "multicolour ell": (multicolor_polya_young(2, 1, 1, (1, 1, 1)), {"ell": 2},
-                        "phase_ells disagree"),
+                            "^unknown spec keys: ell1$"),
+    "multicolour ell": (MULTI, {"ell": 2}, "^unknown spec keys: ell$"),
+    "multicolour ell2": (MULTI, {"ell2": 5}, "^unknown spec keys: ell2$"),
 }
 
 
 @pytest.mark.parametrize("case", list(_MALFORMED))
 def test_spec_json_rejects_malformed_shapes(case):
     # spec_from_json once read each of these; later calls then raised an
-    # IndexError or KeyError, dropped a value, or simulated a 3-colour urn
-    # that with_white_immigration refuses
+    # IndexError or KeyError, dropped a value, changed the limit constants but
+    # not the law, or simulated a 3-colour urn that with_white_immigration refuses
     spec, fields, rule = _MALFORMED[case]
     payload = {**json.loads(spec_to_json(spec)), **fields}
     with pytest.raises(ValueError, match=rule):
