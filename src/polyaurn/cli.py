@@ -336,6 +336,9 @@ def cmd_crp(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = args.model
+    if args.what != "density" and spec.colors != 2:
+        raise ValueError(f"verify --what {args.what} covers two-colour specs; "
+                         "--what density covers multicolour ones")
     if args.tol is None:
         args.tol = 1e-6 if args.what == "density" else 1e-9
     if args.what == "decomposition":

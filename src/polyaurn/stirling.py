@@ -9,9 +9,10 @@ label are distinct symbols.  Words are stored as signed integer sequences
 
 A block is a maximal substring that starts and ends with the same symbol;
 equivalently, merge the first-to-last spans of every symbol and count the
-top-level intervals.  The block count follows a periodic triangular urn with
-extra deterministic white input, implemented here next to the word process
-so the two can be compared as independent pipelines.
+top-level intervals.  The batch simulator tracks only those spans, not the
+words.  The block count follows a periodic triangular urn with extra
+deterministic white input, implemented here next to the word process so the
+two can be compared as independent pipelines.
 
 Words are in bijection with forests of (d+1)-ary increasing trees whose
 periodically immigrating roots have t usable child slots: read the forest by
@@ -37,7 +38,6 @@ __all__ = [
     "block_count",
     "block_count_law",
     "block_count_urn",
-    "historical_block_count_urn",
     "block_count_pmf_from_urn",
     "simulate_block_counts",
     "word_to_forest",
@@ -156,14 +156,6 @@ def block_count_urn(d: int, p: int, t: int) -> UrnSpec:
     return with_white_immigration(base, imm)
 
 
-def historical_block_count_urn(d: int, p: int, t: int) -> UrnSpec:
-    """Block-count urn as once stated (thick refresh d-1+t to black, no
-    deterministic white input).  Kept for comparison; it does not reproduce
-    the word process."""
-    _check_params(d, p, t)
-    return triangular(p, 1, d - 1, d - 1 + t, 2, d - 1, offset=(p - 1) % p)
-
-
 def block_count_pmf_from_urn(spec: UrnSpec, N: int) -> Pmf:
     """Block-count law of an order-N word from an urn: white after N-1 steps,
     shifted down by one.  The empty word (N = 0) has no blocks."""
@@ -178,35 +170,36 @@ def block_count_pmf_from_urn(spec: UrnSpec, N: int) -> Pmf:
 def simulate_block_counts(
     d: int, p: int, t: int, N: int, n_reps: int, seed: int
 ) -> np.ndarray:
-    """Block counts of n_reps independent random words, grown as an integer
-    matrix with one vectorized gap insertion per label."""
+    """Block counts of n_reps independent random words.  The words are not
+    built: each symbol keeps the positions of its first and last copy, one
+    row per symbol (plain labels and the marked runs of thick labels), and a
+    label's gap shifts every tracked position at or after it by d."""
     _check_params(d, p, t)
     _check_sizes(N, n_reps)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
-    words = np.zeros((n_reps, 0), dtype=np.int32)
+    ends = np.empty((N + N // p, 2, n_reps), dtype=np.int32)  # [symbol, first/last, replicate]
+    k = L = 0  # symbols so far, word length
     for i in range(1, N + 1):
-        L = words.shape[1]
-        gap = rng.integers(0, L + 1, size=n_reps)[:, None]
-        cols = np.arange(L + d)
-        new = np.full((n_reps, L + d + (t if i % p == 0 else 0)), -i, dtype=np.int32)
-        new[:, :L] = words
-        np.copyto(new[:, :L + d], np.int32(i), where=cols >= gap)
-        np.copyto(new[:, d:L + d], words, where=cols[:L] >= gap)
-        words = new
-    return _block_counts(words, N)
+        gap = rng.integers(0, L + 1, size=n_reps).astype(np.int32)
+        ends[:k] += (ends[:k] >= gap) * np.int32(d)
+        ends[k, 0], ends[k, 1] = gap, gap + (d - 1)
+        k, L = k + 1, L + d
+        if i % p == 0:
+            ends[k, 0], ends[k, 1] = L, L + t - 1
+            k, L = k + 1, L + t
+    return _span_block_counts(ends)
 
 
-def _block_counts(words: np.ndarray, N: int) -> np.ndarray:
-    """`block_count` of every row of a word matrix over the symbols -N..N: a
-    block ends at column c when the last positions of the symbols in columns
-    0..c reach no further than c."""
-    last = np.zeros((len(words), 2 * N + 1), dtype=np.int32)
-    rows, columns = np.arange(len(words)), np.arange(words.shape[1], dtype=np.int32)
-    for c in columns:
-        last[rows, words[:, c] + N] = c
-    reach = np.take_along_axis(last, words + np.int32(N), axis=1)
-    np.maximum.accumulate(reach, axis=1, out=reach)
-    return (reach == columns).sum(axis=1)
+def _span_block_counts(ends: np.ndarray) -> np.ndarray:
+    """Block counts from the [symbol, first/last, replicate] positions of
+    words whose symbol spans only nest or stay disjoint: with firsts and
+    lasts each sorted, a block ends after the j-th smallest last iff the
+    (j+1)-th smallest first lies beyond it.  A word with no symbols has no
+    blocks."""
+    if not len(ends):
+        return np.zeros(ends.shape[2], dtype=np.int64)
+    ends = np.sort(ends, axis=0)
+    return (ends[1:, 0] > ends[:-1, 1]).sum(axis=0) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -379,7 +379,9 @@ def simulate_white_batch(
     rate q = W/T_pos proposes step j, white iff v*T_{j-1} <= T_pos, for one
     (u, v) pair per unfinished replicate.  No skip passes a barrier (a
     checkpoint or a step with white immigration), where the immigration is
-    added and the checkpoint recorded.
+    added and the checkpoint recorded.  A round works in place on buffers of
+    the live replicates; steps and barriers are also held as floats, which
+    are exact below 2**53.
     """
     if spec.colors != 2:
         raise ValueError("white-batch simulation needs a two-color spec")
@@ -390,34 +392,49 @@ def simulate_white_batch(
     sigma = float(spec.sigma)
     sched = schedule(spec, N)
     T, imm = sched.real(sched.totals), sched.real(_per_step(sched.imm, N))
-    row = np.full(N + 1, -1)  # row of out recording each step, -1 for none
+    T_prev, imm = np.append(np.nan, T[:-1]), np.append(0.0, imm)  # step j reads these at j
+    row = np.full(N + 1, -1)  # row of out recording each step, -1 (the spare last row) for none
     row[checkpoints] = np.arange(len(checkpoints))
-    bars = np.sort(np.append(np.flatnonzero(imm) + 1, [c for c in checkpoints if c] + [N + 1]))
-    after = bars[np.searchsorted(bars, np.arange(N + 1), side="right")]  # first barrier > step
-    out = np.empty((len(checkpoints), n_reps))
+    bars = np.sort(np.append(np.flatnonzero(imm), [c for c in checkpoints if c] + [N + 1]))
+    # the first barrier after each step, as a float
+    after = bars[np.searchsorted(bars, np.arange(N + 1), side="right")].astype(float)
+    out = np.empty((len(checkpoints) + 1, n_reps))  # and a spare last row
     W = out[0] = np.full(n_reps, float(spec.initial[0]))  # row 0 is step 0 or is overwritten
     live = np.arange(n_reps if N else 0)
-    pos, b = np.zeros(live.size, dtype=np.int64), np.full(live.size, after[0])
+    n = live.size
+    pos, b, j = np.zeros(n, dtype=np.int64), np.full(n, after[0]), np.zeros(n)
+    t_buf, q_buf = np.empty(n), np.empty(n)
+    white_buf, hit_buf = np.empty(n, bool), np.empty(n, bool)
     with np.errstate(divide="ignore", over="ignore"):  # q = 1: log1p(-1) = -inf, skip 0
-        while live.size:
-            u, v = rng.random((2, live.size))
-            t_pos = T[pos]
-            q = np.minimum(W / t_pos, 1.0)
-            j = pos + 1 + np.floor(np.log1p(-u) / np.log1p(-q))
-            white = j <= b
-            pos = np.minimum(j, b).astype(np.int64)
-            white &= v * T[pos - 1] <= t_pos
-            W += white if sigma == 1.0 else sigma * white
-            land = pos == b
-            if land.any():
-                W += land * imm[b - 1]
-                rec = land & (row[b] >= 0)
-                out[row[b[rec]], live[rec]] = W[rec]
-                b[land] = after[b[land]]
-                keep = b <= N
-                if not keep.all():
-                    live, W, pos, b = live[keep], W[keep], pos[keep], b[keep]
-    return list(out)
+        while n:
+            u, v = rng.random((2, n))
+            t_pos, q, white, hit = t_buf[:n], q_buf[:n], white_buf[:n], hit_buf[:n]
+            bn, jn = b[:n], j[:n]  # jn is pos as a float, and then the proposed step
+            np.take(T, pos, out=t_pos, mode="clip")  # in range; "clip" skips a bounds copy
+            np.minimum(np.divide(W, t_pos, out=q), 1.0, out=q)
+            np.log1p(np.negative(u, out=u), out=u)
+            np.log1p(np.negative(q, out=q), out=q)
+            np.floor(np.divide(u, q, out=u), out=u)
+            jn += 1.0
+            jn += u
+            np.less_equal(jn, bn, out=white)
+            np.minimum(jn, bn, out=jn)
+            pos[:] = jn
+            np.take(T_prev, pos, out=q, mode="clip")
+            white &= np.less_equal(np.multiply(v, q, out=v), t_pos, out=hit)
+            W += white if sigma == 1.0 else np.multiply(sigma, white, out=q)
+            land = np.flatnonzero(np.equal(jn, bn, out=hit))
+            if land.size:
+                at = pos[land]
+                W[land] += imm[at]
+                out[row[at], live[land]] = W[land]
+                bn[land] = nxt = after[at]
+                if nxt.max() > N:
+                    keep = np.flatnonzero(bn <= N)
+                    live, W, pos = live[keep], W[keep], pos[keep]
+                    n = keep.size
+                    b[:n], j[:n] = bn[keep], jn[keep]
+    return list(out[:-1])
 
 
 def simulate_counts_batch(spec: UrnSpec, N: int, n_reps: int, seed: int) -> np.ndarray:
@@ -671,8 +688,8 @@ def marginal_pmf(joint: Pmf, index: int) -> Pmf:
 
 
 # the JSON keys: UrnSpec's fields, with sequence_name written as "sequence"
-_JSON_KEYS = {"family", "period", "initial", "sigma", "ells", "offset", "sequence",
-              "white_immigration"}
+_JSON_REQUIRED = {"family", "period", "initial", "sigma", "ells"}
+_JSON_KEYS = _JSON_REQUIRED | {"offset", "sequence", "white_immigration"}
 
 
 def spec_to_json(spec: UrnSpec) -> str:
@@ -693,9 +710,13 @@ def spec_to_json(spec: UrnSpec) -> str:
 
 def spec_from_json(text: str) -> UrnSpec:
     data = json.loads(text)
-    stray = sorted(set(data) - _JSON_KEYS)
+    if not isinstance(data, dict):
+        raise ValueError("a spec is a JSON object")
+    stray, missing = sorted(set(data) - _JSON_KEYS), sorted(_JSON_REQUIRED - set(data))
     if stray:
         raise ValueError(f"unknown spec keys: {', '.join(stray)}")
+    if missing:
+        raise ValueError(f"missing spec keys: {', '.join(missing)}")
     immigration = data.get("white_immigration")
     return UrnSpec(
         family=data["family"],

@@ -24,6 +24,8 @@ here keeps one weight slot per entity the forest may create and draws by a
 running sum over the slots; the package kernel draws a weight class and an
 entity inside it.  `tv_floor` is the noise floor that the TV checks print
 next to each TV, and `tv_null_quantile` the bound they hold the TV to.
+`historical_block_count_urn` is the block-count urn as once stated, which
+the strict xfail of criterion 10 and `test_stirling` show to be wrong.
 
 The exact layer keeps its earlier code here as oracles, from before it moved
 to integer and vector arithmetic; the tests assert that both return the same
@@ -51,7 +53,8 @@ from polyaurn.moments import product_ratio
 from polyaurn.specialfn import rising_factorial
 from polyaurn.stirling import _check_params, block_count
 from polyaurn.trees import forest_total_weight, gport_family
-from polyaurn.urns import _ENUM_GUARD, Pmf, Schedule, UrnSpec, _per_step, schedule
+from polyaurn.urns import (_ENUM_GUARD, Pmf, Schedule, UrnSpec, _per_step, schedule,
+                           triangular)
 
 
 def draw_color(counts, total, u: float) -> int:
@@ -485,3 +488,11 @@ def simulate_block_counts(d, p, t, N, n_reps, seed):
             marks = np.full((n_reps, t), np.int32(-i))
             words = np.hstack([words, marks])
     return np.array([block_count(row) for row in words], dtype=np.int64)
+
+
+def historical_block_count_urn(d: int, p: int, t: int) -> UrnSpec:
+    """Block-count urn as once stated (thick refresh d-1+t to black, no
+    deterministic white input).  Kept for comparison; it does not reproduce
+    the word process, which `polyaurn.stirling.block_count_urn` does."""
+    _check_params(d, p, t)
+    return triangular(p, 1, d - 1, d - 1 + t, 2, d - 1, offset=(p - 1) % p)

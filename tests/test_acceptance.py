@@ -39,7 +39,6 @@ from polyaurn.stirling import (
     block_count_urn,
     forest_to_word,
     gap_count,
-    historical_block_count_urn,
     random_word,
     simulate_block_counts,
     stirling_count,
@@ -315,7 +314,7 @@ def test_criterion_10_stirling_words(acceptance):
 def test_criterion_10_printed_urn_mapping():
     d, p, t, N = 2, 2, 1, 30
     # the historical claim adds the thick-label count N // p to the blocks
-    law = block_count_pmf_from_urn(historical_block_count_urn(d, p, t), N)
+    law = block_count_pmf_from_urn(ref.historical_block_count_urn(d, p, t), N)
     law = law.map_support(lambda b: b + N // p).as_dict()
     vals = simulate_block_counts(d, p, t, N, 20_000, seed=1031)
     assert _tv(vals, law) < 0.01

@@ -271,6 +271,18 @@ def test_verify_density_on_singular_spec(tmp_path):
     assert read_json(text)["results"]["status"] == "ok"
 
 
+@pytest.mark.parametrize("what", ["martingale", "decomposition"])
+def test_verify_two_colour_checks_refuse_a_multicolour_spec(capsys, what):
+    # these once exited with the message of an internal function
+    # (exact_pmf_dp, the dirichlet law) that named no check
+    assert run(["verify", "--family", "multi", "--p", "2", "--initial", "1,1,1",
+                "--what", what]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: verify --what {what} covers two-colour specs; "
+                            "--what density covers multicolour ones\n")
+
+
 def test_urn_limit_density_beyond_the_series_reach(tmp_path):
     # Lambda = 4/5: the reciprocal-Gamma series would need about 8^5 terms here
     code, text = run_to_file(tmp_path, ["urn-limit", "--family", "py", "--p", "2",

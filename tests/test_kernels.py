@@ -19,7 +19,7 @@ from test_trees import _exact_branch_mean, enumerate_forest
 from polyaurn.crp import (CrpParams, simulate_table_count_batch, table_count_pmf,
                           table_count_urn, tree_equivalents)
 from polyaurn import moments, urns
-from polyaurn.stirling import (_block_counts, all_words, block_count, block_count_urn,
+from polyaurn.stirling import (_span_block_counts, all_words, block_count, block_count_urn,
                                simulate_block_counts)
 from polyaurn.trees import (
     dary_family,
@@ -357,6 +357,9 @@ def test_seating_kernel_tv_to_the_exact_law(k):
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(1, 3), p=st.integers(1, 3), t=st.integers(1, 3), N=st.integers(0, 10),
        n_reps=REPS, seed=SEEDS)
+@example(d=2, p=2, t=1, N=0, n_reps=7, seed=1)  # the empty word has no blocks
+@example(d=1, p=1, t=2, N=1, n_reps=100, seed=2)  # label 1 is thick
+@example(d=3, p=2, t=3, N=2, n_reps=549, seed=3)
 def test_block_counts_match_the_row_loop_reference(d, p, t, N, n_reps, seed):
     assert np.array_equal(simulate_block_counts(d, p, t, N, n_reps, seed),
                           ref.simulate_block_counts(d, p, t, N, n_reps, seed))
@@ -365,9 +368,14 @@ def test_block_counts_match_the_row_loop_reference(d, p, t, N, n_reps, seed):
 @pytest.mark.parametrize("d,p,t,N", [(1, 1, 1, 4), (2, 2, 1, 4), (1, 2, 2, 5), (3, 2, 1, 3),
                                      (2, 3, 2, 4), (1, 1, 3, 3)])
 def test_vectorised_block_count_on_every_word(d, p, t, N):
+    # the count from each symbol's first and last position, as the kernel
+    # tracks them, against the interval merge of `block_count`
     words = all_words(d, p, t, N)
-    counts = _block_counts(np.array(words, dtype=np.int32), N)
-    assert list(counts) == [block_count(w) for w in words]
+    ends = np.zeros((len(set(words[0])), 2, len(words)), dtype=np.int32)
+    for r, word in enumerate(words):
+        for k, sym in enumerate(sorted(set(word))):
+            ends[k, :, r] = word.index(sym), len(word) - 1 - word[::-1].index(sym)
+    assert list(_span_block_counts(ends)) == [block_count(w) for w in words]
 
 
 def _same_law(spec, N):

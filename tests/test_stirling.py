@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kernel_reference import historical_block_count_urn
 from polyaurn.stirling import (
     all_words,
     block_count,
@@ -14,7 +15,6 @@ from polyaurn.stirling import (
     blocks,
     forest_to_word,
     gap_count,
-    historical_block_count_urn,
     random_word,
     simulate_block_counts,
     stirling_count,

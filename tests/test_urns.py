@@ -344,6 +344,19 @@ def test_spec_json_rejects_malformed_shapes(case):
         spec_from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize("text,rule", [
+    ('{"family": "polya_young"}', "^missing spec keys: ells, initial, period, sigma$"),
+    ('{"family": "polya_young", "period": 2, "initial": [1, 1], "sigma": 1}',
+     "^missing spec keys: ells$"),
+    ("[1, 2]", "^a spec is a JSON object$"),
+    ("3", "^a spec is a JSON object$"),
+])
+def test_spec_json_names_a_missing_key_or_a_non_object(text, rule):
+    # these once raised KeyError: 'period', and TypeError for the non-objects
+    with pytest.raises(ValueError, match=rule):
+        spec_from_json(text)
+
+
 def test_pmf_helpers():
     law = Pmf((1, 2), (Fraction(1, 2), Fraction(1, 2)))
     law.check_total()
