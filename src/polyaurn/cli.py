@@ -473,8 +473,15 @@ def run(argv=None) -> int:
     if remaining:
         parser.error(f"unrecognized arguments: {' '.join(remaining)}")
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            defaults = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                defaults = json.load(fh)
+        except OSError as exc:
+            parser.error(f"cannot read config {args.config}: {exc.strerror}")
+        except ValueError as exc:
+            parser.error(f"config {args.config} is not JSON: {exc}")
+        if not isinstance(defaults, dict):
+            parser.error(f"config {args.config} must hold a JSON object")
         # defaults must land on the subcommand parser: the subparser re-applies
         # its own defaults on every parse, clobbering top-level set_defaults
         sub = parser.command_parsers[args.command]
@@ -493,7 +500,7 @@ def run(argv=None) -> int:
             args.model = _spec_from_args(args)
         return args.func(args)
     except (ValueError, TypeError, ZeroDivisionError, NotImplementedError,
-            RuntimeError, OverflowError) as exc:
+            RuntimeError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

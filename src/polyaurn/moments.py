@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
 
 import numpy as np
 
@@ -135,18 +134,19 @@ def g_factor(spec: UrnSpec, N: int, mode: str = "auto"):
     return 1 / P if exact else math.exp(-P)
 
 
-def _binomial_core(spec: UrnSpec, N: int) -> tuple[int, list[int]]:
-    """(Q, [Q*B_s for s = 0..N]) in integers, B_s = E[binom(K, s)] and
-    Q = prod_{j<N} d*T_j, the denominator of the DP's law of K, so that
-    every Q*B_s is an integer.
+def _law_core(spec: UrnSpec, N: int) -> tuple[int, list[int]]:
+    """(Q, [Q*P(K = k) for k = 0..N]) in integers, K the number of color-0
+    draws in N steps and Q = prod_{j<N} d*T_j, the denominator of the DP's
+    law of K, so that every Q*P(K = k), a sum of path weights, is an integer.
 
-    With X = W_N/sigma = c + K, c = w0/sigma = a/b and rho_m =
-    prod_{k<m} (a + k*b), E[binom(X + m - 1, m)] = rho_m*P_m/(m!*b^m), and
-    P_m*Q = prod_j (d*T_j + m*sigma*d).  The Lah numbers factor as
-    L(j, m) = binom(j - 1, m - 1)*j!/m!, so E[binom(X, j)] is the (j-1)-th
-    forward difference of those values from m = 1: additions over the common
-    denominator N!*b^N*Q.  Vandermonde with binom(-c, i) =
-    (-1)^i*rho_i/(i!*b^i) then gives s!*b^s*Q*B_s, which divides exactly."""
+    Newton interpolation of the moment polynomial: with c = w0/sigma = a/b,
+    P_s = E[rising(c + s, K)/rising(c, K)], a polynomial of degree <= N in
+    y = c + s with coefficients P(K = k)/rising(c, k) in the basis
+    rising(y, k).  At y = -i, rising(-i, k) = (-1)^k*k!*binom(i, k), so
+    G_i = Q*P_{-c-i} = prod_j (d*T_j - d*w0 - i*d*sigma), i = 0..N, is the
+    binomial transform of (-1)^k*k!*Q*P(K = k)/rising(c, k), and forward
+    differences invert it: Q*P(K = k) = (-1)^k*rho_k*Delta^k G_0/(k!*b^k),
+    rho_k = prod_{i<k} (a + i*b), a quotient that divides exactly."""
     _require_product_form(spec)
     if not spec.is_exact:
         raise ValueError("binomial moments are computed exactly; pass a rational spec")
@@ -154,30 +154,27 @@ def _binomial_core(spec: UrnSpec, N: int) -> tuple[int, list[int]]:
         raise ValueError("moment inversion is O(N^2) exact arithmetic; keep N <= 600")
     sched = schedule(spec, N)
     totals = sched.totals[:N].tolist()
-    h = int(spec.sigma * sched.d)
+    h, w = int(spec.sigma * sched.d), int(spec.initial[0] * sched.d)
     c = _scaled_start(spec)
     a, b = c.numerator, c.denominator
-    rho = [1]
-    for k in range(N):
-        rho.append(rho[-1] * (a + k * b))
-    scale = [factorial(N) // factorial(m) * b ** (N - m) for m in range(N + 1)]
-    # y[m] = N!*b^N*Q * E[binom(X + m - 1, m)]; then e[j] = N!*b^N*Q * E[binom(X, j)]
-    y = [sc * r * _product(t + m * h for t in totals) for m, (sc, r) in enumerate(zip(scale, rho))]
-    e, diff = y[:1], y[1:]
-    while diff:
-        e.append(diff[0])
+    diff = [_product(t - w - i * h for t in totals) for i in range(N + 1)]
+    law, num, den = [], 1, 1  # num = (-1)^k*rho_k, den = k!*b^k
+    for k in range(N + 1):
+        law.append(num * diff[0] // den)
         diff = [v - u for u, v in zip(diff, diff[1:])]
-    g = [ej // sc for ej, sc in zip(e, scale)]  # j!*b^j*Q * E[binom(X, j)]
-    signed = [-r if i % 2 else r for i, r in enumerate(rho)]
-    QB = [sum(comb(s, j) * signed[s - j] * g[j] for j in range(s + 1)) // (factorial(s) * b**s)
-          for s in range(N + 1)]
-    return g[0], QB  # g[0] = Q
+        num, den = -num * (a + k * b), den * (k + 1) * b
+    return _product(totals), law
 
 
 def binomial_moments(spec: UrnSpec, N: int) -> list[Fraction]:
     """B_s = E[binom(K, s)] for s = 0..N, where K is the number of color-0
-    draws in N steps (W_N = w0 + sigma*K).  Exact; cost O(N^2) products."""
-    Q, QB = _binomial_core(spec, N)
+    draws in N steps (W_N = w0 + sigma*K).  Exact: the law of K by Newton
+    interpolation of the moment polynomial (_law_core), Taylor-shifted by +1,
+    since sum_k P(K = k)*v^k = sum_s B_s*(v - 1)^s."""
+    Q, QB = _law_core(spec, N)
+    for i in range(N):
+        for j in range(N - 1, i - 1, -1):
+            QB[j] += QB[j + 1]
     return [Fraction(v, Q) for v in QB]
 
 
@@ -190,19 +187,14 @@ def pgf(spec: UrnSpec, N: int, v) -> Fraction:
 
 
 def pmf_via_moments(spec: UrnSpec, N: int) -> Pmf:
-    """Exact law of W_N recovered by inverting the rising-moment sequence
-    (rising -> falling via Lah numbers, shift by w0/sigma via Vandermonde,
-    then inclusion-exclusion on binomial moments).  Independent of the
+    """Exact law of W_N recovered from the rising moments alone, by Newton
+    interpolation of the moment polynomial (_law_core).  Independent of the
     step-by-step DP; used as a cross-check against it.  Counts of
     probability 0 (unreachable when the black side starts empty) are
     dropped, as exact_pmf_dp drops them."""
-    Q, probs = _binomial_core(spec, N)
-    for i in range(N):  # sum_s Q*B_s*(v - 1)^s in powers of v: Taylor shift by -1
-        for j in range(N - 1, i - 1, -1):
-            probs[j] -= probs[j + 1]
-    support = [spec.initial[0] + k * spec.sigma for k, q in enumerate(probs) if q]
-    probs = [Fraction(q, Q) for q in probs if q]
-    pmf = Pmf(tuple(support), tuple(probs))
+    Q, law = _law_core(spec, N)
+    support = [spec.initial[0] + k * spec.sigma for k, q in enumerate(law) if q]
+    pmf = Pmf(tuple(support), tuple(Fraction(q, Q) for q in law if q))
     pmf.check_total()
     return pmf
 

@@ -137,12 +137,17 @@ class UrnSpec:
         return sum(self.initial)
 
     def validate(self) -> None:
-        """The one shape rule: a known family with a period >= 1 and an
-        offset in [0, period); exactly two ells, the ordinary one 0 for the
-        polya_young and multicolor families; a registered sequence (and
-        period 1) for the sequence family and for it only; white immigration
-        only on two colors, one amount per phase; then the signs of the
-        values."""
+        """The one shape rule: no value a float that is not finite; a known
+        family with a period >= 1 and an offset in [0, period); exactly two
+        ells, the ordinary one 0 for the polya_young and multicolor families;
+        a registered sequence (and period 1) for the sequence family and for
+        it only; white immigration only on two colors, one amount per phase;
+        then the signs of the values."""
+        fields = (("initial", self.initial), ("sigma", (self.sigma,)), ("ells", self.ells),
+                  ("white_immigration", self.white_immigration or ()))
+        for name, vals in fields:
+            if any(isinstance(v, float) and not math.isfinite(v) for v in vals):
+                raise ValueError(f"{name} must be finite")
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; known: {sorted(_FAMILIES)}")
         if self.period < 1:
@@ -708,6 +713,13 @@ def spec_to_json(spec: UrnSpec) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _json_int(data: dict, key: str, default=None) -> int:
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"spec key {key!r} must be a JSON integer, got {value!r}")
+    return value
+
+
 def spec_from_json(text: str) -> UrnSpec:
     data = json.loads(text)
     if not isinstance(data, dict):
@@ -720,11 +732,11 @@ def spec_from_json(text: str) -> UrnSpec:
     immigration = data.get("white_immigration")
     return UrnSpec(
         family=data["family"],
-        period=int(data["period"]),
+        period=_json_int(data, "period"),
         initial=_num_tuple(data["initial"]),
         sigma=_num(data["sigma"]),
         ells=_num_tuple(data["ells"]),
-        offset=int(data.get("offset", 0)),
+        offset=_json_int(data, "offset", 0),
         sequence_name=data.get("sequence"),
         white_immigration=None if immigration is None else _num_tuple(immigration),
     )

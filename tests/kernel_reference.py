@@ -33,10 +33,11 @@ values, Fraction for Fraction and bit for bit.  `per_step_schedule` resolves
 every step of a cycle by this file's `ell_at` and `immigration_at` (one
 Fraction each) and takes the lcm over all of them.  `binomial_moments`
 inverts the rising moments with Fraction sums over `lah_number` and
-`falling_factorial`, which live here since no package code needs them; `pgf`
-and `pmf_via_moments` read from it, and the latter drops atoms of
-probability 0 as the package does.  `exact_pmf_dp_float` is the float DP
-that allocates a fresh row every step.
+`falling_factorial`, which live here since no package code needs them (the
+package interpolates the moment polynomial instead, so this route is an
+independent derivation); `pgf` and `pmf_via_moments` read from it, and the
+latter drops atoms of probability 0 as the package does.
+`exact_pmf_dp_float` is the float DP that allocates a fresh row every step.
 
 One line differs from the old kernels on purpose: when the float cumulative
 sum falls short of u*total, they took the last colour or slot (M - 1), which

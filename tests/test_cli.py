@@ -139,6 +139,31 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[1, 2]", "must hold a JSON object"),
+    ("3", "must hold a JSON object"),
+    ("{bad", "is not JSON"),
+    (None, "cannot read config"),
+], ids=["list", "number", "malformed", "missing"])
+def test_config_that_is_no_json_object_exits_2(capsys, tmp_path, text, message):
+    # each once ended in a traceback
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        run(["urn-exact", "--family", "py", "--N", "2", "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and message in err
+
+
+def test_unwritable_output_exits_1(capsys, tmp_path):
+    path = tmp_path / "no_such_dir" / "x.csv"
+    assert run(["urn-exact", "--family", "py", "--N", "2", "--output", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and str(path) in captured.err
+
+
 def test_urn_limit_moments_and_density(tmp_path):
     code, text = run_to_file(
         tmp_path,

@@ -126,6 +126,17 @@ def test_pmf_via_moments_drops_impossible_atoms():
     assert law.support == (3, 4, 5) and 0 not in law.probs
 
 
+@pytest.mark.parametrize("spec", [multicolor_polya_young(2, 1, 1, (2, 1, 1)),
+                                  polya_young(2, 2, Fraction(1, 2), 3, 0, offset=1)],
+                         ids=["multicolour", "py_offset_b0_0"])
+def test_pmf_via_moments_equals_the_enumerated_colour_0_law(spec):
+    # the multicolour spec's colour 0 moves by sigma only when drawn, as in
+    # two colours; the py spec has c = w0/sigma = 3/2 and an empty black side
+    # that the refresh at step 1 fills
+    for N in range(9):
+        assert pmf_via_moments(spec, N) == marginal_pmf(enumerate_histories(spec, N), 0), N
+
+
 def test_moment_inversion_at_its_guard():
     assert pmf_via_moments(STD, 600) == exact_pmf_dp(STD, 600, "exact")
     with pytest.raises(ValueError, match="keep N <= 600"):

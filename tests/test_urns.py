@@ -1,6 +1,7 @@
 """Urn constructors, exact laws, enumeration agreement, serialization."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +54,15 @@ def test_constructor_validation():
         polya_young(2, 1, -1, 1, 1)  # additions must be non-negative
     with pytest.raises(ValueError, match="immigration amounts must be non-negative"):
         with_white_immigration(polya_young(1, 1, 1, 1, 1), [-3])
+    # floats that are not finite once passed, to fail later in schedule
+    for build, field in ((lambda: polya_young(1, 1, 1, 1, math.nan), "initial"),
+                         (lambda: polya_young(1, 1, 1, 1, math.inf), "initial"),
+                         (lambda: polya_young(1, math.nan, 1, 1, 1), "sigma"),
+                         (lambda: triangular(2, 1, math.nan, 1, 1, 1), "ells"),
+                         (lambda: with_white_immigration(STD, [0, math.nan]),
+                          "white_immigration")):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            build()
 
 
 def _total(spec, N):
@@ -324,6 +334,15 @@ _MALFORMED = {  # field overrides of a valid spec's JSON -> the rule they break
     "1 amount, period 2": (with_white_immigration(STD, [1, 0]),
                            {"white_immigration": [1]}, "one immigration amount per phase"),
     "offset past the period": (STD, {"offset": 2}, r"offset must be in \[0, period\)"),
+    # the first three once loaded as period 2, offset 1 and period 1
+    "fractional period": (STD, {"period": 2.5}, "^spec key 'period' must be a JSON integer"),
+    "fractional offset": (STD, {"offset": 1.9}, "^spec key 'offset' must be a JSON integer"),
+    "boolean period": (STD, {"period": True}, "^spec key 'period' must be a JSON integer"),
+    "string period": (STD, {"period": "2"}, "^spec key 'period' must be a JSON integer"),
+    # these once loaded, and schedule then raised on NaN's integer ratio or
+    # overflowed
+    "NaN initial": (STD, {"initial": [1, math.nan]}, "^initial must be finite$"),
+    "infinite ell": (THUE_MORSE, {"ells": [1, math.inf]}, "^ells must be finite$"),
     # schema 2 stored the ells up to three times; a stray copy is refused by name
     "phase_ells off ell": (STD, {"phase_ells": [5, 0]}, "^unknown spec keys: phase_ells$"),
     "phase_ells off ell1": (triangular(2, 1, 1, 2, 1, 1), {"ell1": 3},
