@@ -489,6 +489,13 @@ def run(argv=None) -> int:
         unknown = sorted(set(defaults) - known)
         if unknown:
             parser.error(f"unknown config keys: {', '.join(unknown)}")
+        # argparse checks choices on the command line only, never on defaults
+        for action in sub._actions:
+            value = defaults.get(action.dest, action.default)
+            if action.choices is None or value == action.default or value in action.choices:
+                continue
+            parser.error(f"config key {action.dest!r}: invalid choice {value!r} "
+                         f"(choose from {', '.join(map(repr, action.choices))})")
         # argparse runs a flag's type on string defaults only: pass the values
         # of typed flags as strings, so they are checked as on the command line
         typed = {action.dest for action in sub._actions if action.type is not None}

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .specialfn import log_gamma, rising_factorial, stirling2
-from .urns import Pmf, UrnSpec, _product, _resolve_mode, schedule
+from .urns import Pmf, UrnSpec, _exact_pmf, _product, _resolve_mode, schedule
 
 __all__ = [
     "product_ratio",
@@ -193,10 +193,7 @@ def pmf_via_moments(spec: UrnSpec, N: int) -> Pmf:
     probability 0 (unreachable when the black side starts empty) are
     dropped, as exact_pmf_dp drops them."""
     Q, law = _law_core(spec, N)
-    support = [spec.initial[0] + k * spec.sigma for k, q in enumerate(law) if q]
-    pmf = Pmf(tuple(support), tuple(Fraction(q, Q) for q in law if q))
-    pmf.check_total()
-    return pmf
+    return _exact_pmf((spec.initial[0] + k * spec.sigma for k in range(N + 1)), law, Q)
 
 
 def mixed_rising_moment(spec: UrnSpec, N: int, svec, mode: str = "auto"):

@@ -16,10 +16,13 @@ is what makes the exact DP over white-draw counts linear in state.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
+from operator import add, mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -260,7 +263,7 @@ class Schedule:
     d*immigration of each step over one cycle of steps i = 1, 2, ... (see
     _step_rule), which repeats to cover steps 1..N.  The arrays are int64
     while every value stays below 2**53 and hold Python ints beyond, so they
-    never wrap."""
+    never wrap, and read-only, since schedule() hands one to every caller."""
 
     d: int
     exact: bool
@@ -283,14 +286,26 @@ def _per_step(row: np.ndarray, N: int) -> np.ndarray:
     return np.tile(row, -(-N // len(row)))[:N]
 
 
+# schedules schedule() keeps, least recently used first out: an exact check
+# at small N reads one (spec, N) schedule up to six times
+_SCHEDULE_MEMO = 8
+
+
 def schedule(spec: UrnSpec, N: int) -> Schedule:
     """Step schedule of `spec` for steps 1..N, from the rows of _step_rule.
 
     The common denominator covers the rows the cycle uses.  The totals are
     the running sum of the per-step additions, which by balance do not depend
-    on the drawn color."""
+    on the drawn color.  Schedules are memoised and their arrays read-only;
+    the key carries spec.is_exact, since an exact spec equals (and hashes
+    as) its float twin, e.g. sigma 1 and 1.0."""
     if N < 0:
         raise ValueError("N must be >= 0")
+    return _schedule(spec, spec.is_exact, N)
+
+
+@functools.lru_cache(maxsize=_SCHEDULE_MEMO)
+def _schedule(spec: UrnSpec, exact: bool, N: int) -> Schedule:
     rows, kind = _step_rule(spec, N)
     rows = [tuple(map(Fraction, row)) for row in rows]
     base = Fraction(spec.sigma)
@@ -306,7 +321,9 @@ def schedule(spec: UrnSpec, N: int) -> Schedule:
     totals[0] = int(t0 * d)
     totals[1:] = _per_step(adds, N)
     np.cumsum(totals, out=totals)
-    return Schedule(d, spec.is_exact, totals, ells, imms)
+    for a in (totals, ells, imms):
+        a.flags.writeable = False
+    return Schedule(d, exact, totals, ells, imms)
 
 
 def _product(values) -> int:
@@ -524,9 +541,22 @@ def empirical_pmf(samples) -> Pmf:
     return Pmf(tuple(values.tolist()), tuple(Fraction(c, n) for c in counts.tolist()))
 
 
+def _exact_pmf(support, weights, den: int) -> Pmf:
+    """The exact routes' one total check: integer path weights over den,
+    checked to sum to den in integers before each Fraction is built once;
+    atoms of weight 0 are dropped."""
+    total = sum(weights)
+    if total != den:
+        raise AssertionError(f"exact pmf sums to {Fraction(total, den)}")
+    kept = [(x, w) for x, w in zip(support, weights) if w]
+    return Pmf(tuple(x for x, _ in kept), tuple(Fraction(w, den) for _, w in kept))
+
+
 # mode="auto" runs exact arithmetic up to about 1 s of work.  Measured on
-# polya_young(2, 1, 1, 1, 1), 2-vCPU host: exact 0.012 s at N = 200, 0.44 s
-# at 800, 0.85 s at 1,000 and 1.5 s at 1,200; float 0.017 s at 1,200.
+# polya_young(2, 1, 1, 1, 1), 2-vCPU host shared with other tenants (best of
+# 3, two runs): exact 0.006-0.011 s at N = 200, 0.25-0.45 s at 800,
+# 0.45-0.85 s at 1,000 and 0.83-1.06 s at 1,200; float 0.008-0.017 s at
+# 1,200.
 _AUTO_EXACT_MAX_N = 1_000
 
 
@@ -571,40 +601,39 @@ def exact_pmf_dp(spec: UrnSpec, N: int, mode: str = "auto") -> Pmf:
     if exact:
         totals = sched.totals.tolist()
         imm = imm.tolist()
-        draws = np.arange(N + 1, dtype=object) * gain
-        probs = np.ones(1, dtype=object)
+        probs = [1]
         for i in range(N):
-            white = w0 + draws[: i + 1] + imm[i]
-            nxt = np.zeros(i + 2, dtype=object)
-            nxt[1:] = probs * white
-            nxt[:-1] += probs * (totals[i] - white)
-            probs = nxt
-        den = _product(totals[:N])
-        support = [Fraction(w, d) for w in (w0 + draws + imm[N]).tolist()]
-        probs = [Fraction(q, den) for q in probs]
-    else:
-        support = (float(spec.initial[0]) + np.arange(N + 1) * float(spec.sigma)
-                   + sched.real(imm[N])).tolist()
-        totals = np.asarray(sched.totals, dtype=float).tolist()
-        imm = np.asarray(imm, dtype=float).tolist()
-        white = float(w0) + np.arange(N + 1) * float(gain)
-        # probs[:i+1] is the law before step i+1; up and stay are work rows
-        probs, up, stay = np.zeros(N + 1), np.empty(N + 1), np.empty(N + 1)
-        probs[0] = 1.0
-        for i in range(N):
-            p, u, s = probs[: i + 1], up[: i + 1], stay[: i + 1]
-            np.add(white[: i + 1], imm[i], out=u)
-            np.divide(u, totals[i], out=u)
-            np.subtract(1, u, out=s)
-            np.multiply(p, u, out=u)
-            np.multiply(p, s, out=s)
-            probs[i + 1] = u[i]
-            np.add(u[:i], s[1:], out=probs[1 : i + 1])
-            probs[0] = s[0]
-        probs = probs.tolist()
-    # unreachable counts (e.g. "all draws black" when the black side starts
-    # empty) carry probability exactly 0 in both arithmetic modes; drop them
-    kept = [(w, q) for w, q in zip(support, probs) if q != 0]
+            # before step i + 1, with k color-0 draws, color 0 holds
+            # w + k*gain of t: two products and one add per cell
+            w, t = w0 + imm[i], totals[i]
+            stay = map(mul, probs, range(t - w, t - w - (i + 1) * gain, -gain))
+            up = map(mul, probs, range(w, w + (i + 1) * gain, gain))
+            probs = list(map(add, chain(stay, (0,)), chain((0,), up)))
+        w = w0 + imm[N]
+        support = (Fraction(v, d) for v in range(w, w + (N + 1) * gain, gain))
+        # unreachable counts (e.g. "all draws black" when the black side
+        # starts empty) carry weight exactly 0 in both arithmetic modes;
+        # _exact_pmf drops them, as the float arm does below
+        return _exact_pmf(support, probs, _product(totals[:N]))
+    support = (float(spec.initial[0]) + np.arange(N + 1) * float(spec.sigma)
+               + sched.real(imm[N])).tolist()
+    totals = np.asarray(sched.totals, dtype=float).tolist()
+    imm = np.asarray(imm, dtype=float).tolist()
+    white = float(w0) + np.arange(N + 1) * float(gain)
+    # probs[:i+1] is the law before step i+1; up and stay are work rows
+    probs, up, stay = np.zeros(N + 1), np.empty(N + 1), np.empty(N + 1)
+    probs[0] = 1.0
+    for i in range(N):
+        p, u, s = probs[: i + 1], up[: i + 1], stay[: i + 1]
+        np.add(white[: i + 1], imm[i], out=u)
+        np.divide(u, totals[i], out=u)
+        np.subtract(1, u, out=s)
+        np.multiply(p, u, out=u)
+        np.multiply(p, s, out=s)
+        probs[i + 1] = u[i]
+        np.add(u[:i], s[1:], out=probs[1 : i + 1])
+        probs[0] = s[0]
+    kept = [(w, q) for w, q in zip(support, probs.tolist()) if q != 0]
     pmf = Pmf(tuple(w for w, _ in kept), tuple(q for _, q in kept))
     pmf.check_total(tol=1e-9)
     return pmf
@@ -636,28 +665,36 @@ def enumerate_histories(spec: UrnSpec, N: int) -> Pmf:
     if exact:
         sched = schedule(spec, N)
         d, den = sched.d, _product(sched.totals[:N].tolist())
-        num = lambda a: int(a * d)
+        sigma, start = int(spec.sigma * d), [int(c * d) for c in spec.initial]
+        ells, imms = _per_step(sched.ells, N), _per_step(sched.imm, N)
         cdtype = np.int64 if int(sched.totals[-1]) < 2**63 else object
         wdtype = np.int64 if den < 2**63 else object  # a path weight is at most den
     else:
-        num, cdtype, wdtype = (lambda a: a), object, float
-    rows, kind = _step_rule(spec, N)
-    ells, imms = ([num(rows[k][c]) for k in _per_step(kind, N)] for c in (0, 1))
+        rows, kind = _step_rule(spec, N)
+        sigma, start = spec.sigma, list(spec.initial)
+        ells, imms = ([rows[k][c] for k in _per_step(kind, N)] for c in (0, 1))
+        cdtype, wdtype = object, float
     # the terms of each step, row k when colour k is drawn: sigma to colour k,
     # ell to the last colour, immigration to colour 0; integers add in one go
     rules = np.zeros((N, 3, K, K), cdtype)
-    rules[:, 0, range(K), range(K)] = num(spec.sigma)
+    rules[:, 0, range(K), range(K)] = sigma
     rules[:, 1, :, -1] = np.array(ells, cdtype)[:, None]
     rules[:, 2, :, 0] = np.array(imms, cdtype)[:, None]
     if exact:
         rules = rules.sum(axis=1, keepdims=True)
-    acc = {}
-    stack = [(0, np.array([[num(c) for c in spec.initial]], cdtype), np.ones(1, wdtype))]
+    # leaf states so far: exact ones merged by sort, float ones summed in
+    # leaf order, as the recursion sums them
+    leaves, acc = (np.empty((0, K), cdtype), np.empty(0, wdtype)), {}
+    stack = [(0, np.array([start], cdtype), np.ones(1, wdtype))]
     while stack:
         i, counts, weight = stack.pop()
         if i == N:
-            for key, w in zip(map(tuple, counts.tolist()), weight.tolist()):
-                acc[key] = acc.get(key, 0) + w
+            if exact:
+                leaves = _merge_rows(np.concatenate((leaves[0], counts)),
+                                     np.concatenate((leaves[1], weight)))
+            else:
+                for key, w in zip(map(tuple, counts.tolist()), weight.tolist()):
+                    acc[key] = acc.get(key, 0) + w
             continue
         if exact:
             weight = weight[:, None] * counts
@@ -671,11 +708,22 @@ def enumerate_histories(spec: UrnSpec, N: int) -> Pmf:
         child, weight = child[drawn], weight[drawn]
         stack.extend((i + 1, child[s:s + _ENUM_CHUNK], weight[s:s + _ENUM_CHUNK])
                      for s in reversed(range(0, len(weight), _ENUM_CHUNK)))
+    if exact:
+        counts, weight = (v.tolist() for v in leaves)
+        return _exact_pmf([tuple(Fraction(c, d) for c in row) for row in counts], weight, den)
     support = sorted(acc)
-    pmf = Pmf(tuple(tuple(Fraction(c, d) for c in s) if exact else s for s in support),
-              tuple(Fraction(acc[s], den) if exact else acc[s] for s in support))
+    pmf = Pmf(tuple(support), tuple(acc[s] for s in support))
     pmf.check_total(tol=1e-9)
     return pmf
+
+
+def _merge_rows(counts: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of counts in lexicographic order, each with the sum
+    of its integer weights: a stable sort puts equal rows side by side."""
+    order = np.lexsort(counts.T[::-1])
+    counts, weight = counts[order], weight[order]
+    first = np.flatnonzero(np.append(True, (counts[1:] != counts[:-1]).any(axis=1)))
+    return counts[first], np.add.reduceat(weight, first)
 
 
 def marginal_pmf(joint: Pmf, index: int) -> Pmf:
@@ -720,6 +768,25 @@ def _json_int(data: dict, key: str, default=None) -> int:
     return value
 
 
+def _json_str(data: dict, key: str, optional: bool = False):
+    value = data.get(key)
+    if not isinstance(value, str) and not (optional and value is None):
+        raise ValueError(f"spec key {key!r} must be a JSON string, got {value!r}")
+    return value
+
+
+def _json_nums(data: dict, key: str, array: bool):
+    """The number (array=False) or the JSON array of numbers under key, read
+    by _num; a malformed value raises a ValueError that names the key."""
+    value = data[key]
+    if array and not isinstance(value, list):
+        raise ValueError(f"spec key {key!r} must be a JSON array, got {value!r}")
+    try:
+        return _num_tuple(value) if array else _num(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"spec key {key!r}: {exc}") from None
+
+
 def spec_from_json(text: str) -> UrnSpec:
     data = json.loads(text)
     if not isinstance(data, dict):
@@ -730,13 +797,15 @@ def spec_from_json(text: str) -> UrnSpec:
     if missing:
         raise ValueError(f"missing spec keys: {', '.join(missing)}")
     immigration = data.get("white_immigration")
+    if immigration is not None:
+        immigration = _json_nums(data, "white_immigration", array=True)
     return UrnSpec(
-        family=data["family"],
+        family=_json_str(data, "family"),
         period=_json_int(data, "period"),
-        initial=_num_tuple(data["initial"]),
-        sigma=_num(data["sigma"]),
-        ells=_num_tuple(data["ells"]),
+        initial=_json_nums(data, "initial", array=True),
+        sigma=_json_nums(data, "sigma", array=False),
+        ells=_json_nums(data, "ells", array=True),
         offset=_json_int(data, "offset", 0),
-        sequence_name=data.get("sequence"),
-        white_immigration=None if immigration is None else _num_tuple(immigration),
+        sequence_name=_json_str(data, "sequence", optional=True),
+        white_immigration=immigration,
     )

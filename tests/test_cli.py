@@ -157,6 +157,21 @@ def test_config_that_is_no_json_object_exits_2(capsys, tmp_path, text, message):
     assert str(cfg) in err and message in err
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({"family": "bogus"}, "config key 'family': invalid choice 'bogus' "
+                          "(choose from 'py', 'tri', 'multi', 'seq')"),
+    ({"format": "xml"}, "config key 'format': invalid choice 'xml' (choose from 'csv', 'json')"),
+], ids=["family", "format"])
+def test_config_value_outside_its_choices_exits_2(capsys, tmp_path, fields, message):
+    # these once ran the Thue-Morse urn and printed CSV, and exited 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    with pytest.raises(SystemExit) as exc:
+        run(["urn-exact", "--N", "2", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_unwritable_output_exits_1(capsys, tmp_path):
     path = tmp_path / "no_such_dir" / "x.csv"
     assert run(["urn-exact", "--family", "py", "--N", "2", "--output", str(path)]) == 1

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kernel_reference import apply_draw, immigration_at, thue_morse_index
+from polyaurn import urns
 from polyaurn.crp import CrpParams, table_count_urn
 from polyaurn.urns import (
     _AUTO_EXACT_MAX_N,
     Pmf,
     UrnSpec,
+    _exact_pmf,
     _thue_morse_prefix,
     empirical_pmf,
     enumerate_histories,
@@ -349,6 +351,12 @@ _MALFORMED = {  # field overrides of a valid spec's JSON -> the rule they break
                             "^unknown spec keys: ell1$"),
     "multicolour ell": (MULTI, {"ell": 2}, "^unknown spec keys: ell$"),
     "multicolour ell2": (MULTI, {"ell2": 5}, "^unknown spec keys: ell2$"),
+    # the first two once loaded as (1, 2) and (0, 1); the last two raised a
+    # TypeError that named no key
+    "string initial": (STD, {"initial": "12"}, "^spec key 'initial' must be a JSON array"),
+    "string ells": (STD, {"ells": "01"}, "^spec key 'ells' must be a JSON array"),
+    "number initial": (STD, {"initial": 5}, "^spec key 'initial' must be a JSON array"),
+    "list family": (STD, {"family": [1]}, "^spec key 'family' must be a JSON string"),
 }
 
 
@@ -412,3 +420,33 @@ def test_dp_equals_enumeration_property(p, sigma, ell, w0, b0, offset, N):
     for w in ws:
         k = (w - w0) / sigma
         assert k == int(k) and 0 <= k <= N
+
+
+def test_schedule_memo_keeps_exact_and_float_twins_apart():
+    # the twins are equal and hash alike, yet one is exact and one is not
+    exact, floats = polya_young(2, 1, 1, 1, 1), polya_young(2, 1.0, 1, 1, 1)
+    assert exact == floats and hash(exact) == hash(floats)
+    for first, second in ((exact, floats), (floats, exact)):
+        urns._schedule.cache_clear()
+        for spec in (first, second):
+            kind = Fraction if spec.is_exact else float
+            sched = schedule(spec, 9)
+            assert sched.exact is spec.is_exact and type(sched.total(9)) is kind
+            for law in (exact_pmf_dp(spec, 9), enumerate_histories(spec, 9)):
+                assert all(type(q) is kind for q in law.probs)
+
+
+def test_schedule_arrays_are_read_only():
+    sched = schedule(STD, 10)
+    assert sched is schedule(STD, 10)
+    for name in ("totals", "ells", "imm"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(sched, name)[0] = 1
+    assert schedule(STD, 10).totals.tolist() == [2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17]
+
+
+def test_exact_total_is_checked_in_integers():
+    law = _exact_pmf(["a", "b", "c"], [1, 0, 2], 3)
+    assert law == Pmf(("a", "c"), (Fraction(1, 3), Fraction(2, 3)))
+    with pytest.raises(AssertionError, match="^exact pmf sums to 2/3$"):
+        _exact_pmf(["a", "b"], [1, 1], 3)
