@@ -12,14 +12,16 @@ digits.  Exit codes: 0 success, 1 domain or verification failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import product
 
 from . import __version__
 from .crp import CrpParams, seating_probabilities, simulate_table_count_batch, tree_equivalents
-from .laws import verify_decomposition
+from .laws import verify_decomposition, verify_multicolor_decomposition
 from .martingale import tail_sum_experiment, tail_variance
 from .moments import (
     asymptotic_constants,
@@ -336,12 +338,20 @@ def cmd_crp(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = args.model
-    if args.what != "density" and spec.colors != 2:
-        raise ValueError(f"verify --what {args.what} covers two-colour specs; "
+    if args.what == "martingale" and spec.colors != 2:
+        raise ValueError("verify --what martingale covers two-colour specs; "
                          "--what density covers multicolour ones")
     if args.tol is None:
         args.tol = 1e-6 if args.what == "density" else 1e-9
-    if args.what == "decomposition":
+    if args.what == "decomposition" and spec.colors != 2:
+        # every order vector of total 1..smax; the refreshed last colour
+        # carries order 0
+        svecs = [(*head, 0) for head in product(range(args.smax + 1), repeat=spec.colors - 1)
+                 if 0 < sum(head) <= args.smax]
+        rows = verify_multicolor_decomposition(spec, svecs)
+        worst = max(rel for *_, rel in rows)
+        payload = {"order_vectors": len(rows), "max_rel_error": worst}
+    elif args.what == "decomposition":
         report = verify_decomposition(spec, smax=args.smax)
         worst = report.max_rel_error
         payload = {
@@ -467,8 +477,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every run without --config, built once per process:
+    parsing leaves a parser as it found it, and only the --config path
+    changes defaults, on a parser of its own."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args, remaining = parser.parse_known_args(argv)
     if remaining:
         parser.error(f"unrecognized arguments: {' '.join(remaining)}")
@@ -484,6 +502,7 @@ def run(argv=None) -> int:
             parser.error(f"config {args.config} must hold a JSON object")
         # defaults must land on the subcommand parser: the subparser re-applies
         # its own defaults on every parse, clobbering top-level set_defaults
+        parser = build_parser()
         sub = parser.command_parsers[args.command]
         known = {action.dest for action in sub._actions}
         unknown = sorted(set(defaults) - known)

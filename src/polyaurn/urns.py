@@ -488,22 +488,70 @@ def simulate_counts_batch(spec: UrnSpec, N: int, n_reps: int, seed: int) -> np.n
 # exact distributions
 
 
-@dataclass(frozen=True)
 class Pmf:
-    """Finite probability mass function with ordered support."""
+    """Finite probability mass function with ordered support.
 
-    support: tuple
-    probs: tuple
+    `Pmf(support, probs)` keeps the probabilities it is given, floats or
+    Fractions.  The exact routes build the integer form instead
+    (`_exact_pmf`): positive integer path weights over one denominator, as
+    their arithmetic ends.  There `probs` builds the reduced Fractions on
+    first read and keeps them; `repr`, `hash`, `as_dict`, `tv_distance` and
+    `==` against a Fraction- or float-valued law read them.  `is_exact`,
+    `check_total`, `map_support`, `marginal_pmf`, `==` between two integer
+    forms (cross-multiplied when their denominators differ), and `mean`,
+    `moment` and `expect` with int- or Fraction-valued functions (one
+    integer sum, one division) read the integers.  Any other `expect`,
+    float-valued ones included, sums p * f(x) over `probs` in atom order on
+    either form.  Immutable.
+    """
 
-    def __post_init__(self):
-        if len(self.support) != len(self.probs):
+    def __init__(self, support, probs):
+        if len(support) != len(probs):
             raise ValueError("support/probs length mismatch")
+        vars(self).update(support=support, probs=probs, _weights=None, _den=None)
+
+    @classmethod
+    def _from_weights(cls, support: tuple, weights: tuple, den: int) -> "Pmf":
+        pmf = cls.__new__(cls)
+        vars(pmf).update(support=support, _weights=weights, _den=den)
+        return pmf
+
+    @functools.cached_property
+    def probs(self) -> tuple:
+        return tuple(Fraction(w, self._den) for w in self._weights)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"Pmf(support={self.support!r}, probs={self.probs!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._den is None or other._den is None:
+            return (self.support, self.probs) == (other.support, other.probs)
+        if self.support != other.support:
+            return False
+        if self._den == other._den:
+            return self._weights == other._weights
+        return all(a * other._den == b * self._den for a, b in zip(self._weights, other._weights))
+
+    def __hash__(self) -> int:
+        return hash((self.support, self.probs))
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(p, Fraction) for p in self.probs)
+        return self._den is not None or all(isinstance(p, Fraction) for p in self.probs)
 
     def check_total(self, tol: float = 1e-12) -> None:
+        if self._den is not None:
+            total = sum(self._weights)
+            if total != self._den:
+                raise AssertionError(f"exact pmf sums to {Fraction(total, self._den)}")
+            return
         total = sum(self.probs)
         if self.is_exact:
             if total != 1:
@@ -512,16 +560,26 @@ class Pmf:
             raise AssertionError(f"pmf sums to {float(total)}")
 
     def map_support(self, fn) -> "Pmf":
-        return Pmf(tuple(fn(x) for x in self.support), self.probs)
+        support = tuple(fn(x) for x in self.support)
+        if self._den is not None:
+            return Pmf._from_weights(support, self._weights, self._den)
+        return Pmf(support, self.probs)
 
     def mean(self):
-        return sum(p * x for x, p in zip(self.support, self.probs))
+        return self.expect(lambda x: x)
 
     def moment(self, s: int):
-        return sum(p * x**s for x, p in zip(self.support, self.probs))
+        return self.expect(lambda x: x**s)
 
     def expect(self, fn):
-        return sum(p * fn(x) for x, p in zip(self.support, self.probs))
+        values = [fn(x) for x in self.support]
+        if self._den is not None:
+            if all(isinstance(v, (int, Fraction)) for v in values):
+                scale = math.lcm(*(v.denominator for v in values))
+                num = sum(w * v.numerator * (scale // v.denominator)
+                          for w, v in zip(self._weights, values))
+                return Fraction(num, self._den * scale)
+        return sum(p * v for p, v in zip(self.probs, values))
 
     def as_dict(self) -> dict:
         return dict(zip(self.support, self.probs))
@@ -542,14 +600,12 @@ def empirical_pmf(samples) -> Pmf:
 
 
 def _exact_pmf(support, weights, den: int) -> Pmf:
-    """The exact routes' one total check: integer path weights over den,
-    checked to sum to den in integers before each Fraction is built once;
-    atoms of weight 0 are dropped."""
-    total = sum(weights)
-    if total != den:
-        raise AssertionError(f"exact pmf sums to {Fraction(total, den)}")
+    """The exact routes' one law: integer path weights over den, checked to
+    sum to den in integers; atoms of weight 0 are dropped."""
     kept = [(x, w) for x, w in zip(support, weights) if w]
-    return Pmf(tuple(x for x, _ in kept), tuple(Fraction(w, den) for _, w in kept))
+    pmf = Pmf._from_weights(tuple(x for x, _ in kept), tuple(w for _, w in kept), den)
+    pmf.check_total()
+    return pmf
 
 
 # mode="auto" runs exact arithmetic up to about 1 s of work.  Measured on
@@ -625,8 +681,9 @@ def exact_pmf_dp(spec: UrnSpec, N: int, mode: str = "auto") -> Pmf:
     probs[0] = 1.0
     for i in range(N):
         p, u, s = probs[: i + 1], up[: i + 1], stay[: i + 1]
-        np.add(white[: i + 1], imm[i], out=u)
-        np.divide(u, totals[i], out=u)
+        # white >= 0, so white + 0.0 is white: skip the add without immigration
+        np.divide(np.add(white[: i + 1], imm[i], out=u) if imm[i] else white[: i + 1],
+                  totals[i], out=u)
         np.subtract(1, u, out=s)
         np.multiply(p, u, out=u)
         np.multiply(p, s, out=s)
@@ -727,13 +784,16 @@ def _merge_rows(counts: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def marginal_pmf(joint: Pmf, index: int) -> Pmf:
-    """Marginal of one coordinate of a tuple-supported Pmf."""
+    """Marginal of one coordinate of a tuple-supported Pmf; an integer-form
+    joint law sums its integer weights per key."""
+    integer = joint._den is not None
     acc: dict = {}
-    for x, p in zip(joint.support, joint.probs):
+    for x, p in zip(joint.support, joint._weights if integer else joint.probs):
         key = x[index]
         acc[key] = acc.get(key, p * 0) + p
-    support = sorted(acc)
-    return Pmf(tuple(support), tuple(acc[s] for s in support))
+    support = tuple(sorted(acc))
+    mass = tuple(acc[s] for s in support)
+    return Pmf._from_weights(support, mass, joint._den) if integer else Pmf(support, mass)
 
 
 # ---------------------------------------------------------------------------

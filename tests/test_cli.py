@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import polyaurn
+import polyaurn.cli as cli
 from kernel_reference import tv_floor
 from polyaurn.cli import run
 from polyaurn.moments import limit_density
@@ -129,6 +130,32 @@ def test_config_does_not_override_explicit_flags(tmp_path):
     )
     assert code == 0
     assert json.loads(text.splitlines()[1].split("=", 1)[1])["model"]["period"] == 3
+
+
+def test_a_config_run_leaves_later_plain_runs_as_they_were(capsys, tmp_path):
+    # the plain runs share one parser; the config run sets its defaults on
+    # a parser of its own
+    cli._shared_parser.cache_clear()
+    plain = ["urn-exact", "--family", "py", "--N", "3"]
+    assert run(plain) == 0
+    alone = capsys.readouterr().out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"moments": 3, "p": 2, "format": "json"}))
+    assert run(plain + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out != alone
+    assert run(plain) == 0
+    assert capsys.readouterr().out == alone
+
+
+def test_plain_runs_build_the_parser_once(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._shared_parser.cache_clear()
+    for argv in (["urn-exact", "--N", "2"], ["constants", "--p", "2"], ["urn-exact", "--N", "3"]):
+        assert run(argv) == 0
+    assert len(built) == 1
+    capsys.readouterr()
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -311,16 +338,41 @@ def test_verify_density_on_singular_spec(tmp_path):
     assert read_json(text)["results"]["status"] == "ok"
 
 
-@pytest.mark.parametrize("what", ["martingale", "decomposition"])
+@pytest.mark.parametrize("what", ["martingale"])
 def test_verify_two_colour_checks_refuse_a_multicolour_spec(capsys, what):
-    # these once exited with the message of an internal function
-    # (exact_pmf_dp, the dirichlet law) that named no check
+    # this once exited with the message of an internal function
+    # (exact_pmf_dp) that named no check
     assert run(["verify", "--family", "multi", "--p", "2", "--initial", "1,1,1",
                 "--what", what]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"error: verify --what {what} covers two-colour specs; "
                             "--what density covers multicolour ones\n")
+
+
+def test_verify_decomposition_on_a_multicolour_spec(tmp_path):
+    # every order vector (s0, s1, 0) of total 1..6: 27 of them
+    code, text = run_to_file(tmp_path, ["verify", "--family", "multi", "--p", "2",
+                                        "--initial", "1,2,1", "--what", "decomposition",
+                                        "--format", "json"])
+    assert code == 0
+    res = read_json(text)["results"]
+    assert res["order_vectors"] == 27 and res["status"] == "ok"
+    assert res["max_rel_error"] < 1e-9
+    code, text = run_to_file(tmp_path, ["verify", "--family", "multi", "--p", "2",
+                                        "--initial", "1,2,1", "--what", "decomposition",
+                                        "--smax", "2", "--tol", "1e-300", "--format", "json"])
+    res = read_json(text)["results"]
+    assert code == 1 and res["order_vectors"] == 5 and res["status"] == "fail"
+
+
+def test_verify_decomposition_without_a_factorization_exits_1(capsys):
+    # ell/sigma = 1/2: multicolor_polya_young(2, 2, 1, (1, 1, 1)) has none
+    assert run(["verify", "--family", "multi", "--p", "2", "--sigma", "2",
+                "--initial", "1,1,1", "--what", "decomposition"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: multicolor factorization needs ell/sigma integral\n"
 
 
 def test_urn_limit_density_beyond_the_series_reach(tmp_path):
