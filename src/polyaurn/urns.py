@@ -495,14 +495,12 @@ class Pmf:
     Fractions.  The exact routes build the integer form instead
     (`_exact_pmf`): positive integer path weights over one denominator, as
     their arithmetic ends.  There `probs` builds the reduced Fractions on
-    first read and keeps them; `repr`, `hash`, `as_dict`, `tv_distance` and
-    `==` against a Fraction- or float-valued law read them.  `is_exact`,
-    `check_total`, `map_support`, `marginal_pmf`, `==` between two integer
-    forms (cross-multiplied when their denominators differ), and `mean`,
-    `moment` and `expect` with int- or Fraction-valued functions (one
-    integer sum, one division) read the integers.  Any other `expect`,
-    float-valued ones included, sums p * f(x) over `probs` in atom order on
-    either form.  Immutable.
+    first read and keeps them; `repr`, `hash`, `==`, `as_dict` and
+    `tv_distance` read them.  `is_exact`, `check_total`, `map_support`,
+    `marginal_pmf`, and `mean`, `moment` and `expect` with int- or
+    Fraction-valued functions (one integer sum, one division) read the
+    integers.  Any other `expect`, float-valued ones included, sums
+    p * f(x) over `probs` in atom order on either form.  Immutable.
     """
 
     def __init__(self, support, probs):
@@ -531,13 +529,7 @@ class Pmf:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self._den is None or other._den is None:
-            return (self.support, self.probs) == (other.support, other.probs)
-        if self.support != other.support:
-            return False
-        if self._den == other._den:
-            return self._weights == other._weights
-        return all(a * other._den == b * self._den for a, b in zip(self._weights, other._weights))
+        return (self.support, self.probs) == (other.support, other.probs)
 
     def __hash__(self) -> int:
         return hash((self.support, self.probs))
