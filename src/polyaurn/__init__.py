@@ -33,7 +33,6 @@ from .moments import (
     limit_mixed_moment,
     limit_moments,
     mixed_rising_moment,
-    pgf,
     pmf_via_moments,
     product_ratio,
     raw_moments,
@@ -64,7 +63,6 @@ from .laws import (
 from .martingale import (
     StatMoments,
     TailSumReport,
-    conditional_tail_variance,
     lil_diagnostic,
     limit_mean_square,
     mean_square,

@@ -119,7 +119,7 @@ def _add_common_args(parser: argparse.ArgumentParser, reads: tuple) -> None:
     parser.add_argument("--output", default=None, help="path (default: stdout)")
     if "threads" in reads:
         parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--config", default=None, help="JSON file with flag defaults")
+    parser.add_argument("--config", default=None, help="JSON file of flag values")
 
 
 def _spec_from_args(args) -> "UrnSpec":
@@ -479,48 +479,48 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
-    """The parser of every run without --config, built once per process:
-    parsing leaves a parser as it found it, and only the --config path
-    changes defaults, on a parser of its own."""
+    """The parser of every run, built once per process: parsing leaves a
+    parser as it found it."""
     return build_parser()
+
+
+# reads --config first, so that a required flag may come from the file
+_CONFIG_PARSER = argparse.ArgumentParser(prog="polyaurn", add_help=False)
+_CONFIG_PARSER.add_argument("--config")
 
 
 def run(argv=None) -> int:
     parser = _shared_parser()
-    args, remaining = parser.parse_known_args(argv)
-    if remaining:
-        parser.error(f"unrecognized arguments: {' '.join(remaining)}")
-    if getattr(args, "config", None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    path = _CONFIG_PARSER.parse_known_args(argv)[0].config
+    at = next((i for i, token in enumerate(argv) if token in parser.command_parsers), None)
+    if path and at is not None:  # without a subcommand, parsing exits 2
         try:
-            with open(args.config, encoding="utf-8") as fh:
-                defaults = json.load(fh)
+            with open(path, encoding="utf-8") as fh:
+                config = json.load(fh)
         except OSError as exc:
-            parser.error(f"cannot read config {args.config}: {exc.strerror}")
+            parser.error(f"cannot read config {path}: {exc.strerror}")
         except ValueError as exc:
-            parser.error(f"config {args.config} is not JSON: {exc}")
-        if not isinstance(defaults, dict):
-            parser.error(f"config {args.config} must hold a JSON object")
-        # defaults must land on the subcommand parser: the subparser re-applies
-        # its own defaults on every parse, clobbering top-level set_defaults
-        parser = build_parser()
-        sub = parser.command_parsers[args.command]
-        known = {action.dest for action in sub._actions}
-        unknown = sorted(set(defaults) - known)
+            parser.error(f"config {path} is not JSON: {exc}")
+        if not isinstance(config, dict):
+            parser.error(f"config {path} must hold a JSON object")
+        sub = parser.command_parsers[argv[at]]
+        flags = {a.dest: a.option_strings[0] for a in sub._actions if a.dest != "help"}
+        unknown = sorted(set(config) - set(flags))
         if unknown:
             parser.error(f"unknown config keys: {', '.join(unknown)}")
-        # argparse checks choices on the command line only, never on defaults
-        for action in sub._actions:
-            value = defaults.get(action.dest, action.default)
-            if action.choices is None or value == action.default or value in action.choices:
-                continue
-            parser.error(f"config key {action.dest!r}: invalid choice {value!r} "
-                         f"(choose from {', '.join(map(repr, action.choices))})")
-        # argparse runs a flag's type on string defaults only: pass the values
-        # of typed flags as strings, so they are checked as on the command line
-        typed = {action.dest for action in sub._actions if action.type is not None}
-        sub.set_defaults(**{key: str(value) if key in typed and value is not None else value
-                            for key, value in defaults.items()})
-        args = parser.parse_args(argv)
+        # each setting becomes a `--flag=value` token after the subcommand name:
+        # argparse checks it as typed, and the command line's flags follow and win
+        tokens = []
+        for key, value in config.items():
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            if value is True:
+                tokens.append(flags[key])
+            elif value is not False and value is not None:
+                tokens.append(f"{flags[key]}={value}")
+        argv = argv[:at + 1] + tokens + argv[at + 1:]
+    args = parser.parse_args(argv)
     try:
         if hasattr(args, "family"):  # an urn subcommand: resolve its model once
             args.model = _spec_from_args(args)

@@ -40,7 +40,6 @@ __all__ = [
     "limit_mean_square",
     "tail_variance",
     "tail_variance_asymptotic",
-    "conditional_tail_variance",
     "StatMoments",
     "TailSumReport",
     "tail_sum_experiment",
@@ -91,14 +90,6 @@ def tail_variance_asymptotic(spec: UrnSpec, N: int) -> float:
     w0 = float(spec.initial[0])
     lead = N ** (-cst.Lambda) * sigma * cst.kappa * w0
     return lead - cst.Lambda**2 * limit_mean_square(spec) / N
-
-
-def conditional_tail_variance(
-    spec: UrnSpec, N: int, N_far: int, W_N: np.ndarray
-) -> np.ndarray:
-    """Var(M_far - M_N | state at N) = g_far^2 E[W_far^2 | W_N] - M_N^2,
-    exact via the conditional rising-moment products from N to N_far."""
-    return _conditional_variance(np.asarray(W_N, dtype=float), *_tail_norm(spec, N, N_far))
 
 
 def _tail_norm(spec: UrnSpec, N: int, N_far: int) -> tuple:

@@ -33,7 +33,6 @@ __all__ = [
     "raw_moments",
     "g_factor",
     "binomial_moments",
-    "pgf",
     "pmf_via_moments",
     "mixed_rising_moment",
     "LimitConstants",
@@ -176,14 +175,6 @@ def binomial_moments(spec: UrnSpec, N: int) -> list[Fraction]:
         for j in range(N - 1, i - 1, -1):
             QB[j] += QB[j + 1]
     return [Fraction(v, Q) for v in QB]
-
-
-def pgf(spec: UrnSpec, N: int, v) -> Fraction:
-    """E[v^K] for the color-0 draw count K, from binomial moments:
-    E[v^K] = sum_s B_s (v-1)^s."""
-    B = binomial_moments(spec, N)
-    v = Fraction(v) if not isinstance(v, float) else v
-    return sum(b * (v - 1) ** s for s, b in enumerate(B))
 
 
 def pmf_via_moments(spec: UrnSpec, N: int) -> Pmf:

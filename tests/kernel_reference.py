@@ -35,8 +35,8 @@ Fraction each) and takes the lcm over all of them.  `binomial_moments`
 inverts the rising moments with Fraction sums over `lah_number` and
 `falling_factorial`, which live here since no package code needs them (the
 package interpolates the moment polynomial instead, so this route is an
-independent derivation); `pgf` and `pmf_via_moments` read from it, and the
-latter drops atoms of probability 0 as the package does.
+independent derivation); `pmf_via_moments` reads from it and drops atoms
+of probability 0 as the package does.
 `exact_pmf_dp_float` is the float DP that allocates a fresh row every step.
 
 One line differs from the old kernels on purpose: when the float cumulative
@@ -207,12 +207,6 @@ def binomial_moments(spec: UrnSpec, N: int) -> list[Fraction]:
     falling = [falling_factorial(-c, m) for m in range(N + 1)]
     return [sum(math.comb(s, j) * falling[s - j] * F[j] for j in range(s + 1)) / math.factorial(s)
             for s in range(N + 1)]
-
-
-def pgf(B: list, v):
-    """E[v^K] = sum_s B_s (v - 1)^s from the binomial moments B."""
-    v = Fraction(v) if not isinstance(v, float) else v
-    return sum(b * (v - 1) ** s for s, b in enumerate(B))
 
 
 def pmf_via_moments(spec: UrnSpec, B: list) -> Pmf:

@@ -34,6 +34,13 @@ def run_to_file(tmp_path, argv, name="out.txt"):
     return code, path.read_text()
 
 
+def run_captured(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    return code, out.getvalue()
+
+
 def read_json(text):
     doc = json.loads(text)
     assert set(doc) >= {"version", "schema", "config", "results"}
@@ -133,8 +140,8 @@ def test_config_does_not_override_explicit_flags(tmp_path):
 
 
 def test_a_config_run_leaves_later_plain_runs_as_they_were(capsys, tmp_path):
-    # the plain runs share one parser; the config run sets its defaults on
-    # a parser of its own
+    # every run parses with one shared parser; a config run only adds the
+    # file's settings to its own argv
     cli._shared_parser.cache_clear()
     plain = ["urn-exact", "--family", "py", "--N", "3"]
     assert run(plain) == 0
@@ -147,12 +154,15 @@ def test_a_config_run_leaves_later_plain_runs_as_they_were(capsys, tmp_path):
     assert capsys.readouterr().out == alone
 
 
-def test_plain_runs_build_the_parser_once(capsys, monkeypatch):
+def test_plain_runs_build_the_parser_once(capsys, monkeypatch, tmp_path):
     built = []
     build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
     cli._shared_parser.cache_clear()
-    for argv in (["urn-exact", "--N", "2"], ["constants", "--p", "2"], ["urn-exact", "--N", "3"]):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 2, "p": 2}))
+    for argv in (["urn-exact", "--N", "2"], ["constants", "--p", "2"],
+                 ["urn-exact", "--config", str(cfg)], ["urn-exact", "--N", "3"]):
         assert run(argv) == 0
     assert len(built) == 1
     capsys.readouterr()
@@ -185,18 +195,45 @@ def test_config_that_is_no_json_object_exits_2(capsys, tmp_path, text, message):
 
 
 @pytest.mark.parametrize("fields,message", [
-    ({"family": "bogus"}, "config key 'family': invalid choice 'bogus' "
+    ({"family": "bogus"}, "argument --family: invalid choice: 'bogus' "
                           "(choose from 'py', 'tri', 'multi', 'seq')"),
-    ({"format": "xml"}, "config key 'format': invalid choice 'xml' (choose from 'csv', 'json')"),
-], ids=["family", "format"])
+    ({"format": "xml"}, "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+    ({"sigma": True}, "argument --sigma: expected one argument"),
+    ({"pmf": "no"}, "argument --pmf: ignored explicit argument 'no'"),
+], ids=["family", "format", "sigma_true", "pmf_no"])
 def test_config_value_outside_its_choices_exits_2(capsys, tmp_path, fields, message):
-    # these once ran the Thue-Morse urn and printed CSV, and exited 0
+    # these once exited 0: they ran the Thue-Morse urn, printed CSV, ran
+    # sigma = 1 and printed the pmf
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(fields))
     with pytest.raises(SystemExit) as exc:
         run(["urn-exact", "--N", "2", "--config", str(cfg)])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,config,flags", [
+    (["urn-exact", "--family", "multi", "--N", "3"], {"initial": [2, 1, 1]},
+     ["--initial", "2,1,1"]),
+    (["urn-exact", "--family", "seq", "--N", "4"], {"ells": [1, 3]}, ["--ells", "1,3"]),
+    (["urn-limit", "--p", "2", "--smax", "1"], {"density_grid": [0.5, 1]},
+     ["--density-grid", "0.5,1"]),
+    (["crp"], {"tables": [3, 2]}, ["--tables", "3,2"]),
+    (["urn-exact"], {"N": 3}, ["--N", "3"]),
+    (["tail-sum", "--replicates", "40"], {"N": 4, "far": 16}, ["--N", "4", "--far", "16"]),
+    (["verify"], {"what": "martingale"}, ["--what", "martingale"]),
+    (["urn-exact", "--N", "2"], {"sigma": 0.1}, ["--sigma", "0.1"]),
+    (["verify", "--what", "martingale"], {"tol": -1e-9}, ["--tol=-1e-9"]),
+], ids=["initial", "ells", "density_grid", "tables", "N", "N_far", "what", "sigma_decimal",
+        "negative_tol"])
+def test_config_run_prints_what_its_flags_print(tmp_path, argv, config, flags):
+    # arrays once ended in an AttributeError, a required flag from the file
+    # exited 2, and "sigma": 0.1 ran the double nearest 1/10
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out = run_captured(argv + ["--config", str(cfg)])
+    assert code in (0, 1) and out  # the negative tolerance fails its check
+    assert (code, out) == run_captured(argv + flags)
 
 
 def test_unwritable_output_exits_1(capsys, tmp_path):
@@ -666,12 +703,45 @@ def _readme_examples():
             if line.startswith("polyaurn ")]
 
 
+def _json_or_text(text):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+def _as_config(flags):
+    """The config object that stands for command-line flags: a bare flag is
+    true, a comma list an array, and a value JSON reads is a number."""
+    config = {}
+    for flag, value in zip(flags, flags[1:] + ["--"]):
+        if flag.startswith("--"):
+            parts = [_json_or_text(part) for part in value.split(",")]
+            config[flag[2:].replace("-", "_")] = (True if value.startswith("--") else
+                                                   parts if len(parts) > 1 else parts[0])
+    return config
+
+
 @pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: argv[0])
-def test_readme_examples_run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert run(argv) == 0
-    assert out.getvalue()
+def test_readme_examples_run(argv, tmp_path):
+    # and print the same from a config file that holds their flags
+    code, out = run_captured(argv)
+    assert code == 0 and out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_as_config(argv[1:])))
+    assert run_captured([argv[0], "--config", str(cfg)]) == (code, out)
+
+
+def test_readme_config_example_prints_what_its_flags_print(tmp_path):
+    section = _readme().split("### Config files", 1)[1]
+    text = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    flags = [token for key, value in json.loads(text).items()
+             for token in (f"--{key.replace('_', '-')}", str(value))]
+    code, out = run_captured(["urn-exact", *flags])
+    assert code == 0 and out
+    assert run_captured(["urn-exact", "--config", str(cfg)]) == (code, out)
 
 
 def test_readme_quick_start_runs_and_its_names_resolve():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from polyaurn.martingale import (
-    conditional_tail_variance,
+    _conditional_variance,
+    _tail_norm,
     lil_diagnostic,
     limit_mean_square,
     mean_square,
@@ -100,7 +101,7 @@ def test_conditional_tail_variance_identity():
         law = exact_pmf_dp(spec, N)
         ws = np.array([float(w) for w in law.support])
         ps = np.array([float(p) for p in law.probs])
-        cv = conditional_tail_variance(spec, N, far, ws)
+        cv = _conditional_variance(ws, *_tail_norm(spec, N, far))
         assert np.all(cv > 0)
         total = float(np.sum(ps * cv))
         expected = mean_square(spec, far) - mean_square(spec, N)

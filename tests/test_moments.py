@@ -38,7 +38,6 @@ from polyaurn.moments import (
     limit_moments,
     log_product_ratio,
     mixed_rising_moment,
-    pgf,
     pmf_via_moments,
     product_ratio,
     raw_moments,
@@ -143,11 +142,9 @@ def test_moment_inversion_at_its_guard():
         binomial_moments(STD, 601)
 
 
-def test_binomial_moments_and_pgf():
+def test_binomial_moments():
     # N=2: color-0 draw count K is uniform on {0,1,2}
     assert binomial_moments(STD, 2) == [1, 1, Fraction(1, 3)]
-    assert pgf(STD, 2, Fraction(1, 2)) == Fraction(7, 12)
-    assert pgf(STD, 2, 1) == 1
     for spec, N in ((STD, 4), (polya_young(2, 2, 1, 1, 1), 3)):
         law = exact_pmf_dp(spec, N)
         ks = {(w - spec.initial[0]) / spec.sigma for w in law.support}
@@ -158,10 +155,6 @@ def test_binomial_moments_and_pgf():
                 lambda w: math.comb(int((w - spec.initial[0]) / spec.sigma), s)
             )
             assert bs[s] == expect
-        v = Fraction(1, 3)
-        assert pgf(spec, N, v) == law.expect(
-            lambda w: v ** int((w - spec.initial[0]) / spec.sigma)
-        )
 
 
 def test_mixed_rising_moment_vs_enumeration():

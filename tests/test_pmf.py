@@ -74,7 +74,7 @@ def test_integer_forms_compare_across_denominators(key):
 
 def test_int_valued_expect_returns_a_fraction():
     # int / int is a float: an int-valued expectation must still come back
-    # as the Fraction test_moments::test_binomial_moments_and_pgf compares
+    # as the Fraction test_moments::test_binomial_moments compares
     law = exact_pmf_dp(polya_young(2, 1, 1, 1, 1), 4, "exact")
     value = law.expect(lambda w: math.comb(int(w - 1), 2))
     assert type(value) is Fraction and value == Pmf(law.support, law.probs).expect(
