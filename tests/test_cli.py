@@ -168,12 +168,14 @@ def test_plain_runs_build_the_parser_once(capsys, monkeypatch, tmp_path):
     capsys.readouterr()
 
 
-def test_config_rejects_unknown_keys(tmp_path):
+def test_config_rejects_unknown_keys(capsys, tmp_path):
+    # `help` is the dest of -h, not a setting
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"no_such_option": 1}))
+    cfg.write_text(json.dumps({"no_such_option": 1, "help": True}))
     with pytest.raises(SystemExit) as exc:
         run(["urn-exact", "--family", "py", "--N", "2", "--config", str(cfg)])
     assert exc.value.code == 2
+    assert "unknown config keys: help, no_such_option" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text,message", [
