@@ -1,15 +1,21 @@
-"""Limit-law descriptors: named distributions, transforms, real-order moments.
+"""Limit-law descriptors: laws as Gamma-term Mellin transforms.
 
-A Law is a small immutable tree: leaves are named distributions (beta,
-generalized gamma, a three-parameter Mittag-Leffler family, the local time at
-zero of a squared Bessel-type bridge) and inner nodes are transforms
-(independent product, powering, exponential tilt).  The only
-operation every law supports is `moment_at(law, u)` for real u >= 0, and
+Every law here has moments of one form, the form `moments._terms` writes
+the urn limit moments in:
+
+    E[X^u] = exp(log_const + sum_k sign_k * log Gamma(shift_k + scale_k*u)).
+
+A `Law` holds log_const and the (sign, shift, scale) terms, so
+`moment_at(law, u)` is one sum at every real order u that keeps the Gamma
+arguments positive.  The leaves (beta, generalized gamma, a three-parameter
+Mittag-Leffler family, the local time at zero of a Bessel-type bridge, and
+a Dirichlet vector) build their own terms and keep their parameters in
+`params`.  The transforms act on the terms:
+ - an independent product concatenates them and keeps its factors in
+   `children`,
+ - powering by d scales each term's slope by d,
+ - tilting by x^c shifts each term by c*scale and renormalises.
 `mixed_moment_at` gives the mixed moments of a Dirichlet leaf.
-
-Tilting is kept structural: tilt(c) reweights by x^c, so its moments are
-ratios of the child's moments, and nested tilts compose additively without
-being flattened.
 
 The factorizations of the urn limit laws live in `decomposition_for`:
  - period-p model with integer ell/sigma: scaled product of a beta factor and
@@ -27,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .moments import asymptotic_constants, limit_moments
+from .moments import LimitConstants, asymptotic_constants, limit_moments
 from .specialfn import log_gamma
 from .urns import UrnSpec
 
@@ -60,147 +66,116 @@ class UnsupportedLawError(NotImplementedError):
 
 @dataclass(frozen=True)
 class Law:
-    kind: str
+    """E[X^u] = exp(log_const + sum(sign * log Gamma(shift + scale*u))) over
+    the (sign, shift, scale) terms.  A leaf keeps its parameters in params,
+    a product its factors in children."""
+
+    log_const: float
+    terms: tuple
     params: tuple = ()
     children: tuple = ()
 
-    def __str__(self) -> str:
-        inner = ", ".join(f"{p:.6g}" if isinstance(p, float) else str(p) for p in self.params)
-        if self.children:
-            kids = ", ".join(str(c) for c in self.children)
-            return f"{self.kind}({inner}{'; ' if inner else ''}{kids})"
-        return f"{self.kind}({inner})"
+
+class _Dirichlet(Law):
+    """A Dirichlet vector, params its alphas.  As a scalar law it is its
+    first coordinate."""
 
 
-def _pos(name, v) -> float:
+def _pos(name, v, zero_ok: bool = False) -> float:
     v = float(v)
-    if not v > 0:
-        raise ValueError(f"{name} must be positive, got {v}")
+    if not (v > 0 or zero_ok and v == 0):
+        raise ValueError(f"{name} must be {'non-negative' if zero_ok else 'positive'}, got {v}")
     return v
 
 
 def beta_law(a, b) -> Law:
-    return Law("beta", (_pos("a", a), _pos("b", b)))
+    """Beta(a, b); b = 0 is the point mass at 1."""
+    a, b = _pos("a", a), _pos("b", b, zero_ok=True)
+    return Law(log_gamma(a + b) - log_gamma(a), ((1.0, a, 1.0), (-1.0, a + b, 1.0)), (a, b))
 
 
 def gen_gamma_law(a, b) -> Law:
     """Density proportional to x**(a-1) * exp(-x**b) on (0, inf)."""
-    return Law("gen_gamma", (_pos("a", a), _pos("b", b)))
+    a, b = _pos("a", a), _pos("b", b)
+    return Law(-log_gamma(a / b), ((1.0, a / b, 1.0 / b),), (a, b))
 
 
 def ml3_law(alpha, beta, gamma) -> Law:
-    """Three-parameter Mittag-Leffler law with moments
+    """Three-parameter Mittag-Leffler law (gamma >= 0) with moments
     Gamma(s + beta/alpha) Gamma(beta + gamma)
     / (Gamma(alpha s + beta + gamma) Gamma(beta/alpha))."""
-    return Law("ml3", (_pos("alpha", alpha), _pos("beta", beta), _pos("gamma", gamma)))
+    alpha, beta = _pos("alpha", alpha), _pos("beta", beta)
+    gamma = _pos("gamma", gamma, zero_ok=True)
+    return Law(log_gamma(beta + gamma) - log_gamma(beta / alpha),
+               ((1.0, beta / alpha, 1.0), (-1.0, beta + gamma, alpha)), (alpha, beta, gamma))
 
 
 def local_time_law(alpha, beta) -> Law:
-    """Local time at zero of the periodic bridge; moments of its size-biased
-    tilt T have the closed product form E[T^s] = Gamma(s+1)
-    prod_{j=1..s} Gamma(j beta)/Gamma(alpha + j beta), which extends to real
-    orders whenever alpha/beta is an integer m (Gauss multiplication)."""
-    return Law("local_time", (_pos("alpha", alpha), _pos("beta", beta)))
+    """Local time at zero of the periodic bridge, for alpha/beta = m a whole
+    number (from an urn, m is its period).  E[X^u] = E[X] E[T^(u-1)] with
+    E[X] = alpha/(beta Gamma(1+alpha)) and T the size-biased tilt, whose
+    moments E[T^s] = Gamma(s+1) prod_{j=1..s} Gamma(j beta)/Gamma(alpha + j beta)
+    at whole s become, by Gauss multiplication (DLMF 5.5.6) with
+    beta = alpha/m, Gamma(s+1) prod_{j=1..m} Gamma(j beta)/Gamma((s+j) beta),
+    which holds at every real s > -1."""
+    alpha, beta = _pos("alpha", alpha), _pos("beta", beta)
+    m = round(alpha / beta)
+    if m < 1 or abs(alpha / beta - m) > 1e-9:
+        raise ValueError(f"local-time laws need alpha/beta integral, got {alpha / beta}")
+    step = alpha / m
+    log_const = math.fsum([math.log(alpha / beta), -log_gamma(1.0 + alpha)]
+                          + [log_gamma(j * step) for j in range(1, m + 1)])
+    terms = ((1.0, 0.0, 1.0), *((-1.0, j * step, step) for j in range(m)))
+    return Law(log_const, terms, (alpha, beta))
 
 
 def dirichlet_law(alphas) -> Law:
-    return Law("dirichlet", tuple(_pos("alpha", a) for a in alphas))
+    alphas = tuple(_pos("alpha", a) for a in alphas)
+    first = beta_law(alphas[0], math.fsum(alphas[1:]))
+    return _Dirichlet(first.log_const, first.terms, alphas)
 
 
 def product_law(*laws: Law) -> Law:
-    flat = []
-    for l in laws:
-        flat.extend(l.children if l.kind == "product" else (l,))
+    flat = [f for law in laws for f in (law.children or (law,))]
     if len(flat) == 1:
         return flat[0]
-    return Law("product", (), tuple(flat))
+    return Law(math.fsum(f.log_const for f in flat), tuple(t for f in flat for t in f.terms),
+               children=tuple(flat))
 
 
 def powered_law(law: Law, d) -> Law:
-    return Law("powered", (_pos("exponent", d),), (law,))
+    d = _pos("exponent", d)
+    return Law(law.log_const, tuple((s, a, b * d) for s, a, b in law.terms))
 
 
 def tilted_law(law: Law, c) -> Law:
+    """The law reweighted by x^c: E[X^(u+c)] / E[X^c]."""
     c = float(c)
-    return law if c == 0 else Law("tilted", (c,), (law,))
-
-
-# ---------------------------------------------------------------------------
-# moments
-
-
-def _lg_ratio(top: list[float], bottom: list[float]) -> float:
-    return math.exp(
-        math.fsum(log_gamma(t) for t in top) - math.fsum(log_gamma(b) for b in bottom)
-    )
-
-
-def _local_time_tilt_moment(alpha: float, beta: float, s: float) -> float:
-    """E[T^s] for the size-biased tilt T of the local-time law."""
-    if s == 0:
-        return 1.0
-    if s <= -1:
-        raise ValueError(f"tilt moments need order > -1, got {s}")
-    if abs(s - round(s)) < 1e-12 and s > 0:
-        n = round(s)
-        return _lg_ratio(
-            [n + 1.0] + [j * beta for j in range(1, n + 1)],
-            [alpha + j * beta for j in range(1, n + 1)],
-        )
-    m = alpha / beta
-    if abs(m - round(m)) > 1e-9:
-        raise UnsupportedLawError(
-            "real-order local-time moments need alpha/beta integral"
-        )
-    m = round(m)
-    return _lg_ratio(
-        [s + 1.0] + [j * alpha / m for j in range(1, m + 1)],
-        [(s + j) * alpha / m for j in range(1, m + 1)],
-    )
+    if c == 0:
+        return law
+    terms = tuple((s, a + b * c, b) for s, a, b in law.terms)
+    return Law(-math.fsum(s * log_gamma(a) for s, a, _ in terms), terms)
 
 
 def moment_at(law: Law, u) -> float:
-    """E[X^u] for real u (u >= 0 for leaves; transforms shift as needed)."""
+    """E[X^u] for real u; 1 at u = 0, else every shift + scale*u must be > 0."""
     u = float(u)
     if u == 0:
         return 1.0
-    if law.kind == "beta":
-        a, b = law.params
-        return _lg_ratio([a + u, a + b], [a, a + b + u])
-    if law.kind == "gen_gamma":
-        a, b = law.params
-        return _lg_ratio([(a + u) / b], [a / b])
-    if law.kind == "ml3":
-        alpha, beta, gamma = law.params
-        return _lg_ratio([u + beta / alpha, beta + gamma], [alpha * u + beta + gamma, beta / alpha])
-    if law.kind == "local_time":
-        alpha, beta = law.params
-        mu1 = alpha / (beta * math.exp(log_gamma(1.0 + alpha)))
-        return mu1 * _local_time_tilt_moment(alpha, beta, u - 1.0)
-    if law.kind == "product":
-        return math.prod(moment_at(c, u) for c in law.children)
-    if law.kind == "powered":
-        return moment_at(law.children[0], law.params[0] * u)
-    if law.kind == "tilted":
-        c = law.params[0]
-        return moment_at(law.children[0], u + c) / moment_at(law.children[0], c)
-    if law.kind == "dirichlet":
-        raise UnsupportedLawError("dirichlet laws are vector valued; use mixed_moment_at")
-    raise UnsupportedLawError(f"unknown law kind {law.kind!r}")
+    return math.exp(math.fsum([law.log_const]
+                              + [s * log_gamma(a + b * u) for s, a, b in law.terms]))
 
 
 def mixed_moment_at(law: Law, svec) -> float:
     """E[prod X_i^{s_i}] for a dirichlet leaf."""
-    if law.kind != "dirichlet":
+    if not isinstance(law, _Dirichlet):
         raise UnsupportedLawError("mixed moments are defined for dirichlet laws")
     alphas = law.params
     if len(svec) != len(alphas):
         raise ValueError("order vector length mismatch")
-    S = sum(svec)
-    acc = _lg_ratio([math.fsum(alphas)], [math.fsum(alphas) + S])
-    for a, s in zip(alphas, svec):
-        acc *= _lg_ratio([a + s], [a])
-    return acc
+    total = math.fsum(alphas)
+    return math.exp(math.fsum([log_gamma(total), -log_gamma(total + sum(svec))]
+                              + [log_gamma(a + s) - log_gamma(a) for a, s in zip(alphas, svec)]))
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +190,30 @@ class BesselParams:
     beta: float  # alpha / (1 - 2*index)
 
 
-def bessel_params_from_urn(spec: UrnSpec) -> BesselParams:
-    cst = asymptotic_constants(spec)
+def _bessel_params(cst: LimitConstants) -> BesselParams:
     p = cst.period
     excess = (cst.psi - p) * cst.sigma_unit  # ell2 - ell1
     d = 2.0 * excess / (p * cst.sigma_unit + excess)
     r = -(p - 1) / 2.0
     alpha = 1.0 - d / 2.0
     return BesselParams(d, r, alpha, alpha / (1.0 - 2.0 * r))
+
+
+def bessel_params_from_urn(spec: UrnSpec) -> BesselParams:
+    return _bessel_params(asymptotic_constants(spec))
+
+
+def _local_time(cst: LimitConstants) -> Law:
+    bp = _bessel_params(cst)
+    return local_time_law(bp.alpha, bp.beta)
+
+
+def _gen_gammas(cst: LimitConstants, total0: float) -> list[Law]:
+    """The psi - p generalized-gamma factors of a spec whose excess psi - p
+    is a whole number."""
+    sigma = cst.sigma_unit * cst.delta
+    return [gen_gamma_law((total0 + r * cst.sigma_unit) / sigma, cst.psi / cst.delta)
+            for r in range(cst.period, cst.period + round(cst.psi - cst.period))]
 
 
 @dataclass(frozen=True)
@@ -241,53 +232,37 @@ def decomposition_for(spec: UrnSpec) -> Decomposition:
     components.  When `scale` is set, the claim is
     mu_s = scale**s * E[law^s]; when None, mu_s = E[law^s] exactly."""
     cst = asymptotic_constants(spec)
-    p = cst.period
-    sigma = cst.sigma_unit * cst.delta
+    su = cst.sigma_unit
+    sigma = su * cst.delta
     w0 = float(spec.initial[0])
     total0 = float(spec.total_initial)
-    bp = bessel_params_from_urn(spec)
+    excess = cst.psi - cst.period  # (ell2 - ell1)/sigma_unit
+    whole = _is_nonneg_int(excess)
 
     if spec.family == "polya_young":
-        b0 = total0 - w0
-        excess = cst.psi - p  # ell/sigma
-        beta_part = beta_law(w0 / sigma, b0 / sigma)
-        if _is_nonneg_int(excess) and excess >= 1:
-            ggs = [
-                gen_gamma_law((total0 + r * sigma) / sigma, cst.psi)
-                for r in range(p, round(cst.psi))
-            ]
-            return Decomposition(product_law(beta_part, *ggs), cst.psi, "beta_gengamma")
-        tilt = tilted_law(local_time_law(bp.alpha, bp.beta), total0 / sigma)
+        beta_part = beta_law(w0 / sigma, (total0 - w0) / sigma)
+        if whole and excess >= 1:
+            law = product_law(beta_part, *_gen_gammas(cst, total0))
+            return Decomposition(law, cst.psi, "beta_gengamma")
+        tilt = tilted_law(_local_time(cst), total0 / sigma)
         return Decomposition(product_law(beta_part, tilt), None, "beta_local_time")
 
     if spec.family == "triangular":
-        su = cst.sigma_unit
         ml = ml3_law(cst.delta, w0 / su, (total0 - w0) / su)
-        excess = cst.psi - p  # (ell2-ell1)/sigma_unit
-        if _is_nonneg_int(excess):
-            ggs = [
-                gen_gamma_law((r * su + total0) / sigma, su * cst.psi / sigma)
-                for r in range(p, round(cst.psi + 1e-9))
-            ]
-            return Decomposition(
-                product_law(ml, *ggs), cst.psi**cst.delta, "ml_gengamma"
-            )
-        T = tilted_law(local_time_law(bp.alpha, bp.beta), 1.0)
+        if whole:
+            law = product_law(ml, *_gen_gammas(cst, total0))
+            return Decomposition(law, cst.psi**cst.delta, "ml_gengamma")
+        T = tilted_law(_local_time(cst), 1.0)
         tilt = tilted_law(powered_law(T, cst.delta), (total0 - su) / sigma)
         return Decomposition(product_law(ml, tilt), None, "ml_local_time")
 
     if spec.family == "multicolor":
-        excess = cst.psi - p
-        if not _is_nonneg_int(excess):
+        if not whole:
             raise UnsupportedLawError(
                 "multicolor factorization needs ell/sigma integral"
             )
         alphas = [float(w) / sigma for w in spec.initial]
-        ggs = [
-            gen_gamma_law((total0 + r * sigma) / sigma, cst.psi)
-            for r in range(p, round(cst.psi))
-        ]
-        law = Law("product", (), (dirichlet_law(alphas), *ggs))
+        law = product_law(dirichlet_law(alphas), *_gen_gammas(cst, total0))
         return Decomposition(law, cst.psi, "dirichlet_gengamma")
 
     raise UnsupportedLawError(f"no factorization for family {spec.family!r}")
@@ -340,8 +315,7 @@ def verify_multicolor_decomposition(spec: UrnSpec, svecs) -> list[tuple]:
     from .moments import limit_mixed_moment
 
     dec = decomposition_for(spec)
-    dirichlet = dec.law.children[0]
-    shared = list(dec.law.children[1:])
+    dirichlet, *shared = dec.law.children or (dec.law,)
     rows = []
     for svec in svecs:
         S = sum(svec)

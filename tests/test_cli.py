@@ -368,6 +368,20 @@ def test_verify_subcommands_pass(tmp_path):
         assert read_json(text)["results"]["status"] == "ok"
 
 
+@pytest.mark.parametrize("model,label", [
+    (["--p", "2"], "beta_gengamma"),
+    (["--family", "tri", "--ell1", "1", "--ell2", "2"], "ml_local_time"),
+], ids=["py", "tri"])
+def test_verify_decomposition_with_an_empty_black_side(tmp_path, model, label):
+    # b0 = 0 once exited 1 naming a factor parameter (b, gamma) and no flag:
+    # the Beta factor is the point mass at 1 there, and ML3 has gamma = 0
+    code, text = run_to_file(tmp_path, ["verify", *model, "--b0", "0",
+                                        "--what", "decomposition"])
+    assert code == 0
+    res = read_json(text)["results"]
+    assert res["label"] == label and res["status"] == "ok"
+
+
 def test_verify_density_on_singular_spec(tmp_path):
     # w0/sigma = 1/2: the density is unbounded at 0
     code, text = run_to_file(
