@@ -130,7 +130,8 @@ def local_time_law(alpha, beta) -> Law:
 
 
 def dirichlet_law(alphas) -> Law:
-    alphas = tuple(_pos("alpha", a) for a in alphas)
+    """Dirichlet(alphas); an alpha past the first may be 0: a coordinate 0 surely."""
+    alphas = (_pos("alpha", alphas[0]), *(_pos("alpha", a, zero_ok=True) for a in alphas[1:]))
     first = beta_law(alphas[0], math.fsum(alphas[1:]))
     return _Dirichlet(first.log_const, first.terms, alphas)
 
@@ -167,15 +168,19 @@ def moment_at(law: Law, u) -> float:
 
 
 def mixed_moment_at(law: Law, svec) -> float:
-    """E[prod X_i^{s_i}] for a dirichlet leaf."""
+    """E[prod X_i^{s_i}] for a dirichlet leaf.  A coordinate of order 0 gives
+    the factor 1; one of alpha 0 (0 surely) at a positive order gives 0."""
     if not isinstance(law, _Dirichlet):
         raise UnsupportedLawError("mixed moments are defined for dirichlet laws")
     alphas = law.params
     if len(svec) != len(alphas):
         raise ValueError("order vector length mismatch")
+    if any(a == 0 and s > 0 for a, s in zip(alphas, svec)):
+        return 0.0
     total = math.fsum(alphas)
     return math.exp(math.fsum([log_gamma(total), -log_gamma(total + sum(svec))]
-                              + [log_gamma(a + s) - log_gamma(a) for a, s in zip(alphas, svec)]))
+                              + [log_gamma(a + s) - log_gamma(a)
+                                 for a, s in zip(alphas, svec) if s]))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +316,7 @@ def verify_decomposition(spec: UrnSpec, smax: int = 6) -> DecompositionReport:
 def verify_multicolor_decomposition(spec: UrnSpec, svecs) -> list[tuple]:
     """Mixed-moment checks for the multicolor factorization: for each order
     vector, compare the limit mixed moment with
-    scale**S * E[prod D_i^{s_i}] * E[shared^S]."""
+    scale**S * E[prod D_i^{s_i}] * E[shared^S]; both 0 (an empty color) is no error."""
     from .moments import limit_mixed_moment
 
     dec = decomposition_for(spec)
@@ -323,5 +328,5 @@ def verify_multicolor_decomposition(spec: UrnSpec, svecs) -> list[tuple]:
         rhs = dec.scale**S * mixed_moment_at(dirichlet, svec)
         for g in shared:
             rhs *= moment_at(g, S)
-        rows.append((tuple(svec), lhs, rhs, abs(lhs / rhs - 1.0)))
+        rows.append((tuple(svec), lhs, rhs, 0.0 if lhs == rhs == 0 else abs(lhs / rhs - 1.0)))
     return rows

@@ -141,11 +141,11 @@ class UrnSpec:
 
     def validate(self) -> None:
         """The one shape rule: no value a float that is not finite; a known
-        family with a period >= 1 and an offset in [0, period); exactly two
-        ells, the ordinary one 0 for the polya_young and multicolor families;
-        a registered sequence (and period 1) for the sequence family and for
-        it only; white immigration only on two colors, one amount per phase;
-        then the signs of the values."""
+        family, a period >= 1, an offset in [0, period) and two colors or more
+        (the last takes the refresh); two ells, the ordinary one 0 for the
+        polya_young and multicolor families; a registered sequence (and period
+        1) for the sequence family and for it only; white immigration only on
+        two colors, one amount per phase; then the signs of the values."""
         fields = (("initial", self.initial), ("sigma", (self.sigma,)), ("ells", self.ells),
                   ("white_immigration", self.white_immigration or ()))
         for name, vals in fields:
@@ -157,6 +157,8 @@ class UrnSpec:
             raise ValueError("period must be >= 1")
         if not 0 <= self.offset < self.period:
             raise ValueError(f"offset must be in [0, period), got {self.offset}")
+        if self.colors < 2:
+            raise ValueError("a spec needs at least two colors: the last takes the refresh")
         if len(self.ells) != 2:
             raise ValueError(f"a spec takes exactly two ells, got {len(self.ells)}")
         if self.family in _ZERO_ORDINARY and self.ells[0] != 0:
@@ -176,7 +178,7 @@ class UrnSpec:
                 raise ValueError("need one immigration amount per phase")
         if self.sigma is None or not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        if not self.initial or not self.initial[0] > 0:
+        if not self.initial[0] > 0:
             raise ValueError("color 0 must start positive")
         if any(c < 0 for c in self.initial):
             raise ValueError("initial counts must be non-negative")
@@ -393,7 +395,9 @@ def _checkpoint_list(checkpoints) -> list[int]:
 def simulate_white_batch(
     spec: UrnSpec, checkpoints: Sequence[int], n_reps: int, seed: int
 ) -> list[np.ndarray]:
-    """Vectorized two-color simulation of n_reps independent trajectories.
+    """Vectorized simulation of the color-0 (white) count of n_reps
+    independent trajectories, as the white side of a two-color urn at every
+    color count, since only the last color takes the refresh.
 
     Returns the array of white counts at each checkpoint time (ascending).
     Step j draws white with probability W/T_{j-1}.  W is fixed between white
@@ -405,8 +409,6 @@ def simulate_white_batch(
     the live replicates; steps and barriers are also held as floats, which
     are exact below 2**53.
     """
-    if spec.colors != 2:
-        raise ValueError("white-batch simulation needs a two-color spec")
     checkpoints = _checkpoint_list(checkpoints)
     N = checkpoints[-1]
     _check_sizes(N, n_reps)
@@ -460,8 +462,8 @@ def simulate_white_batch(
 
 
 def simulate_counts_batch(spec: UrnSpec, N: int, n_reps: int, seed: int) -> np.ndarray:
-    """Vectorized multicolor simulation; returns counts array (n_reps, colors),
-    grown colour by colour as shape (colors, n_reps)."""
+    """Vectorized simulation of the whole count vector; returns counts array
+    (n_reps, colors), grown colour by colour as shape (colors, n_reps)."""
     _check_sizes(N, n_reps)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     counts = np.repeat([[float(c)] for c in spec.initial], n_reps, axis=1)
@@ -625,8 +627,8 @@ def _resolve_mode(spec: UrnSpec, N: int, mode: str, auto_max_n: int = _AUTO_EXAC
 def exact_pmf_dp(spec: UrnSpec, N: int, mode: str = "auto") -> Pmf:
     """Law of the color-0 count after N steps, by dynamic programming over the
     number of color-0 draws.  Needs deterministic totals and a color-0
-    increment of sigma exactly on color-0 draws, which holds for every
-    two-color spec (including immigration variants).
+    increment of sigma exactly on color-0 draws, which hold at every color
+    count (only the last color takes the refresh) and with immigration.
 
     Both modes run one two-slice update over the draw count.  Exact mode
     carries integer path weights (d*white and d*(T - white) per step, d the
@@ -637,8 +639,6 @@ def exact_pmf_dp(spec: UrnSpec, N: int, mode: str = "auto") -> Pmf:
     2**53), so a white count equal to the total gives exactly 1 and no atom
     of probability 0 picks up rounding noise.
     """
-    if spec.colors != 2:
-        raise ValueError("exact_pmf_dp supports two-color specs")
     exact = _resolve_mode(spec, N, mode)
     sched = schedule(spec, N)
     d = sched.d

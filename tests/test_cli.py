@@ -391,16 +391,59 @@ def test_verify_density_on_singular_spec(tmp_path):
     assert read_json(text)["results"]["status"] == "ok"
 
 
-@pytest.mark.parametrize("what", ["martingale"])
-def test_verify_two_colour_checks_refuse_a_multicolour_spec(capsys, what):
-    # this once exited with the message of an internal function
-    # (exact_pmf_dp) that named no check
-    assert run(["verify", "--family", "multi", "--p", "2", "--initial", "1,1,1",
-                "--what", what]) == 1
+MULTI_2_1_1 = ["--family", "multi", "--p", "2", "--initial", "2,1,1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["urn-exact", "--N", "9", "--pmf"],
+    ["tail-sum", "--N", "20", "--far", "80", "--replicates", "64"],
+    ["verify", "--what", "martingale"],
+], ids=["urn-exact-pmf", "tail-sum", "verify-martingale"])
+def test_colour_0_routes_run_on_a_multicolour_spec(tmp_path, argv):
+    # colour 0 is a two-colour urn at every colour count; each of these once
+    # exited 1 with a two-colour refusal
+    code, text = run_to_file(tmp_path, argv + MULTI_2_1_1)
+    assert code == 0
+    if argv[0] == "urn-exact":
+        spec = multicolor_polya_young(2, 1, 1, (2, 1, 1))
+        assert text.splitlines()[3:] == [f"{w},{q}" for w, q in
+                                         exact_pmf_dp(spec, 9, "exact").as_dict().items()]
+    if argv[0] == "verify":
+        assert read_json(text)["results"]["status"] == "ok"
+
+
+@pytest.mark.parametrize("model", [["--p", "2"], MULTI_2_1_1], ids=["std", "multi_2_1_1"])
+def test_verify_martingale_reads_the_law_at_every_N(tmp_path, monkeypatch, model):
+    # products that drop every total past step 50: E[W_N] from the moment
+    # products agreed with g_N from the same products, so the check passed
+    products = polyaurn.moments._products
+
+    def short(spec, N, orders, mode, start=0):
+        return products(spec, min(N, 50), orders, mode, min(start, 50))
+
+    monkeypatch.setattr(polyaurn.moments, "_products", short)
+    code, text = run_to_file(tmp_path, ["verify", "--what", "martingale", *model])
+    res = read_json(text)["results"]
+    assert code == 1 and res["status"] == "fail" and res["max_rel_error"] > 1
+
+
+@pytest.mark.parametrize("initial", ["1,0,0", "1,0,1", "2,0,1,1", "1,2,0", "3,1,0,0"])
+def test_verify_decomposition_with_an_empty_colour(tmp_path, initial):
+    # a colour that starts empty is 0 surely, a Dirichlet coordinate of alpha
+    # 0; this once exited 1 with "alpha must be positive, got 0.0"
+    code, text = run_to_file(tmp_path, ["verify", "--family", "multi", "--p", "2",
+                                        "--initial", initial, "--what", "decomposition",
+                                        "--format", "json"])
+    res = read_json(text)["results"]
+    assert code == 0 and res["status"] == "ok" and res["max_rel_error"] < 1e-13
+
+
+@pytest.mark.parametrize("command", ["urn-exact", "urn-sim", "tail-sum", "verify"])
+def test_a_one_colour_spec_exits_1(capsys, command):
+    assert run([command, "--family", "multi", "--initial", "1", *URN_RUNS[command]]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: verify --what {what} covers two-colour specs; "
-                            "--what density covers multicolour ones\n")
+    assert captured.err == "error: a spec needs at least two colors: the last takes the refresh\n"
 
 
 def test_verify_decomposition_on_a_multicolour_spec(tmp_path):
@@ -587,7 +630,10 @@ def test_sweep_urn_subcommands_echo_the_model_that_ran(command, model):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run([command, *flags, *URN_RUNS[command]])
-    if code == 1:  # a documented domain error, e.g. no limit constants for seq
+    # colour 0 is a two-colour urn at every colour count, so no multicolour
+    # run may fail; others may exit 1 on a documented domain error, e.g. no
+    # limit constants for seq
+    if code == 1 and spec.family != "multicolor":
         assert err.getvalue().startswith("error: ")
         return
     assert code == 0

@@ -289,6 +289,17 @@ def test_two_colour_kernel_tv_to_the_exact_law(name):
     assert ours[0] < 1.5 * ours[1] and theirs[0] < 1.5 * theirs[1], (ours, theirs)
 
 
+def test_white_batch_draws_colour_0_of_a_multicolour_spec():
+    # colour 0 is a two-colour urn against the deterministic totals; its TV to
+    # the DP law stays under the 0.999 quantile of exact samples of that size
+    spec, N, n_reps = multicolor_polya_young(2, 1, 1, (2, 1, 1)), 60, 200_000
+    W = simulate_white_batch(spec, [N], n_reps, seed=60)[0]
+    exact = {int(w) - 2: float(q) for w, q in exact_pmf_dp(spec, N).as_dict().items()}
+    tv, gate = _tv_to_law(W - 2.0, exact), ref.tv_null_quantile(exact, n_reps)
+    print(f"TV {tv:.4f}, gate {gate:.4f}, noise floor {ref.tv_floor(exact, n_reps):.4f}")
+    assert tv < gate
+
+
 def test_two_colour_kernel_with_an_empty_black_side_raises_no_warning():
     # b0 = 0 puts q = W/T at 1, where the skip divides by log1p(-1) = -inf
     spec = polya_young(2, 1, 1, 1, 0)

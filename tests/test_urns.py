@@ -56,6 +56,16 @@ def test_constructor_validation():
         polya_young(2, 1, -1, 1, 1)  # additions must be non-negative
     with pytest.raises(ValueError, match="immigration amounts must be non-negative"):
         with_white_immigration(polya_young(1, 1, 1, 1, 1), [-3])
+    # the last colour takes the refresh; one colour left colour 0 to take it
+    # as well, and urn-exact printed E[W_6] = 81/14 where W_6 = 10 surely
+    one = {"family": "multicolor", "period": 2, "initial": [1], "sigma": 1, "ells": [0, 1]}
+    for build in (lambda: multicolor_polya_young(2, 1, 1, (1,)),
+                  lambda: UrnSpec("multicolor", 2, (Fraction(1),), Fraction(1),
+                                  (Fraction(0), Fraction(1))),
+                  lambda: spec_from_json(json.dumps(one))):
+        with pytest.raises(ValueError, match="^a spec needs at least two colors: the last "
+                                             "takes the refresh$"):
+            build()
     # floats that are not finite once passed, to fail later in schedule
     for build, field in ((lambda: polya_young(1, 1, 1, 1, math.nan), "initial"),
                          (lambda: polya_young(1, 1, 1, 1, math.inf), "initial"),
@@ -180,6 +190,28 @@ def test_multicolor_marginal_is_two_color_law():
     marg = marginal_pmf(joint, 0)
     two = exact_pmf_dp(polya_young(2, 1, 1, 1, 2), 4)
     assert marg.as_dict() == two.as_dict()
+
+
+MULTI_DP_SPECS = {
+    "2_1_1": multicolor_polya_young(2, 1, 1, (2, 1, 1)),
+    "rational": multicolor_polya_young(3, Fraction(1, 2), Fraction(2, 3),
+                                       (1, Fraction(1, 3), 2, 1)),
+    "empty_middle": multicolor_polya_young(2, 1, 2, (1, 0, 1)),
+    "empty_last": multicolor_polya_young(1, Fraction(3, 2), 1, (Fraction(1, 2), 2, 0)),
+}
+
+
+@pytest.mark.parametrize("name", list(MULTI_DP_SPECS))
+def test_dp_is_the_colour_0_marginal_of_a_multicolour_spec(name):
+    # only the last colour takes the refresh, so colour 0 gains sigma exactly
+    # on its own draws against deterministic totals: a two-colour urn
+    spec = MULTI_DP_SPECS[name]
+    for N in (0, 1, 5, 9):
+        exact = exact_pmf_dp(spec, N, "exact")
+        assert exact == marginal_pmf(enumerate_histories(spec, N), 0), N
+        flt = exact_pmf_dp(spec, N, "float")
+        assert flt.support == pytest.approx([float(w) for w in exact.support], rel=1e-14)
+        assert flt.probs == pytest.approx([float(q) for q in exact.probs], rel=1e-14, abs=1e-14)
 
 
 def test_multicolor_joint_sums_to_one_and_conserves_total():
