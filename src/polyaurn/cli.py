@@ -80,6 +80,18 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of verify --tol: a number > 0, since a check passes when
+    its residual, never negative, lies below the tolerance."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return value
+
+
 def _fraction_list(text: str) -> list[Fraction]:
     return [Fraction(part) for part in text.split(",") if part.strip()]
 
@@ -460,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--what", choices=["decomposition", "martingale", "density"],
                     required=True)
     sp.add_argument("--smax", type=_positive_int, default=6)
-    sp.add_argument("--tol", type=float, default=None,
+    sp.add_argument("--tol", type=_positive_float, default=None,
                     help="default 1e-9 (decomposition, martingale) or 1e-6 (density)")
 
     return parser

@@ -110,8 +110,8 @@ def _conditional_variance(W_N: np.ndarray, g_N, g_far, lp1, lp2, sigma) -> np.nd
 class StatMoments:
     mean: float
     variance: float
-    skewness: float
-    excess_kurtosis: float
+    skewness: float | None  # None, as both below, when the variance is 0
+    excess_kurtosis: float | None
 
 
 def _moments_from_sums(sums: list[float], n: int) -> StatMoments:
@@ -120,6 +120,8 @@ def _moments_from_sums(sums: list[float], n: int) -> StatMoments:
     var = s2 - mean**2
     m3 = s3 - 3 * mean * s2 + 2 * mean**3
     m4 = s4 - 4 * mean * s3 + 6 * mean**2 * s2 - 3 * mean**4
+    if not var > 0.0:  # alike values (a few replicates at small N): no shape
+        return StatMoments(mean, var, None, None)
     return StatMoments(mean, var, m3 / var**1.5, m4 / var**2 - 3.0)
 
 

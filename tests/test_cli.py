@@ -225,16 +225,16 @@ def test_config_value_outside_its_choices_exits_2(capsys, tmp_path, fields, mess
     (["tail-sum", "--replicates", "40"], {"N": 4, "far": 16}, ["--N", "4", "--far", "16"]),
     (["verify"], {"what": "martingale"}, ["--what", "martingale"]),
     (["urn-exact", "--N", "2"], {"sigma": 0.1}, ["--sigma", "0.1"]),
-    (["verify", "--what", "martingale"], {"tol": -1e-9}, ["--tol=-1e-9"]),
+    (["verify", "--what", "martingale"], {"tol": 1e-3}, ["--tol=0.001"]),
 ], ids=["initial", "ells", "density_grid", "tables", "N", "N_far", "what", "sigma_decimal",
-        "negative_tol"])
+        "tol"])
 def test_config_run_prints_what_its_flags_print(tmp_path, argv, config, flags):
     # arrays once ended in an AttributeError, a required flag from the file
     # exited 2, and "sigma": 0.1 ran the double nearest 1/10
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     code, out = run_captured(argv + ["--config", str(cfg)])
-    assert code in (0, 1) and out  # the negative tolerance fails its check
+    assert code == 0 and out
     assert (code, out) == run_captured(argv + flags)
 
 
@@ -284,6 +284,19 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                 run(argv + extra)
             assert exc.value.code == 2, argv + extra
             assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_verify_tolerance_that_no_residual_passes_exits_2(capsys, tmp_path, tol):
+    # these once ran the whole check, printed "status": "fail" and exited 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": tol}))
+    for extra in (["--tol", tol], ["--config", str(cfg)]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--what", "martingale", *extra])
+        assert exc.value.code == 2, extra
+        assert f"argument --tol: must be a positive number, got {tol!r}" in capsys.readouterr().err
 
 
 def test_domain_errors_exit_1(capsys):
@@ -387,6 +400,13 @@ def test_verify_density_on_singular_spec(tmp_path):
     code, text = run_to_file(
         tmp_path, ["verify", "--family", "py", "--sigma", "2", "--what", "density"]
     )
+    assert code == 0
+    assert read_json(text)["results"]["status"] == "ok"
+
+
+def test_verify_density_at_a_large_start(tmp_path):
+    # w0/sigma = 300 once exited 1 with "error: (34, 'Numerical result out of range')"
+    code, text = run_to_file(tmp_path, ["verify", "--p", "1", "--w0", "300", "--what", "density"])
     assert code == 0
     assert read_json(text)["results"]["status"] == "ok"
 

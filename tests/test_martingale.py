@@ -17,7 +17,7 @@ from polyaurn.martingale import (
     tail_variance_asymptotic,
 )
 from polyaurn.moments import asymptotic_constants, g_factor, rising_factorial_moment
-from polyaurn.urns import exact_pmf_dp, polya_young, triangular
+from polyaurn.urns import exact_pmf_dp, multicolor_polya_young, polya_young, triangular
 
 STD = polya_young(2, 1, 1, 1, 1)
 TRI = triangular(2, 1, 1, 2, 1, 1)
@@ -137,6 +137,17 @@ def test_tail_sum_experiment_thread_invariance():
     assert a != c
     with pytest.raises(ValueError):
         tail_sum_experiment(STD, 640, 40, 100, master_seed=1)
+
+
+def test_tail_sum_with_alike_replicates_has_no_shape():
+    # the 16 replicates of this run are alike, so both statistics have sample
+    # variance 0, and skewness and kurtosis were a ZeroDivisionError
+    # (`tail-sum` exited 1)
+    spec = multicolor_polya_young(1, 2, 2, (Fraction(1, 2), 1, 2))
+    rep = tail_sum_experiment(spec, 2, 4, 16, master_seed=0)
+    for stat in (rep.conditional, rep.plugin):
+        assert stat.variance == 0.0
+        assert stat.skewness is None and stat.excess_kurtosis is None
 
 
 def test_lil_diagnostic_shape():

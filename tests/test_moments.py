@@ -2,8 +2,10 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -435,6 +437,88 @@ def test_tilted_moments_of_several_orders_equal_single_calls():
         together = tilted_density_moment(spec, orders, points=40)
         assert together == [tilted_density_moment(spec, s, points=40) for s in orders]
         assert isinstance(tilted_density_moment(spec, 1, points=40), float)
+
+
+# STD, PY312, TRI, the benchmark's two grid specs, SINGULAR and four more,
+# among them a zero-rest-mass, a three-colour and a float spec
+DENSITY_SPECS = [
+    STD, PY312, TRI, polya_young(1, 1, 1, 1, 1), polya_young(1, 1, Fraction(1, 2), 1, 1),
+    SINGULAR, polya_young(2, Fraction(3, 2), Fraction(3, 2), Fraction(4, 3), Fraction(5, 2)),
+    polya_young(2, 1, 1, 1, 0), multicolor_polya_young(2, 1, 1, (1, 1, 1)),
+    polya_young(1, 0.7, 0.3, 0.9, 1.3),
+]
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+def test_memoised_density_values_equal_fresh_ones_bit_for_bit():
+    xs = np.geomspace(0.02, 20.0, 9)
+    uncached = moments._density_cutoff.__wrapped__
+    for spec in DENSITY_SPECS:
+        moments._density_cutoff.cache_clear()
+        fresh = uncached(spec, spec.is_exact)
+        cold = _hex(limit_density(spec, xs)), _hex(tilted_density_moment(spec, (0, 1, 2),
+                                                                       points=40))
+        assert moments._density_cutoff.cache_info().currsize == 1
+        assert _hex(density_cutoff(spec)) == _hex(fresh)
+        hot = _hex(limit_density(spec, xs)), _hex(tilted_density_moment(spec, (0, 1, 2),
+                                                                      points=40))
+        assert hot == cold
+        assert _hex(tilted_density_moment(spec, (0, 1, 2), upper=fresh, points=40)) == cold[1]
+
+
+def test_exact_and_float_twins_keep_their_own_cutoffs():
+    exact, twin = polya_young(2, 1, 1, 1, 1), polya_young(2, 1.0, 1.0, 1.0, 1.0)
+    assert exact == twin and hash(exact) == hash(twin)
+    assert exact.is_exact and not twin.is_exact
+    moments._density_cutoff.cache_clear()
+    assert density_cutoff(exact) == density_cutoff(twin)
+    info = moments._density_cutoff.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+
+
+def test_the_cutoff_memo_is_bounded():
+    maxsize = moments._density_cutoff.cache_parameters()["maxsize"]
+    assert isinstance(maxsize, int) and maxsize > 0
+
+
+@pytest.mark.parametrize("kw,message", [
+    ({"upper": 0.0}, "upper must be a positive finite number, got 0.0"),
+    ({"upper": -2.0}, "upper must be a positive finite number, got -2.0"),
+    ({"upper": math.nan}, "upper must be a positive finite number, got nan"),
+    ({"upper": math.inf}, "upper must be a positive finite number, got inf"),
+    ({"points": 0}, "points must be a positive integer, got 0"),
+    ({"points": -3}, "points must be a positive integer, got -3"),
+    ({"points": 2.5}, "points must be a positive integer, got 2.5"),
+], ids=["upper_0", "upper_negative", "upper_nan", "upper_inf", "points_0", "points_negative",
+        "points_float"])
+def test_tilted_moment_names_a_bad_argument(kw, message):
+    # upper <= 0 once warned from a log and then found "no saddle right of
+    # the pole"; points = 0 surfaced scipy's "n must be a positive integer."
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tilted_density_moment(STD, 1, **kw)
+
+
+def test_tilted_moment_at_a_large_start():
+    # w0/sigma = 300: (upper/2)^c and the Jacobi weights of x^(c-1) overflowed
+    # (OverflowError, and an overflow warning from roots_jacobi)
+    spec = polya_young(1, 1, 1, 300, 1)
+    mus = limit_moments(spec, 2, "per_period")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q0, q1, q2 = tilted_density_moment(spec, (0, 1, 2))
+    assert q0 == pytest.approx(1.0, abs=1e-9)
+    assert q1 == pytest.approx(mus[0], rel=1e-9)
+    assert q2 == pytest.approx(mus[1], rel=1e-9)
+    # c <= 1 keeps the weight x^(c-1) and the parent's values bit for bit
+    assert _hex(tilted_density_moment(STD, (0, 1, 2), points=40)) == [
+        "0x1.0000000000008p+0", "0x1.843311e367fc2p+0", "0x1.ae0564790117ap+1"]
+    assert _hex(tilted_density_moment(SINGULAR, (0, 1, 2), points=40)) == [
+        "0x1.0000000000151p+0", "0x1.843311e367ad4p-1", "0x1.03fd9ade925a3p+0"]
 
 
 # Runs in a fresh interpreter: prints the CPU ticks (utime + stime) that a

@@ -60,7 +60,7 @@ def test_integer_form_behaves_as_its_fraction_twin(key):
     assert law.probs == twin.probs
 
 
-@pytest.mark.parametrize("key", SMALL[::7], ids=lambda k: "_".join(map(str, k)))
+@pytest.mark.parametrize("key", SMALL, ids=lambda k: "_".join(map(str, k)))
 def test_integer_forms_compare_across_denominators(key):
     law = _fresh(key)
     tripled = Pmf._from_weights(law.support, tuple(3 * w for w in law._weights), 3 * law._den)
