@@ -61,18 +61,109 @@ def _scaled_start(spec: UrnSpec):
 # finite-time products
 
 # mode="auto" keeps the products exact up to this N: exact P_1 of
-# polya_young(2, 1, 1, 1, 1) took 0.07 s at N = 20,000 and 0.31 s at 40,000
-# on a 2-vCPU host.  The limit stays, since moving it would change what
-# "auto" returns.
+# polya_young(2, 1, 1, 1, 1) took 0.007-0.010 s at N = 20,000 and 0.015-0.017 s
+# at 40,000 on a 2-vCPU host (best of 3, two runs), against 0.043 and 0.16 s
+# when one gcd reduced it.  The limit stays, since moving it would change
+# what "auto" returns.
 _AUTO_EXACT_MAX_N = 20_000
+
+# An exact product of at least this many factors is reduced through the prime
+# exponents of its factors (_ratios_by_primes) instead of by one gcd of its
+# numerator and denominator.  Time against the gcd route (best of 5, 2-vCPU
+# host) for orders (1,) and (1, 2) on STD, py(3, 2, 7/3, 9/4, 1/4),
+# tri(4, 7, 5/3, 8/3, 1/3, 1/4) and a Thue-Morse spec: 1.6-2.5x at 1,000
+# factors, 0.76-1.34x at 2,000, 0.53-0.95x at 2,500, 0.35-0.68x at 4,000.
+_PRIME_ROUTE_MIN = 2_500
+# primes between two drops of the factors _ratios_by_primes has fully split
+_SPLIT_CHECK = 8
+
+# a Fraction from a coprime numerator and denominator, without the gcd
+# (the classmethod from Python 3.12 on, the keyword before)
+_coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or (
+    lambda num, den: Fraction(num, den, _normalize=False))
+
+
+def _factorable(totals: np.ndarray, shifts) -> bool:
+    """Whether _ratios_by_primes takes the product over these totals: at
+    least _PRIME_ROUTE_MIN positive int64 totals, shifts >= 0, and at most
+    as many trial divisors (the integers up to sqrt of the largest factor)
+    as factors."""
+    n = len(totals)
+    if n < _PRIME_ROUTE_MIN or totals.dtype == object or min(shifts) < 0:
+        return False
+    return int(totals.min()) > 0 and math.isqrt(int(totals.max()) + max(shifts)) <= n
+
+
+def _primes_upto(n: int) -> np.ndarray:
+    """The primes <= n, by the sieve of Eratosthenes."""
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    return np.flatnonzero(sieve)
+
+
+def _power_product(primes: np.ndarray, exps: np.ndarray) -> int:
+    """prod p**e over the primes with e > 0."""
+    more = exps > 1
+    powers = (p**e for p, e in zip(primes[more].tolist(), exps[more].tolist()))
+    return _product([*primes[exps == 1].tolist(), *powers])
+
+
+def _ratios_by_primes(totals: np.ndarray, shifts) -> list[Fraction]:
+    """[prod_t (t + h)/t for h in shifts] as reduced Fractions, without a
+    gcd.  Trial division by the primes up to sqrt(largest factor) splits
+    every factor into small primes and a cofactor that is 1 or one larger
+    prime.  Summing the signed exponents per prime leaves a numerator and a
+    denominator with no common prime, each multiplied up by _product (a
+    coprime base as in Bernstein, "Factoring into coprimes in essentially
+    linear time", 2005, here on factors small enough to split outright)."""
+    n = len(totals)
+    top = int(totals.max()) + max(shifts)
+    base = totals.astype(np.int32 if top < 2**31 else np.int64)
+    # row 0 the denominator's factors, row r the numerator's of shifts[r-1]
+    rest = np.concatenate([base] + [base + h for h in shifts])
+    rows = len(shifts) + 1
+    bounds = n * np.arange(rows + 1)
+    primes = _primes_upto(math.isqrt(top))
+    exps = np.zeros((len(primes), rows), dtype=np.int64)
+    live = np.arange(rest.size)
+    for k, p in enumerate(primes.tolist()):
+        if k % _SPLIT_CHECK == 0:
+            # a cofactor below p**2 has no prime below p: it is 1 or a prime
+            live = live[rest[live] >= p * p]
+        hit = live
+        while True:
+            cofactor = rest[hit]
+            quotient = cofactor // p
+            divides = quotient * p == cofactor
+            hit = hit[divides]
+            if not hit.size:
+                break
+            rest[hit] = quotient[divides]
+            exps[k] += np.diff(np.searchsorted(hit, bounds))
+    rest = rest.reshape(rows, n)
+    den_big = rest[0][rest[0] > 1]
+    out = []
+    for r in range(1, rows):
+        num_big = rest[r][rest[r] > 1]
+        # a large prime may also be a trial divisor: merge by value
+        ps, where = np.unique(np.concatenate([primes, num_big, den_big]), return_inverse=True)
+        signed = np.concatenate([exps[:, r] - exps[:, 0], np.ones(num_big.size),
+                                 -np.ones(den_big.size)])
+        e = np.bincount(where, signed, minlength=ps.size).astype(np.int64)
+        out.append(_coprime_fraction(_power_product(ps, e), _power_product(ps, -e)))
+    return out
 
 
 def _products(spec: UrnSpec, N: int, orders, mode: str, start: int = 0) -> tuple[bool, list]:
     """(exact, values) for P_s = prod_{j=start}^{N-1} (T_j + s*sigma)/T_j,
     one value per s in orders, all read off one schedule.  The arithmetic is
     urns._resolve_mode's, with "auto" exact up to _AUTO_EXACT_MAX_N.  Exact
-    values are Fractions (numerator and denominator accumulated as integers,
-    reduced once); float values are log P_s, a vectorized log1p sum."""
+    values are reduced Fractions: through prime exponents where _factorable
+    holds, else numerator and denominator accumulated as integers and
+    reduced by one gcd; float values are log P_s, a vectorized log1p sum."""
     _require_product_form(spec)
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -81,9 +172,12 @@ def _products(spec: UrnSpec, N: int, orders, mode: str, start: int = 0) -> tuple
     exact = _resolve_mode(spec, N, mode, _AUTO_EXACT_MAX_N)
     sched = schedule(spec, N)
     if exact:
-        totals = sched.totals[start:N].tolist()
-        den = _product(totals)
+        totals = sched.totals[start:N]
         shifts = [int(s * spec.sigma * sched.d) for s in orders]
+        if _factorable(totals, shifts):
+            return True, _ratios_by_primes(totals, shifts)
+        totals = totals.tolist()
+        den = _product(totals)
         return True, [Fraction(_product(t + h for t in totals), den) for h in shifts]
     x = sched.real(sched.totals[start:N])
     sigma = float(spec.sigma)
@@ -565,7 +659,8 @@ def density_cutoff(spec: UrnSpec) -> float:
     """Smallest probed x with f(x)*(1+x)^2 below 1e-13: quadratures stop
     where the integrand mass is already negligible instead of at a fixed
     multiple of the mean.  The probes x0*1.2^k run from x0 = mean + 1 up to
-    1000, _CUTOFF_BATCH to an engine call.  Cutoffs are memoised; the key
+    the larger of 1000 and 10*x0, _CUTOFF_BATCH to an engine call, so a
+    mean above 1000 still gets its tail probed.  Cutoffs are memoised; the key
     carries spec.is_exact, since an exact spec equals (and hashes as) its
     float twin, e.g. sigma 1 and 1.0."""
     return _density_cutoff(spec, spec.is_exact)
@@ -574,8 +669,9 @@ def density_cutoff(spec: UrnSpec) -> float:
 @functools.lru_cache(maxsize=_CUTOFF_MEMO)
 def _density_cutoff(spec: UrnSpec, exact: bool) -> float:
     x = limit_moments(spec, 1, "per_period")[0] + 1.0
+    ceiling = max(1000.0, 10.0 * x)
     probes = []
-    while x < 1000.0:
+    while x < ceiling:
         probes.append(x)
         x *= 1.2
     for first in range(0, len(probes), _CUTOFF_BATCH):
@@ -586,12 +682,22 @@ def _density_cutoff(spec: UrnSpec, exact: bool) -> float:
     return x
 
 
+# tilted_density_moment's default node count, raised to 2*upper/sd nodes
+# (sd the law's standard deviation) up to _MAX_POINTS for a law narrow
+# against its cutoff, whose peak 400 nodes step over: at w0/sigma = 10^6 (sd
+# 1.0, cutoff 1698) 1,700 nodes left 8e-7 of the mass, 3,500 nodes 8e-10;
+# roots_jacobi alone took 0.56 s at 4,000 nodes on a 2-vCPU host
+_POINTS = 400
+_MAX_POINTS = 4_000
+
+
 def tilted_density_moment(spec: UrnSpec, s, upper: float | None = None,
-                          points: int = 400) -> float | list[float]:
+                          points: int | None = None) -> float | list[float]:
     """Quadrature moment integral x^s f(x) dx of the limit density over
     [0, upper]; mostly a validation helper.  s is one order (the result is a
     float) or a sequence of orders (a list of floats), which share the cutoff
-    and one evaluation of the nodes.
+    and one evaluation of the nodes.  points defaults to _POINTS, or more
+    for a narrow law (see _MAX_POINTS).
 
     Gauss-Jacobi nodes carry the weight x^beta and integrate the smooth part
     f(x)/x^beta, so a density unbounded at 0 (c = w0/sigma < 1) loses no mass
@@ -602,7 +708,7 @@ def tilted_density_moment(spec: UrnSpec, s, upper: float | None = None,
     """
     from scipy.special import roots_jacobi
 
-    if not isinstance(points, numbers.Integral) or points < 1:
+    if points is not None and (not isinstance(points, numbers.Integral) or points < 1):
         raise ValueError(f"points must be a positive integer, got {points!r}")
     if upper is not None and not 0.0 < upper < math.inf:
         raise ValueError(f"upper must be a positive finite number, got {upper!r}")
@@ -610,6 +716,10 @@ def tilted_density_moment(spec: UrnSpec, s, upper: float | None = None,
     k = max(math.floor(c - 1.0), 0)
     if upper is None:
         upper = density_cutoff(spec)
+    if points is None:
+        m1, m2 = limit_moments(spec, 2, "per_period")
+        sd = math.sqrt(max(m2 - m1 * m1, 0.0))
+        points = min(max(_POINTS, math.ceil(2.0 * upper / sd)), _MAX_POINTS) if sd else _MAX_POINTS
     nodes, weights = roots_jacobi(points, 0.0, c - 1.0 - k)
     xs = 0.5 * upper * (nodes + 1.0)
     ws = (0.5 * upper) ** (c - k) * weights

@@ -604,10 +604,16 @@ def _exact_pmf(support, weights, den: int) -> Pmf:
 
 # mode="auto" runs exact arithmetic up to about 1 s of work.  Measured on
 # polya_young(2, 1, 1, 1, 1), 2-vCPU host shared with other tenants (best of
-# 3, two runs): exact 0.006-0.011 s at N = 200, 0.25-0.45 s at 800,
-# 0.45-0.85 s at 1,000 and 0.83-1.06 s at 1,200; float 0.008-0.017 s at
-# 1,200.
+# 3, two runs): exact 0.004-0.005 s at N = 200, 0.17-0.18 s at 800,
+# 0.34-0.41 s at 1,000 and 0.58-0.62 s at 1,200; float 0.004 s at 1,200.
 _AUTO_EXACT_MAX_N = 1_000
+
+# steps of the float DP that share one set of row views.  On the same spec
+# and host (best of 5, interleaved), N = 500, 1,000 and 2,000 took 1.56,
+# 3.53 and 9.11 ms at 8 steps a chunk, 1.48, 3.36 and 8.90 ms at 64, and
+# 1.59, 3.51 and 9.27 ms at 256; rows sliced to the support every step took
+# 2.1, 4.7 and 11.7 ms (best of 7, a separate run).
+_DP_CHUNK = 64
 
 
 def _resolve_mode(spec: UrnSpec, N: int, mode: str, auto_max_n: int = _AUTO_EXACT_MAX_N) -> bool:
@@ -634,7 +640,8 @@ def exact_pmf_dp(spec: UrnSpec, N: int, mode: str = "auto") -> Pmf:
     carries integer path weights (d*white and d*(T - white) per step, d the
     schedule's common denominator) and divides once by prod_j d*T_j, so the
     result sums to 1 exactly; float mode carries float64 probabilities in one
-    buffer, updated in place.  Its draw probability d*white / d*T is one
+    buffer, updated in place, _DP_CHUNK steps on one set of rows as long as
+    the support at the chunk's end.  Its draw probability d*white / d*T is one
     correctly rounded division of numerators over d (exact in float64 below
     2**53), so a white count equal to the total gives exactly 1 and no atom
     of probability 0 picks up rounding noise.
@@ -668,20 +675,24 @@ def exact_pmf_dp(spec: UrnSpec, N: int, mode: str = "auto") -> Pmf:
     totals = np.asarray(sched.totals, dtype=float).tolist()
     imm = np.asarray(imm, dtype=float).tolist()
     white = float(w0) + np.arange(N + 1) * float(gain)
-    # probs[:i+1] is the law before step i+1; up and stay are work rows
-    probs, up, stay = np.zeros(N + 1), np.empty(N + 1), np.empty(N + 1)
+    # probs[:i+1] is the law before step i+1 and +0 above it; stay is a work
+    # row, and up[1:] one whose zero pad up[0] shifts it a cell right
+    probs, stay, up = np.zeros(N + 1), np.empty(N + 1), np.zeros(N + 2)
     probs[0] = 1.0
-    for i in range(N):
-        p, u, s = probs[: i + 1], up[: i + 1], stay[: i + 1]
-        # white >= 0, so white + 0.0 is white: skip the add without immigration
-        np.divide(np.add(white[: i + 1], imm[i], out=u) if imm[i] else white[: i + 1],
-                  totals[i], out=u)
-        np.subtract(1, u, out=s)
-        np.multiply(p, u, out=u)
-        np.multiply(p, s, out=s)
-        probs[i + 1] = u[i]
-        np.add(u[:i], s[1:], out=probs[1 : i + 1])
-        probs[0] = s[0]
+    for first in range(0, N, _DP_CHUNK):
+        last = min(first + _DP_CHUNK, N)
+        # the chunk's steps run on the cells its last step reaches; a cell
+        # above the support holds +0 and keeps it: its stay +0*(1 - u) may be
+        # -0 where white > total, but its shifted up is +0, and -0 + +0 = +0
+        p, s, w = probs[: last + 1], stay[: last + 1], white[: last + 1]
+        u, shifted = up[1 : last + 2], up[: last + 1]
+        for i in range(first, last):
+            # white >= 0, so white + 0.0 is white: skip the add without immigration
+            np.divide(np.add(w, imm[i], out=u) if imm[i] else w, totals[i], out=u)
+            np.subtract(1, u, out=s)
+            np.multiply(p, u, out=u)
+            np.multiply(p, s, out=s)
+            np.add(s, shifted, out=p)
     kept = [(w, q) for w, q in zip(support, probs.tolist()) if q != 0]
     pmf = Pmf(tuple(w for w, _ in kept), tuple(q for _, q in kept))
     pmf.check_total(tol=1e-9)

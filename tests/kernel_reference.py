@@ -37,7 +37,10 @@ inverts the rising moments with Fraction sums over `lah_number` and
 package interpolates the moment polynomial instead, so this route is an
 independent derivation); `pmf_via_moments` reads from it and drops atoms
 of probability 0 as the package does.
-`exact_pmf_dp_float` is the float DP that allocates a fresh row every step.
+`exact_pmf_dp_float` is the float DP that allocates a fresh row every step,
+and `exact_pmf_dp_slices` the one that slices its three rows to the support
+every step and sets the two end cells one by one, as the package did before
+it ran chunks of steps on full-length rows.
 
 One line differs from the old kernels on purpose: when the float cumulative
 sum falls short of u*total, they took the last colour or slot (M - 1), which
@@ -239,6 +242,33 @@ def exact_pmf_dp_float(spec: UrnSpec, N: int) -> Pmf:
         probs = nxt
     kept = [(w, q) for w, q in zip((float(w0) + draws + imm[N]).tolist(), probs.tolist())
             if q != 0]
+    return Pmf(tuple(w for w, _ in kept), tuple(q for _, q in kept))
+
+
+def exact_pmf_dp_slices(spec: UrnSpec, N: int) -> Pmf:
+    """The float DP over the color-0 draw count on three rows sliced to the
+    support each step: the update in place, then the end cells set apart."""
+    sched = schedule(spec, N)
+    imm = np.concatenate(([0], np.cumsum(_per_step(sched.imm, N))))
+    w0, gain = (int(Fraction(v) * sched.d) for v in (spec.initial[0], spec.sigma))
+    support = (float(spec.initial[0]) + np.arange(N + 1) * float(spec.sigma)
+               + sched.real(imm[N])).tolist()
+    totals = np.asarray(sched.totals, dtype=float).tolist()
+    imm = np.asarray(imm, dtype=float).tolist()
+    white = float(w0) + np.arange(N + 1) * float(gain)
+    probs, up, stay = np.zeros(N + 1), np.empty(N + 1), np.empty(N + 1)
+    probs[0] = 1.0
+    for i in range(N):
+        p, u, s = probs[: i + 1], up[: i + 1], stay[: i + 1]
+        np.divide(np.add(white[: i + 1], imm[i], out=u) if imm[i] else white[: i + 1],
+                  totals[i], out=u)
+        np.subtract(1, u, out=s)
+        np.multiply(p, u, out=u)
+        np.multiply(p, s, out=s)
+        probs[i + 1] = u[i]
+        np.add(u[:i], s[1:], out=probs[1 : i + 1])
+        probs[0] = s[0]
+    kept = [(w, q) for w, q in zip(support, probs.tolist()) if q != 0]
     return Pmf(tuple(w for w, _ in kept), tuple(q for _, q in kept))
 
 

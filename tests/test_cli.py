@@ -411,6 +411,18 @@ def test_verify_density_at_a_large_start(tmp_path):
     assert read_json(text)["results"]["status"] == "ok"
 
 
+def test_verify_density_at_a_mean_above_1000(tmp_path):
+    # mean 1414.2: the cutoff was mean + 1, about one standard deviation
+    # right of the mean (residuals 0.1587), and 400 nodes stepped over the
+    # peak (sd 1.0) even at w0 = 10^5 (mean 447.2, residuals 5.0e-4)
+    for w0 in ("1e5", "1e6"):
+        code, text = run_to_file(tmp_path, ["verify", "--p", "1", "--w0", w0, "--what", "density"])
+        assert code == 0
+        results = read_json(text)["results"]
+        assert results["status"] == "ok"
+        assert max(float(results[k]) for k in ("mass", "mean", "second")) < 1e-8
+
+
 MULTI_2_1_1 = ["--family", "multi", "--p", "2", "--initial", "2,1,1"]
 
 

@@ -6,7 +6,12 @@ and shape, same bytes (by sha256).
 The exact routes pinned to their laws at commit
 c9297b1fde98efec2c898ce1579e299d59a351b4, before the schedule memo and the
 integer total checks: the sha256 of repr(Pmf), so every Fraction and every
-float bit counts."""
+float bit counts.
+
+The exact products P_s(10,000) pinned at commit
+9e2f99cc6ba0a16aa5ede816a108b145280f98d3, when one gcd reduced them, before
+the reduction through prime exponents: the sha256 of the reduced numerator
+and denominator in hex."""
 
 import hashlib
 from fractions import Fraction as F
@@ -15,7 +20,7 @@ import numpy as np
 import pytest
 
 from polyaurn.crp import CrpParams, table_count_urn
-from polyaurn.moments import pmf_via_moments
+from polyaurn.moments import pmf_via_moments, product_ratio
 from polyaurn.stirling import block_count_urn, simulate_block_counts
 from polyaurn.urns import (enumerate_histories, exact_pmf_dp, multicolor_polya_young,
                            polya_young, sequence_urn, simulate_white_batch, triangular,
@@ -229,3 +234,21 @@ def test_exact_route_golden(key):
     route, name, N = key
     pmf = EXACT_ROUTES[route](EXACT_SPECS[name], N)
     assert hashlib.sha256(repr(pmf).encode()).hexdigest() == EXACT[key]
+
+
+PRODUCTS = {  # (spec, s) -> sha256 of "numerator/denominator" of P_s(10_000) in hex
+    ("std", 1): "81ae2062af3c25381c2d6e0962c601b759047df8baafd5aa9454ae702b9799e2",
+    ("std", 2): "e944e1558cea3ca09c1df7bd0f186d50115e7d886a4006153d148c72b1d9c6dc",
+    ("tri", 1): "8d2694b3a03cb174ce4a3a20c865740fb500e21356c2d10b5e443fd4cfacaa7d",
+    ("tri", 2): "8f5f107d0419c02e948d52de7af4e6b9028b14c059a6b69573f9268ea7572538",
+    ("thue_morse", 1): "290a4c783a752c60d25ff401a821963e39c587e30818f3b22a969134873a86bf",
+    ("thue_morse", 2): "0694b59dc6f8b7f9a923b92e16a8e124cb3395e8f306c0471cb431b7b988c942",
+}
+
+
+@pytest.mark.parametrize("key", list(PRODUCTS), ids=lambda k: "_".join(map(str, k)))
+def test_exact_product_golden(key):
+    name, s = key
+    P = product_ratio(EXACT_SPECS[name], 10_000, s, "exact")
+    digest = hashlib.sha256(f"{P.numerator:x}/{P.denominator:x}".encode()).hexdigest()
+    assert digest == PRODUCTS[key]

@@ -521,3 +521,16 @@ def test_float_dp_matches_the_allocating_loop(spec):
         return [x.hex() for x in pmf.support], [q.hex() for q in pmf.probs]
     for N in (1, 7, 500, 2000):
         assert hexes(exact_pmf_dp(spec, N, "float")) == hexes(ref.exact_pmf_dp_float(spec, N))
+
+
+@pytest.mark.parametrize("spec", [
+    with_white_immigration(polya_young(2, 1, 1, 1, 1), [Fraction(1, 2), 0]),
+    polya_young(2, 1, 1, 1, 0),
+    multicolor_polya_young(2, 1, 1, (2, 1, 1)),
+    with_white_immigration(triangular(3, 1.5, 0.5, 1.25, 2.0, 0.25), [0.1, 0.0, 0.7]),
+], ids=["immigration", "b0_0", "multicolour", "float"])
+def test_float_dp_chunks_match_the_sliced_loop(spec):
+    # chunk edges at multiples of urns._DP_CHUNK (64): the chunked update
+    # writes +0 above the support, where the sliced loop never wrote
+    for N in (0, 1, 63, 64, 65, 127, 128, 129, 1000):
+        assert repr(exact_pmf_dp(spec, N, "float")) == repr(ref.exact_pmf_dp_slices(spec, N))

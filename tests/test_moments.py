@@ -46,7 +46,7 @@ from polyaurn.moments import (
     rising_factorial_moment,
     tilted_density_moment,
 )
-from polyaurn.urns import multicolor_polya_young
+from polyaurn.urns import _product, multicolor_polya_young
 
 STD = polya_young(2, 1, 1, 1, 1)
 TRI = triangular(2, 1, 1, 2, 1, 1)
@@ -80,6 +80,73 @@ def test_products_build_one_schedule_per_call(monkeypatch):
         builds.clear()
         call()
         assert builds == [60]
+
+
+RATIO_SPECS = {
+    "std": STD,
+    "py312": PY312,
+    "tri_rational": triangular(3, Fraction(1, 2), Fraction(5, 3), Fraction(7, 4), Fraction(2, 3),
+                               Fraction(3, 4)),
+    "thue_morse": sequence_urn("thue_morse", Fraction(1, 2), (Fraction(1, 3), Fraction(5, 4)), 1,
+                               2),
+    "multicolour": multicolor_polya_young(2, 1, 1, (2, 1, 1)),
+}
+
+
+def _gcd_route(spec, N, orders, start=0):
+    """prod (T_j + s*sigma)/T_j over j = start..N-1, reduced by one gcd."""
+    sched = moments.schedule(spec, N)
+    totals = sched.totals[start:N].tolist()
+    return [Fraction(_product(t + int(s * spec.sigma * sched.d) for t in totals), _product(totals))
+            for s in orders]
+
+
+@pytest.mark.parametrize("name", list(RATIO_SPECS))
+@pytest.mark.parametrize("n", [moments._PRIME_ROUTE_MIN - 1, moments._PRIME_ROUTE_MIN,
+                               moments._PRIME_ROUTE_MIN + 1, 10_000],
+                         ids=["below", "at", "above", "10000"])
+def test_prime_route_equals_the_gcd_route(name, n, monkeypatch):
+    # n factors, from step 0 and from a later start; the prime route runs from
+    # _PRIME_ROUTE_MIN factors on, and its Fractions equal the reduced ones
+    spec, routes = RATIO_SPECS[name], []
+    by_primes = moments._ratios_by_primes
+    monkeypatch.setattr(moments, "_ratios_by_primes",
+                        lambda *a: routes.append("primes") or by_primes(*a))
+    for start in (0, 37):
+        routes.clear()
+        N = start + n
+        exact, values = moments._products(spec, N, range(5), "exact", start)
+        assert exact and values == _gcd_route(spec, N, range(5), start)
+        assert routes == (["primes"] if n >= moments._PRIME_ROUTE_MIN else [])
+
+
+def test_prime_route_on_short_products():
+    # the reduction itself holds at any length, down to one factor
+    for spec in RATIO_SPECS.values():
+        for N, start in ((1, 0), (2, 1), (10, 0), (57, 19), (300, 0)):
+            sched = moments.schedule(spec, N)
+            shifts = [int(s * spec.sigma * sched.d) for s in range(5)]
+            assert (moments._ratios_by_primes(sched.totals[start:N], shifts)
+                    == _gcd_route(spec, N, range(5), start))
+
+
+def test_products_beyond_the_prime_route_take_the_gcd(monkeypatch):
+    def refuse(*a):
+        raise AssertionError("prime route taken")
+    monkeypatch.setattr(moments, "_ratios_by_primes", refuse)
+    N = moments._PRIME_ROUTE_MIN + 10
+    # totals held as Python ints: the schedule passes 2**53 within N steps
+    big = polya_young(2, 1, 1, 2**50, 1)
+    assert moments.schedule(big, N).totals.dtype == object
+    assert moments._products(big, N, (1, 2), "exact")[1] == _gcd_route(big, N, (1, 2))
+    # a negative order shifts below the totals
+    assert product_ratio(STD, N, -1, "exact") == _gcd_route(STD, N, (-1,))[0]
+    # sqrt of the largest factor above the factor count: more trial divisors
+    # than factors
+    wide = polya_young(1, 1, Fraction(1, 99991), 1, 1)
+    assert moments.schedule(wide, N).totals.dtype == np.int64
+    assert math.isqrt(int(moments.schedule(wide, N).totals[-1])) > N
+    assert product_ratio(wide, N, 1, "exact") == _gcd_route(wide, N, (1,))[0]
 
 
 def test_g_factor_frozen_and_martingale_identity():
@@ -307,6 +374,33 @@ def test_density_cutoff_probes_negligible_tail():
         xs = np.array([*probes, cut])
         tail = limit_density(spec, xs) * (1.0 + xs) ** 2
         assert np.all(tail[:-1] >= 1e-13) and tail[-1] < 1e-13
+
+
+def test_density_cutoff_at_a_mean_above_1000():
+    # the probes once stopped at 1000 and returned mean + 1 = 1415.2, where
+    # the density is still near its peak
+    spec = polya_young(1, 1, 1, 10**6, 1)
+    x0 = limit_moments(spec, 1, "per_period")[0] + 1.0
+    cut = density_cutoff(spec)
+    assert x0 > 1000.0 and cut == x0 * 1.2
+    xs = np.array([x0, cut])
+    assert list(limit_density(spec, xs) * (1.0 + xs) ** 2 < 1e-13) == [False, True]
+
+
+def test_narrow_law_gets_more_nodes(monkeypatch):
+    # 2*upper/sd nodes (sd 1.0 at w0 = 10^5 and 10^6), between _POINTS and
+    # _MAX_POINTS
+    import scipy.special
+
+    counts, roots = [], scipy.special.roots_jacobi
+    monkeypatch.setattr(scipy.special, "roots_jacobi",
+                        lambda n, a, b: counts.append(n) or roots(n, a, b))
+    monkeypatch.setattr(moments, "_MAX_POINTS", 2000)
+    for w0 in (1, 10**5, 10**6):
+        tilted_density_moment(polya_young(1, 1, 1, w0, 1), 0, upper=(2 * w0) ** 0.5 + 90)
+    m1, m2 = limit_moments(polya_young(1, 1, 1, 10**5, 1), 2, "per_period")
+    assert counts == [moments._POINTS,
+                      math.ceil(2 * ((2 * 10**5) ** 0.5 + 90) / math.sqrt(m2 - m1 * m1)), 2000]
 
 
 def test_density_quadrature_recovers_mass_and_mean():
