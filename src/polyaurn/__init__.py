@@ -45,7 +45,6 @@ from .laws import (
     DecompositionReport,
     Law,
     UnsupportedLawError,
-    bessel_params_from_urn,
     beta_law,
     decomposition_for,
     dirichlet_law,

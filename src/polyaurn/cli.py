@@ -12,6 +12,7 @@ digits.  Exit codes: 0 success, 1 domain or verification failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -63,14 +64,24 @@ from .urns import (
 CSV_SCHEMA_VERSION = 3
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Lift the cap on the digits of an int printed in decimal (4,300 from
+    Python 3.11 and 3.10.7 on), then restore it for the rest of the process."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_cap(0)
+    try:
+        yield
+    finally:
+        set_cap(cap)
+
+
+@_all_digits()
 def _fmt(x, mode: str) -> str:
-    if isinstance(x, Fraction):
-        if mode == "exact":
-            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if isinstance(x, Fraction) and mode != "exact":
         x = float(x)
-    if isinstance(x, float):
-        return format(x, ".15g")
-    return str(x)
+    return format(x, ".15g") if isinstance(x, float) else str(x)
 
 
 def _positive_int(text: str) -> int:
@@ -164,6 +175,7 @@ def _resolved_config(args) -> dict:
     return out
 
 
+@_all_digits()
 def _emit(args, rows=None, header=None, payload=None) -> None:
     """Rows under a header, or a payload dict; CSV by default for rows, JSON
     for a payload.  Both formats carry the version, schema and config."""

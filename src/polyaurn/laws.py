@@ -51,7 +51,6 @@ __all__ = [
     "moment_at",
     "mixed_moment_at",
     "BesselParams",
-    "bessel_params_from_urn",
     "Decomposition",
     "decomposition_for",
     "DecompositionReport",
@@ -202,10 +201,6 @@ def _bessel_params(cst: LimitConstants) -> BesselParams:
     r = -(p - 1) / 2.0
     alpha = 1.0 - d / 2.0
     return BesselParams(d, r, alpha, alpha / (1.0 - 2.0 * r))
-
-
-def bessel_params_from_urn(spec: UrnSpec) -> BesselParams:
-    return _bessel_params(asymptotic_constants(spec))
 
 
 def _local_time(cst: LimitConstants) -> Law:

@@ -161,9 +161,10 @@ def _products(spec: UrnSpec, N: int, orders, mode: str, start: int = 0) -> tuple
     """(exact, values) for P_s = prod_{j=start}^{N-1} (T_j + s*sigma)/T_j,
     one value per s in orders, all read off one schedule.  The arithmetic is
     urns._resolve_mode's, with "auto" exact up to _AUTO_EXACT_MAX_N.  Exact
-    values are reduced Fractions: through prime exponents where _factorable
-    holds, else numerator and denominator accumulated as integers and
-    reduced by one gcd; float values are log P_s, a vectorized log1p sum."""
+    values are reduced Fractions of products over b*d*T_j and b*d*T_j + a,
+    s*gain = a/b (b = 1 for whole orders): through prime exponents where
+    _factorable holds, else numerator and denominator accumulated as
+    integers and reduced by one gcd; float values are log P_s."""
     _require_product_form(spec)
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -173,7 +174,12 @@ def _products(spec: UrnSpec, N: int, orders, mode: str, start: int = 0) -> tuple
     sched = schedule(spec, N)
     if exact:
         totals = sched.totals[start:N]
-        shifts = [int(s * spec.sigma * sched.d) for s in orders]
+        shifts = [Fraction(s) * sched.gain for s in orders]
+        b = math.lcm(*(h.denominator for h in shifts))
+        if b > 1:  # int64 while b*d*T_j stays below 2**53, as in the schedule
+            wide = int(totals.max(initial=0)) * b >= 2**53
+            totals = totals.astype(object if wide else totals.dtype) * b
+        shifts = [int(h * b) for h in shifts]
         if _factorable(totals, shifts):
             return True, _ratios_by_primes(totals, shifts)
         totals = totals.tolist()
@@ -249,9 +255,8 @@ def _law_core(spec: UrnSpec, N: int) -> tuple[int, list[int]]:
         raise ValueError("moment inversion is O(N^2) exact arithmetic; keep N <= 600")
     sched = schedule(spec, N)
     totals = sched.totals[:N].tolist()
-    h, w = int(spec.sigma * sched.d), int(spec.initial[0] * sched.d)
-    c = _scaled_start(spec)
-    a, b = c.numerator, c.denominator
+    h, w = sched.gain, sched.w0
+    a, b = Fraction(w, h).as_integer_ratio()  # c = w0/sigma
     diff = [_product(t - w - i * h for t in totals) for i in range(N + 1)]
     law, num, den = [], 1, 1  # num = (-1)^k*rho_k, den = k!*b^k
     for k in range(N + 1):
@@ -280,7 +285,8 @@ def pmf_via_moments(spec: UrnSpec, N: int) -> Pmf:
     probability 0 (unreachable when the black side starts empty) are
     dropped, as exact_pmf_dp drops them."""
     Q, law = _law_core(spec, N)
-    return _exact_pmf((spec.initial[0] + k * spec.sigma for k in range(N + 1)), law, Q)
+    sched = schedule(spec, N)
+    return _exact_pmf((Fraction(sched.w0 + k * sched.gain, sched.d) for k in range(N + 1)), law, Q)
 
 
 def mixed_rising_moment(spec: UrnSpec, N: int, svec, mode: str = "auto"):

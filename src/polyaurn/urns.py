@@ -235,10 +235,8 @@ def _step_rule(spec: UrnSpec, N: int) -> tuple[list, np.ndarray]:
     """The package's one step rule: (rows, kind) for steps 1..N.  A row is an
     (ell, immigration) pair of additions in the spec's own numbers, ell into
     the last color and immigration into color 0: one row per phase, or one
-    per sequence value.  kind[i - 1] is the row of step i over one cycle of
-    steps (the period, or steps 1..max(N, 1) of a sequence spec), which
-    repeats to cover steps 1..N.  Only the rows some step of the cycle reads
-    are kept."""
+    per sequence value, kept if a step of one cycle (the period, or steps
+    1..max(N, 1) of a sequence spec) reads it; kind[i - 1] is step i's row."""
     imm = spec.white_immigration or (0,) * spec.period
     if spec.sequence_name is not None:
         kind = _SEQUENCES[spec.sequence_name](max(N, 1) + 1)[1:] - 1
@@ -247,28 +245,27 @@ def _step_rule(spec: UrnSpec, N: int) -> tuple[list, np.ndarray]:
         kind = np.arange(spec.period)
         rows = list(zip(spec.phase_ells, imm))
     used = np.bincount(kind, minlength=len(rows)) > 0
-    return [row for row, u in zip(rows, used) if u], (np.cumsum(used) - 1)[kind]
+    kind = (np.cumsum(used) - 1)[kind]
+    return [row for row, u in zip(rows, used) if u], np.tile(kind, -(-N // kind.size))[:N]
 
 
 def immigration_at(spec: UrnSpec, i: int):
-    """Addition to color 0 at step i (1-based), for callers outside the
-    package; the package itself reads _step_rule."""
-    if spec.white_immigration is None:
-        return 0
-    return spec.white_immigration[(i - 1) % spec.period]
+    """Addition to color 0 at step i (1-based), for callers outside the package."""
+    return (spec.white_immigration or (0,) * spec.period)[(i - 1) % spec.period]
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Deterministic step schedule up to step N, as integers over one common
-    denominator d: totals[j] = d*T_j for j = 0..N; ells and imm hold d*ell and
-    d*immigration of each step over one cycle of steps i = 1, 2, ... (see
-    _step_rule), which repeats to cover steps 1..N.  The arrays are int64
-    while every value stays below 2**53 and hold Python ints beyond, so they
-    never wrap, and read-only, since schedule() hands one to every caller."""
+    """Color 0's two-color chain up to step N in integers over one common
+    denominator d: start w0 = d*w_0, gain = d*sigma per color-0 draw, totals[j]
+    = d*T_j (j = 0..N), ells[i - 1] = d*ell and imm[i - 1] = d*immigration of
+    step i = 1..N.  The arrays are int64 while every value stays below 2**53,
+    else Python ints, so they never wrap; read-only, as schedule() shares them."""
 
     d: int
     exact: bool
+    w0: int
+    gain: int
     totals: np.ndarray
     ells: np.ndarray
     imm: np.ndarray
@@ -283,24 +280,19 @@ class Schedule:
         return Fraction(t, self.d) if self.exact else t / self.d
 
 
-def _per_step(row: np.ndarray, N: int) -> np.ndarray:
-    """A one-cycle row repeated over steps 1..N."""
-    return np.tile(row, -(-N // len(row)))[:N]
-
-
 # schedules schedule() keeps, least recently used first out: an exact check
 # at small N reads one (spec, N) schedule up to six times
 _SCHEDULE_MEMO = 8
 
 
 def schedule(spec: UrnSpec, N: int) -> Schedule:
-    """Step schedule of `spec` for steps 1..N, from the rows of _step_rule.
+    """Chain of color 0 in `spec` for steps 1..N, from the rows of _step_rule.
 
-    The common denominator covers the rows the cycle uses.  The totals are
-    the running sum of the per-step additions, which by balance do not depend
-    on the drawn color.  Schedules are memoised and their arrays read-only;
-    the key carries spec.is_exact, since an exact spec equals (and hashes
-    as) its float twin, e.g. sigma 1 and 1.0."""
+    The common denominator covers the start, sigma and the rows the cycle
+    uses.  The totals are the running sum of the per-step additions, which by
+    balance do not depend on the drawn color.  Schedules are memoised; the
+    key carries spec.is_exact, since an exact spec equals (and hashes as) its
+    float twin, e.g. sigma 1 and 1.0."""
     if N < 0:
         raise ValueError("N must be >= 0")
     return _schedule(spec, spec.is_exact, N)
@@ -310,22 +302,18 @@ def schedule(spec: UrnSpec, N: int) -> Schedule:
 def _schedule(spec: UrnSpec, exact: bool, N: int) -> Schedule:
     rows, kind = _step_rule(spec, N)
     rows = [tuple(map(Fraction, row)) for row in rows]
-    base = Fraction(spec.sigma)
-    t0 = Fraction(spec.total_initial)
-    values = [t0, base, *map(Fraction, spec.initial), *(v for row in rows for v in row)]
-    d = math.lcm(*(v.denominator for v in values))
+    base, t0 = Fraction(spec.sigma), Fraction(spec.total_initial)
+    d = math.lcm(*(v.denominator for v in (t0, base, *map(Fraction, spec.initial), *chain(*rows))))
     d_rows = [(int(e * d), int(m * d), int((base + e + m) * d)) for e, m in rows]
     big = max(abs(v) for v in (d, int(t0 * d), *(v for row in d_rows for v in row)))
     dtype = np.int64 if big * (N + 1) < 2**53 else object
-    # ell, immigration and total addition of each step of the cycle
+    # ell, immigration and total addition of each step
     ells, imms, adds = (np.array(col, dtype=dtype)[kind] for col in zip(*d_rows))
-    totals = np.empty(N + 1, dtype=dtype)
-    totals[0] = int(t0 * d)
-    totals[1:] = _per_step(adds, N)
+    totals = np.concatenate((np.array([int(t0 * d)], dtype), adds))
     np.cumsum(totals, out=totals)
     for a in (totals, ells, imms):
         a.flags.writeable = False
-    return Schedule(d, exact, totals, ells, imms)
+    return Schedule(d, exact, int(Fraction(spec.initial[0]) * d), int(base * d), totals, ells, imms)
 
 
 def _product(values) -> int:
@@ -415,7 +403,7 @@ def simulate_white_batch(
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     sigma = float(spec.sigma)
     sched = schedule(spec, N)
-    T, imm = sched.real(sched.totals), sched.real(_per_step(sched.imm, N))
+    T, imm = sched.real(sched.totals), sched.real(sched.imm)
     T_prev, imm = np.append(np.nan, T[:-1]), np.append(0.0, imm)  # step j reads these at j
     row = np.full(N + 1, -1)  # row of out recording each step, -1 (the spare last row) for none
     row[checkpoints] = np.arange(len(checkpoints))
@@ -469,8 +457,7 @@ def simulate_counts_batch(spec: UrnSpec, N: int, n_reps: int, seed: int) -> np.n
     counts = np.repeat([[float(c)] for c in spec.initial], n_reps, axis=1)
     sigma = float(spec.sigma)
     sched = schedule(spec, N)
-    totals, ells, imms = (sched.real(v).tolist() for v in
-                          (sched.totals, _per_step(sched.ells, N), _per_step(sched.imm, N)))
+    totals, ells, imms = (sched.real(v).tolist() for v in (sched.totals, sched.ells, sched.imm))
     u, draw = np.empty(n_reps), _cumulative_draw(n_reps)
     colours, hit = np.arange(spec.colors, dtype=np.int32)[:, None], np.empty(counts.shape, bool)
     for i in range(1, N + 1):
@@ -636,23 +623,22 @@ def exact_pmf_dp(spec: UrnSpec, N: int, mode: str = "auto") -> Pmf:
     increment of sigma exactly on color-0 draws, which hold at every color
     count (only the last color takes the refresh) and with immigration.
 
-    Both modes run one two-slice update over the draw count.  Exact mode
-    carries integer path weights (d*white and d*(T - white) per step, d the
-    schedule's common denominator) and divides once by prod_j d*T_j, so the
-    result sums to 1 exactly; float mode carries float64 probabilities in one
-    buffer, updated in place, _DP_CHUNK steps on one set of rows as long as
-    the support at the chunk's end.  Its draw probability d*white / d*T is one
-    correctly rounded division of numerators over d (exact in float64 below
-    2**53), so a white count equal to the total gives exactly 1 and no atom
-    of probability 0 picks up rounding noise.
+    Both modes run one two-slice update over the draw count on the chain
+    schedule(spec, N), where color 0 holds w0 + k*gain + (summed imm) of
+    totals[i] over d.  Exact mode carries integer path weights and divides
+    once by prod_j d*T_j, so the result sums to 1 exactly; float mode
+    carries float64 probabilities in one buffer, updated in place, _DP_CHUNK
+    steps on one set of rows as long as the support at the chunk's end.  Its
+    draw probability d*white / d*T is one correctly rounded division of
+    numerators over d (exact in float64 below 2**53), so a white count equal
+    to the total gives exactly 1 and no atom of probability 0 picks up
+    rounding noise.
     """
     exact = _resolve_mode(spec, N, mode)
     sched = schedule(spec, N)
-    d = sched.d
-    # counts over d: imm[i] is the immigration into color 0 before step
-    # i+1, w0 the start of color 0 and gain its gain per color-0 draw
-    imm = np.concatenate(([0], np.cumsum(_per_step(sched.imm, N))))
-    w0, gain = (int(Fraction(v) * d) for v in (spec.initial[0], spec.sigma))
+    d, w0, gain = sched.d, sched.w0, sched.gain
+    # imm[i] is the immigration into color 0 before step i+1, over d
+    imm = np.concatenate(([0], np.cumsum(sched.imm)))
     if exact:
         totals = sched.totals.tolist()
         imm = imm.tolist()
@@ -725,14 +711,15 @@ def enumerate_histories(spec: UrnSpec, N: int) -> Pmf:
     if exact:
         sched = schedule(spec, N)
         d, den = sched.d, _product(sched.totals[:N].tolist())
-        sigma, start = int(spec.sigma * d), [int(c * d) for c in spec.initial]
-        ells, imms = _per_step(sched.ells, N), _per_step(sched.imm, N)
+        # the chain holds color 0 alone: the other colors' starts are scaled here
+        sigma, start = sched.gain, [sched.w0, *(int(c * d) for c in spec.initial[1:])]
+        ells, imms = sched.ells, sched.imm
         cdtype = np.int64 if int(sched.totals[-1]) < 2**63 else object
         wdtype = np.int64 if den < 2**63 else object  # a path weight is at most den
     else:
         rows, kind = _step_rule(spec, N)
         sigma, start = spec.sigma, list(spec.initial)
-        ells, imms = ([rows[k][c] for k in _per_step(kind, N)] for c in (0, 1))
+        ells, imms = ([rows[k][c] for k in kind] for c in (0, 1))
         cdtype, wdtype = object, float
     # the terms of each step, row k when colour k is drawn: sigma to colour k,
     # ell to the last colour, immigration to colour 0; integers add in one go

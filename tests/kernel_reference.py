@@ -30,8 +30,8 @@ the strict xfail of criterion 10 and `test_stirling` show to be wrong.
 The exact layer keeps its earlier code here as oracles, from before it moved
 to integer and vector arithmetic; the tests assert that both return the same
 values, Fraction for Fraction and bit for bit.  `per_step_schedule` resolves
-every step of a cycle by this file's `ell_at` and `immigration_at` (one
-Fraction each) and takes the lcm over all of them.  `binomial_moments`
+each of steps 1..N by this file's `ell_at` and `immigration_at` (one
+Fraction each), with no cycle, and takes the lcm over all of them.  `binomial_moments`
 inverts the rising moments with Fraction sums over `lah_number` and
 `falling_factorial`, which live here since no package code needs them (the
 package interpolates the moment polynomial instead, so this route is an
@@ -57,8 +57,7 @@ from polyaurn.moments import product_ratio
 from polyaurn.specialfn import rising_factorial
 from polyaurn.stirling import _check_params, block_count
 from polyaurn.trees import forest_total_weight, gport_family
-from polyaurn.urns import (_ENUM_GUARD, Pmf, Schedule, UrnSpec, _per_step, schedule,
-                           triangular)
+from polyaurn.urns import _ENUM_GUARD, Pmf, Schedule, UrnSpec, schedule, triangular
 
 
 def draw_color(counts, total, u: float) -> int:
@@ -148,14 +147,15 @@ def enumerate_histories(spec: UrnSpec, N: int) -> Pmf:
 
 
 def per_step_schedule(spec: UrnSpec, N: int) -> Schedule:
-    """Step schedule of `spec` for steps 1..N, each step of the cycle (the
-    period, or all N steps for a sequence-driven spec) resolved on its own."""
+    """Chain of colour 0 in `spec` for steps 1..N, each step resolved on its
+    own by ell_at and immigration_at.  The denominator also covers the steps
+    up to the period, which a chain shorter than one period does not reach."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    cycle = max(N, 1) if spec.sequence_name is not None else spec.period
-    base = Fraction(spec.sigma)
-    ells = [Fraction(ell_at(spec, i)) for i in range(1, cycle + 1)]
-    imms = [Fraction(immigration_at(spec, i)) for i in range(1, cycle + 1)]
+    base, w0 = Fraction(spec.sigma), Fraction(spec.initial[0])
+    steps = range(1, max(N, spec.period) + 1)
+    ells = [Fraction(ell_at(spec, i)) for i in steps]
+    imms = [Fraction(immigration_at(spec, i)) for i in steps]
     t0 = Fraction(spec.total_initial)
     values = [t0, base, *map(Fraction, spec.initial), *ells, *imms]
     d = math.lcm(*(v.denominator for v in values))
@@ -166,10 +166,10 @@ def per_step_schedule(spec: UrnSpec, N: int) -> Schedule:
     dtype = np.int64 if big * (N + 1) < 2**53 else object
     totals = np.empty(N + 1, dtype=dtype)
     totals[0] = int(t0 * d)
-    totals[1:] = _per_step(np.array(d_adds, dtype=dtype), N)
-    np.cumsum(totals, out=totals)
-    return Schedule(d, spec.is_exact, totals, np.array(d_ells, dtype=dtype),
-                    np.array(d_imms, dtype=dtype))
+    for i in range(1, N + 1):
+        totals[i] = totals[i - 1] + d_adds[i - 1]
+    return Schedule(d, spec.is_exact, int(w0 * d), int(base * d), totals,
+                    np.array(d_ells[:N], dtype=dtype), np.array(d_imms[:N], dtype=dtype))
 
 
 def falling_factorial(x, s: int):
@@ -226,7 +226,7 @@ def exact_pmf_dp_float(spec: UrnSpec, N: int) -> Pmf:
     """The float DP over the color-0 draw count, one fresh row per step;
     draw probabilities are ratios of counts over the schedule's denominator."""
     sched = schedule(spec, N)
-    imm_d = np.concatenate(([0], np.cumsum(_per_step(sched.imm, N))))
+    imm_d = np.concatenate(([0], np.cumsum(sched.imm)))
     imm = sched.real(imm_d).tolist()
     w0, sigma, d = Fraction(spec.initial[0]), Fraction(spec.sigma), sched.d
     draws = np.arange(N + 1) * float(sigma)
@@ -249,7 +249,7 @@ def exact_pmf_dp_slices(spec: UrnSpec, N: int) -> Pmf:
     """The float DP over the color-0 draw count on three rows sliced to the
     support each step: the update in place, then the end cells set apart."""
     sched = schedule(spec, N)
-    imm = np.concatenate(([0], np.cumsum(_per_step(sched.imm, N))))
+    imm = np.concatenate(([0], np.cumsum(sched.imm)))
     w0, gain = (int(Fraction(v) * sched.d) for v in (spec.initial[0], spec.sigma))
     support = (float(spec.initial[0]) + np.arange(N + 1) * float(spec.sigma)
                + sched.real(imm[N])).tolist()
@@ -288,7 +288,7 @@ def simulate_white_batch(spec, checkpoints, n_reps, seed):
     sigma = float(spec.sigma)
     W = np.full(n_reps, float(spec.initial[0]))
     sched = schedule(spec, N)
-    totals, imms = (sched.real(v).tolist() for v in (sched.totals, _per_step(sched.imm, N)))
+    totals, imms = (sched.real(v).tolist() for v in (sched.totals, sched.imm))
     out = []
     if checkpoints and checkpoints[0] == 0:
         out.append(W.copy())
@@ -349,8 +349,7 @@ def simulate_counts_batch(spec, N, n_reps, seed):
     counts = np.tile([float(c) for c in spec.initial], (n_reps, 1))
     sigma = float(spec.sigma)
     sched = schedule(spec, N)
-    totals, ells, imms = (sched.real(v).tolist() for v in
-                          (sched.totals, _per_step(sched.ells, N), _per_step(sched.imm, N)))
+    totals, ells, imms = (sched.real(v).tolist() for v in (sched.totals, sched.ells, sched.imm))
     idx = np.arange(n_reps)
     for i in range(1, N + 1):
         u = rng.random(n_reps)

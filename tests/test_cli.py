@@ -5,6 +5,7 @@ import io
 import json
 import re
 import shlex
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,8 @@ import polyaurn
 import polyaurn.cli as cli
 from kernel_reference import tv_floor
 from polyaurn.cli import run
-from polyaurn.moments import limit_density
+from polyaurn.moments import limit_density, raw_moments
+from polyaurn.stirling import stirling_count
 from polyaurn.trees import gport_family, statistic_pmf
 from polyaurn.urns import (
     exact_pmf_dp,
@@ -90,6 +92,26 @@ def test_urn_exact_sequence_family_defaults(tmp_path):
     rows = [line.split(",") for line in text.strip().splitlines()[3:]]
     law = exact_pmf_dp(sequence_urn("thue_morse", 1, (1, 2), 1, 1), 3)
     assert {Fraction(w): Fraction(q) for w, q in rows} == law.as_dict()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, value", [
+    (["urn-exact", "--p", "2", "--N", "8000", "--moments", "4"],
+     lambda: raw_moments(polya_young(2, 1, 1, 1, 1), 8000, 4)[3].numerator),
+    (["stirling", "--what", "count", "--N", "3000"], lambda: stirling_count(2, 2, 1, 3000)),
+], ids=["urn-exact", "stirling-count"])
+def test_exact_values_beyond_the_interpreter_digit_cap_print(argv, value, fmt):
+    # integers of more than 4,300 digits: the cap is lifted while the output
+    # is formatted and is back in place when run returns
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, text = run_captured(argv + ["--format", fmt])
+    assert code == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+    # the longest digit run is the printed integer (the moment's numerator);
+    # its last digits are compared, since reading it back meets the cap
+    printed = max(re.findall(r"\d+", text), key=len)
+    assert len(printed) > 4300
+    assert int(printed[-15:]) == value() % 10**15
 
 
 def test_config_echo_includes_resolved_seed(tmp_path):

@@ -493,7 +493,7 @@ _TM = sequence_urn("thue_morse", 1, (1, 2), 1, 1)
 def test_schedule_matches_the_per_step_reference(spec):
     for N in (0, 1, 2, 3, 7, 64, 65, 1000, 5000):
         got, want = urns.schedule(spec, N), ref.per_step_schedule(spec, N)
-        assert (got.d, got.exact) == (want.d, want.exact)
+        assert (got.d, got.exact, got.w0, got.gain) == (want.d, want.exact, want.w0, want.gain)
         for name in ("totals", "ells", "imm"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tolist() == b.tolist(), (N, name)

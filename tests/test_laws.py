@@ -7,9 +7,10 @@ import pytest
 import scipy.stats
 
 from polyaurn import moments
+from polyaurn.moments import asymptotic_constants
 from polyaurn.laws import (
     UnsupportedLawError,
-    bessel_params_from_urn,
+    _bessel_params,
     beta_law,
     decomposition_for,
     dirichlet_law,
@@ -97,11 +98,11 @@ def test_dirichlet_mixed_moments():
 
 
 def test_bessel_params_frozen():
-    bp = bessel_params_from_urn(STD)
+    bp = _bessel_params(asymptotic_constants(STD))
     assert (bp.dimension, bp.index) == pytest.approx((2 / 3, -0.5), rel=1e-13)
     assert bp.alpha == pytest.approx(1 - bp.dimension / 2, rel=1e-13)
     assert bp.beta == pytest.approx(bp.alpha / (1 - 2 * bp.index), rel=1e-13)
-    bp = bessel_params_from_urn(TRI)
+    bp = _bessel_params(asymptotic_constants(TRI))
     assert (bp.dimension, bp.index, bp.alpha, bp.beta) == pytest.approx(
         (0.4, -0.5, 0.8, 0.4), rel=1e-13
     )

@@ -149,6 +149,20 @@ def test_products_beyond_the_prime_route_take_the_gcd(monkeypatch):
     assert product_ratio(wide, N, 1, "exact") == _gcd_route(wide, N, (1,))[0]
 
 
+@pytest.mark.parametrize("N", [3, 60, 3000])
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(3, 2), Fraction(1, 3)],
+                         ids=["half", "three_halves", "third"])
+def test_exact_products_at_fractional_orders_match_the_float_ones(s, N):
+    # the shift s*sigma is not whole over d: the exact product runs over
+    # b*d*T_j and b*d*T_j + a with s*gain = a/b (at N = 3000, by primes);
+    # truncating the shift gave P_{1/2}(3) = 1 against 1.6042
+    for spec in (STD, PY312):
+        exact = product_ratio(spec, N, s, "exact")
+        assert isinstance(exact, Fraction)
+        assert float(exact) == pytest.approx(math.exp(log_product_ratio(spec, N, s)), rel=1e-12)
+        assert product_ratio(spec, N, float(s), "exact") == pytest.approx(exact, rel=1e-15)
+
+
 def test_g_factor_frozen_and_martingale_identity():
     assert g_factor(STD, 2) == Fraction(1, 2)
     # E[g_N * W_N] == w0 with E[W_N] = sigma * E[rising(W_N/sigma, 1)]
