@@ -314,7 +314,10 @@ def cmd_stirling(args) -> int:
     if args.what != "simulate":
         args.seed = None  # only the simulation draws; the echo names no seed
     if args.what == "count":
-        _emit(args, payload={"count": stirling_count(args.d, args.p, args.t, args.N)})
+        # a decimal string, as exact values print, so that json.loads reads
+        # a count of any length back under the interpreter's digit cap
+        _emit(args, payload={"count": _fmt(stirling_count(args.d, args.p, args.t, args.N),
+                                           args.mode)})
         return 0
     if args.what == "enumerate-law":
         pmf = block_count_law(args.d, args.p, args.t, args.N)

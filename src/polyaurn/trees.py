@@ -225,6 +225,15 @@ def statistic_pmf(family: TreeFamily, p: int, N: int, statistic: tuple,
 # ---------------------------------------------------------------------------
 # vectorized batch simulation
 
+def _room_dtype(family: TreeFamily):
+    """The d-ary room's dtype.  Room is a whole number up to max(d, ell)
+    (integer ell on capacity roots) or inf (trimmed roots), and a kept draw
+    needs room > s >= 0, so it never goes negative: below 2**24 float32 holds
+    every value and every decrement exactly, and the test s < room widens it
+    to float64 with the same outcome."""
+    return np.float32 if max(family.d, float(family.ell)) < 2**24 else np.float64
+
+
 def simulate_statistic_batch(
     family: TreeFamily,
     p: int,
@@ -290,7 +299,7 @@ def simulate_statistic_batch(
             else np.zeros((0 if kind == "table_count" else N, n_reps), dtype=bool))
     flat = flag.reshape(-1)
     if dary:  # the weight left to each node (rows 0..N-1) and root (rows N + r)
-        room = np.zeros((N + N // p + 1, n_reps))
+        room = np.zeros((N + N // p + 1, n_reps), dtype=_room_dtype(family))
         room_flat, drawn = room.reshape(-1), np.empty(n_reps, dtype=np.intp)
         # a trimmed root never fills; a row not yet born has no room
         root_room = float(family.ell) if family.root_is_capacity else np.inf

@@ -581,7 +581,20 @@ def test_stirling_count_payload(tmp_path):
         ["stirling", "--what", "count", "--d", "1", "--p", "2", "--t", "1", "--N", "5"],
     )
     assert code == 0
-    assert read_json(text)["results"]["count"] == 280
+    assert read_json(text)["results"]["count"] == "280"
+
+
+def test_stirling_count_json_reads_back_beyond_the_digit_cap():
+    # the 10,322-digit count is a JSON string, which json.loads reads under
+    # the interpreter's default cap; the CSV row prints the same digits
+    code, text = run_captured(["stirling", "--what", "count", "--N", "3000", "--format", "json"])
+    assert code == 0
+    count = json.loads(text)["results"]["count"]
+    assert isinstance(count, str) and len(count) > 4300
+    with cli._all_digits():
+        assert int(count) == stirling_count(2, 2, 1, 3000)
+    code, text = run_captured(["stirling", "--what", "count", "--N", "3000", "--format", "csv"])
+    assert code == 0 and text.splitlines()[-1] == f"count,{count}"
 
 
 def test_seed_is_echoed_only_where_it_is_used(tmp_path):

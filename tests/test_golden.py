@@ -11,7 +11,11 @@ float bit counts.
 The exact products P_s(10,000) pinned at commit
 9e2f99cc6ba0a16aa5ede816a108b145280f98d3, when one gcd reduced them, before
 the reduction through prime exponents: the sha256 of the reduced numerator
-and denominator in hex."""
+and denominator in hex.
+
+The forest kernel pinned to its outputs at commit
+85aba097db693dd6717e0b191de697d5e83cad2e, before the d-ary room was held in
+float32: same seeds, same dtype and shape, same bytes (by sha256)."""
 
 import hashlib
 from fractions import Fraction as F
@@ -22,6 +26,7 @@ import pytest
 from polyaurn.crp import CrpParams, table_count_urn
 from polyaurn.moments import pmf_via_moments, product_ratio
 from polyaurn.stirling import block_count_urn, simulate_block_counts
+from polyaurn.trees import dary_family, gport_family, recursive_family, simulate_statistic_batch
 from polyaurn.urns import (enumerate_histories, exact_pmf_dp, multicolor_polya_young,
                            polya_young, sequence_urn, simulate_white_batch, triangular,
                            with_white_immigration)
@@ -252,3 +257,63 @@ def test_exact_product_golden(key):
     P = product_ratio(EXACT_SPECS[name], 10_000, s, "exact")
     digest = hashlib.sha256(f"{P.numerator:x}/{P.denominator:x}".encode()).hexdigest()
     assert digest == PRODUCTS[key]
+
+
+FOREST_FAMILIES = {
+    "dary_3_2": dary_family(3, 2),  # capacity roots
+    "dary_2_3/2": dary_family(2, F(3, 2)),  # trimmed roots
+    "dary_2^24+1_1": dary_family(2**24 + 1, 1),  # the float64 room: a wide node
+    "dary_2_2^24+1": dary_family(2, 2**24 + 1),  # and a wide capacity root
+    "recursive_2": recursive_family(2),
+    "gport_1/2_2": gport_family(F(1, 2), 2),
+    "gport_1_1": gport_family(1, 1),
+}
+
+FOREST = {  # (family, p, N, n_reps, seed, statistic, mode, bar_beta) -> sha256 of the output
+    ("dary_3_2", 2, 10, 4_000, 1, ("descendants", 1), "standard", None):
+        "73c13854c821a0fba7654478ab3d888ef6168b7fc242024bf0ff0edc0bbb6100",
+    ("dary_3_2", 2, 10, 4_000, 2, ("descendants", 3), "standard", None):
+        "5685aed285e6d17208509cee8d6c618e945142b5b2f0d700f375080b1a3eec63",
+    ("dary_3_2", 2, 12, 4_000, 3, ("root_descendants", 2), "standard", None):
+        "aa42b0bf1335bb80e6d5a5835560bab0a5fd0d6faa68d413f06675975de6c6e0",
+    ("dary_3_2", 3, 12, 4_000, 4, ("table_count",), "standard", None):
+        "4844094890c38f43fdee3a85b1329774dac7caed39c78948ae29a37306511ba5",
+    ("dary_2_3/2", 2, 10, 4_000, 5, ("descendants", 2), "standard", None):
+        "c14c1f2e5c2adec69e2c96790ca0e0c8af0bcbe2ce0f424aedc4631627a21eb5",
+    ("dary_2_3/2", 2, 12, 4_000, 6, ("root_descendants", 1), "standard", None):
+        "8f37425d2d67df6c5aa5c418fd6ab17010b9b60e0a7457bec4c7138de3dbb28a",
+    ("dary_2_3/2", 1, 12, 4_000, 7, ("outdegree", 1), "standard", None):
+        "ca8fa6667522fc46f72a64f5b28dd7d339bb6caf81ef14d9714dd0646e0f99a7",
+    ("dary_2^24+1_1", 2, 6, 1_000, 8, ("descendants", 2), "standard", None):
+        "765cd7fcc67f1e85b0d799fb154243292a2cd0237f7471002942fe4106efb6e1",
+    ("dary_2^24+1_1", 2, 6, 1_000, 9, ("outdegree", 1), "standard", None):
+        "90ca5f7b44a0730c2d8825f87d4f82b2670587e62e9964806bb279ab198ab873",
+    ("dary_2_2^24+1", 2, 6, 1_000, 18, ("root_descendants", 1), "standard", None):
+        "9ae5a14384fc0a8e82825a74812591ff46845468edd99284f28d16cd0c762a27",
+    ("recursive_2", 3, 12, 4_000, 10, ("descendants", 2), "standard", None):
+        "2c268862569ca1bdab54f2086f7fdf8a9fc65243805092e81f2dac4dadb0b64e",
+    ("recursive_2", 2, 12, 4_000, 11, ("root_descendants", 1), "standard", None):
+        "a5b4a0c2a924d6d2811aaa566ce0316893fccddf0143aa4742589fa8321174b2",
+    ("gport_1/2_2", 2, 12, 4_000, 12, ("outdegree", 3), "standard", None):
+        "f765622fb93d7472e4624d531ccc54e7036dd29f840f56dd659232d97ce0fcba",
+    ("gport_1/2_2", 2, 12, 4_000, 13, ("descendants", 2), "standard", None):
+        "62d233a99c3c868c343cdb607bed53d4a687074371d18da2f1394de498728f68",
+    ("gport_1_1", 2, 12, 4_000, 14, ("table_count",), "crp", None):
+        "29b8c05c515c1dd05e55a051dcd68841c1da9caf4b53a97c498d1da378be011c",
+    ("gport_1_1", 2, 12, 4_000, 15, ("table_count",), "crp", F(2)):
+        "c6d387d0f09606596c7988d3c1a18685686195467969431f9e6065bb68952995",
+    ("gport_1_1", 2, 12, 4_000, 16, ("descendants", 3), "crp", F(2)):
+        "c126006428a7b9bcc7403509ba71bbadb3aca00b0811eb72daaacd0ff4c76824",
+    ("gport_1_1", 2, 12, 2_000, 17, ("branch_profile", 4), "crp", None):
+        "f3cb77f60c0d43957a98375baedfd1c1eec00d102146797a00cfbef122e60ec4",
+}
+
+
+@pytest.mark.parametrize("key", list(FOREST),
+                         ids=lambda k: "_".join(map(str, k[:5] + k[5] + k[6:])))
+def test_forest_statistic_golden(key):
+    family, p, N, n_reps, seed, statistic, mode, bar_beta = key
+    out = simulate_statistic_batch(FOREST_FAMILIES[family], p, N, n_reps, seed, statistic,
+                                   mode, bar_beta)
+    assert out.dtype == np.int64 and out.shape[0] == n_reps
+    assert _sha256(out) == FOREST[key]

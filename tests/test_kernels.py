@@ -6,6 +6,7 @@ recursive `kernel_reference.enumerate_histories`."""
 
 import math
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from polyaurn import moments, urns
 from polyaurn.stirling import (_span_block_counts, all_words, block_count, block_count_urn,
                                simulate_block_counts)
 from polyaurn.trees import (
+    _room_dtype,
     dary_family,
     descendants_urn,
     gport_family,
@@ -371,9 +373,51 @@ def test_seating_kernel_tv_to_the_exact_law(k):
 @example(d=2, p=2, t=1, N=0, n_reps=7, seed=1)  # the empty word has no blocks
 @example(d=1, p=1, t=2, N=1, n_reps=100, seed=2)  # label 1 is thick
 @example(d=3, p=2, t=3, N=2, n_reps=549, seed=3)
+# one replicate either side of the span blocks' edges, and a word with no thick label
+@example(d=2, p=2, t=1, N=8, n_reps=4095, seed=4)
+@example(d=3, p=3, t=2, N=10, n_reps=4096, seed=5)
+@example(d=1, p=2, t=3, N=9, n_reps=4097, seed=6)
+@example(d=2, p=1, t=1, N=7, n_reps=8193, seed=7)
+@example(d=2, p=3, t=2, N=2, n_reps=4097, seed=8)
 def test_block_counts_match_the_row_loop_reference(d, p, t, N, n_reps, seed):
     assert np.array_equal(simulate_block_counts(d, p, t, N, n_reps, seed),
                           ref.simulate_block_counts(d, p, t, N, n_reps, seed))
+
+
+def _traced_peak(run) -> int:
+    """The peak of the bytes traced while run() runs; numpy reports its
+    buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_word_kernel_peak_memory_is_its_gaps_and_one_block():
+    # the (N, n_reps) int32 gaps and one block's spans, not the
+    # (symbols, 2, n_reps) spans of all replicates at once, which peak at 80 MB
+    N, n_reps = 30, 100_000
+    peak = _traced_peak(lambda: simulate_block_counts(2, 2, 1, N, n_reps, 1))
+    assert peak < N * n_reps * 4 + 6 * 2**20, peak
+
+
+def test_dary_kernel_peak_memory_holds_the_room_in_float32():
+    # the (N + N // p + 1, n_reps) room in float32 and twelve float64 vectors
+    # of working state; a float64 room adds 6.4 MB, to a 22.3 MB peak
+    N, p, n_reps = 10, 2, 100_000
+    room = (N + N // p + 1) * n_reps * 4
+    peak = _traced_peak(lambda: simulate_statistic_batch(dary_family(3, 2), p, N, n_reps, 1,
+                                                         ("descendants", 1)))
+    assert peak < room + 12 * n_reps * 8, peak
+
+
+def test_dary_room_is_float64_where_float32_would_round():
+    # float32 holds every whole number up to 2**24
+    assert _room_dtype(dary_family(2**24 - 1, 2**24 - 1)) is np.float32
+    assert _room_dtype(dary_family(2**24, 1)) is np.float64
+    assert _room_dtype(dary_family(2, 2**24)) is np.float64
 
 
 @pytest.mark.parametrize("d,p,t,N", [(1, 1, 1, 4), (2, 2, 1, 4), (1, 2, 2, 5), (3, 2, 1, 3),
