@@ -181,14 +181,18 @@ def simulate_block_counts(
     built: each symbol keeps the positions of its first and last copy, one
     row per symbol (plain labels and the marked runs of thick labels), and a
     label's gap shifts every tracked position at or after it by d.  Every
-    label's gaps are drawn first, one stream call per label, and the spans
+    label's gaps are drawn first, one stream call per label, into the
+    narrowest signed dtype that holds the final word length, and the spans
     are then tracked over blocks of _SPAN_BLOCK replicates."""
     _check_params(d, p, t)
     _check_sizes(N, n_reps)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
-    gaps = np.empty((N, n_reps), dtype=np.int32)  # label i's gap in row i - 1
+    length = gap_count(d, p, t, N) - 1
+    narrow = next(dt for dt in (np.int8, np.int16, np.int32, np.int64)
+                  if length <= np.iinfo(dt).max)
+    gaps = np.empty((N, n_reps), dtype=narrow)  # label i's gap in row i - 1
     for i in range(1, N + 1):
-        gaps[i - 1] = rng.integers(0, gap_count(d, p, t, i - 1), size=n_reps)
+        gaps[i - 1] = rng.integers(0, gap_count(d, p, t, i - 1), size=n_reps, dtype=np.int32)
     out = np.empty(n_reps, dtype=np.int64)
     for lo in range(0, n_reps, _SPAN_BLOCK):
         block = slice(lo, lo + _SPAN_BLOCK)
@@ -205,7 +209,8 @@ def _spans(gaps: np.ndarray, d: int, p: int, t: int) -> np.ndarray:
     for i in range(1, N + 1):
         gap = gaps[i - 1]
         ends[:k] += (ends[:k] >= gap) * np.int32(d)
-        ends[k, 0], ends[k, 1] = gap, gap + (d - 1)
+        ends[k, 0] = ends[k, 1] = gap
+        ends[k, 1] += d - 1
         k, L = k + 1, L + d
         if i % p == 0:
             ends[k, 0], ends[k, 1] = L, L + t - 1

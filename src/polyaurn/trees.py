@@ -225,13 +225,28 @@ def statistic_pmf(family: TreeFamily, p: int, N: int, statistic: tuple,
 # ---------------------------------------------------------------------------
 # vectorized batch simulation
 
-def _room_dtype(family: TreeFamily):
+# Replicates per block of the forest kernel's per-replicate work, so its
+# scratch stays the size of one block.  Best of 7 at N = 10 with 10^5
+# replicates (d-ary descendants / recursive descendants / gport outdegree)
+# and the crp table count at N = 20 with 2*10^5 (2 vCPUs, numpy 2.4.6):
+# 32.5 / 11.4 / 13.1 / 20.9 ms at 4,096; 27.0 / 9.4 / 10.7 / 18.8 ms at
+# 16,384; 26.7 / 9.7 / 11.3 / 18.7 ms at 65,536.
+_FOREST_BLOCK = 16384
+
+
+def _room_dtype(family: TreeFamily, N: int):
     """The d-ary room's dtype.  Room is a whole number up to max(d, ell)
-    (integer ell on capacity roots) or inf (trimmed roots), and a kept draw
-    needs room > s >= 0, so it never goes negative: below 2**24 float32 holds
-    every value and every decrement exactly, and the test s < room widens it
-    to float64 with the same outcome."""
-    return np.float32 if max(family.d, float(family.ell)) < 2**24 else np.float64
+    (integer ell on capacity roots), and a kept draw needs room > s >= 0, so
+    it never goes negative.  A trimmed root starts at the dtype's largest
+    value (255, or inf in a float), takes at most N decrements and must stay
+    above every position s inside its slot, which is at most ell.  So uint8
+    holds every value while N + max(d, ell) < 255, float32 every value and
+    decrement exactly below 2**24, and float64 beyond; the test s < room
+    widens each to float64 with the same outcome."""
+    top = max(family.d, float(family.ell))
+    if N + top < 255:
+        return np.uint8
+    return np.float32 if top < 2**24 else np.float64
 
 
 def simulate_statistic_batch(
@@ -269,6 +284,11 @@ def simulate_statistic_batch(
     room left below each d-ary node and capacity root.  The table count needs
     only itself: it is also the number of edges from a root, which come first
     in their class.
+
+    Each step draws one uniform per replicate, and each d-ary redraw round
+    one per replicate still redrawing, in replicate order; the rest of the
+    work runs over blocks of _FOREST_BLOCK replicates in scratch of one
+    block, so only the per-replicate state is full size.
     """
     _check_bar(mode, bar_beta)
     if mode not in ("standard", "crp"):
@@ -282,64 +302,56 @@ def simulate_statistic_batch(
         raise ValueError(f"unknown statistic {statistic!r}")
     watch = _watched(statistic, p, N, mode)
 
-    crp, bar = mode == "crp", bar_beta is not None
+    crp, bar = mode == "crp", bar_beta is not None  # a bar needs crp mode, so gport
     gport, dary = family.name == "gport", family.name == "dary"
     ell, sigma = float(family.ell), float(family.sigma)
     unit = float(family.alpha if gport else family.d if dary else 1)  # node weight or envelope
     off = 0 if crp else 1  # edge e stands for node e + off
     rng = np.random.Generator(np.random.PCG64(int(seed)))
-    idx = np.arange(n_reps)
+    x = np.empty(n_reps)
     counter = np.zeros(n_reps)  # whole numbers; a float compares with positions directly
-    x, y, z = np.empty(n_reps), np.empty(n_reps), np.empty(n_reps)
-    row, at = np.empty(n_reps, dtype=np.intp), np.empty(n_reps, dtype=np.intp)
-    past_roots, past_edges = np.empty(n_reps, dtype=bool), np.empty(n_reps, dtype=bool)
-    at_node, at_edge = np.empty(n_reps, dtype=bool), np.empty(n_reps, dtype=bool)
     # per node, by creation order: membership or child-of-j bit, or branch id
     flag = (np.full((N, n_reps), -1, dtype=np.int32) if kind == "branch_profile"
             else np.zeros((0 if kind == "table_count" else N, n_reps), dtype=bool))
     flat = flag.reshape(-1)
     if dary:  # the weight left to each node (rows 0..N-1) and root (rows N + r)
-        room = np.zeros((N + N // p + 1, n_reps), dtype=_room_dtype(family))
-        room_flat, drawn = room.reshape(-1), np.empty(n_reps, dtype=np.intp)
+        room = np.zeros((N + N // p + 1, n_reps), dtype=_room_dtype(family, N))
+        # and the row each replicate's draw landed on, at most N + N // p
+        rows = np.min_scalar_type(len(room) - 1)
+        room_flat, drawn = room.reshape(-1), np.empty(n_reps, dtype=rows)
         # a trimmed root never fills; a row not yet born has no room
-        root_room = float(family.ell) if family.root_is_capacity else np.inf
+        root_room = (float(family.ell) if family.root_is_capacity
+                     else 255 if room.dtype == np.uint8 else np.inf)
     # creation index of the watched node, -1 until it is born, or of the root
     node_at = watch - 1 if kind in ("descendants", "outdegree") else -1
     if bar and node_at >= 0:
         node_at = np.full(n_reps, -1)
     root_at = watch - off if kind == "root_descendants" else -1
-    n = np.zeros(n_reps, dtype=np.int64) if bar else 0  # nodes born
+    n = np.zeros(n_reps, dtype=np.min_scalar_type(N)) if bar else 0  # nodes born, <= N
     R = int(crp)  # roots present
+    # Scratch of one block.  In the view flat[lo:] of a block from lo on,
+    # row k of replicate lo + j sits at k * n_reps + j, j its lane.
+    B = min(n_reps, _FOREST_BLOCK)
+    blocks = [(lo, min(lo + B, n_reps)) for lo in range(0, n_reps, B)]
+    hit = np.empty(B, dtype=bool)
+    if bar:  # the bounds at each replicate's node count, and whether it grew
+        b2, b3, grown = np.empty(B), np.empty(B), np.empty(B, dtype=bool)
+    if kind != "table_count" or dary:  # the class masks and the rows they name
+        lanes, y, z = np.arange(B), np.empty(B), np.empty(B)
+        row, at = np.empty(B, dtype=np.intp), np.empty(B, dtype=np.intp)
+        past_roots, past_edges, at_node, at_edge, got = (np.empty(B, dtype=bool)
+                                                         for _ in range(5))
+    if dary:  # redraws, and the room the envelope test reads
+        xr, er, held = np.empty(B), np.empty(B, dtype=rows), np.empty(B, dtype=room.dtype)
 
-    def classify(c1, c2, c3):
-        """Class masks of the positions in x, and in `row` the node each one
-        names: the node itself in the node class, an edge's child in the
-        edge class, clipped into range elsewhere; `at` is its flat index."""
-        np.greater_equal(x, c1, out=past_roots)
-        np.greater_equal(x, c2, out=past_edges)
-        np.bitwise_xor(past_roots, past_edges, out=at_edge)
-        np.copyto(at_node, past_edges)
-        if bar:
-            np.logical_and(at_node, x < c3, out=at_node)
-        np.subtract(x, c2, out=y)
-        np.divide(y, unit, out=y)
-        if gport:  # blend in the edge class's row, x - c1 + off
-            np.subtract(x, c1 - off, out=z)
-            np.subtract(y, z, out=y)
-            np.multiply(y, at_node, out=y)
-            np.add(y, z, out=y)
-        np.clip(y, 0, np.maximum(n - 1, 0), out=y)
-        np.copyto(row, y, casting="unsafe")
-        np.multiply(row, n_reps, out=at)
-        np.add(at, idx, out=at)
-
-    def kept(pos, c1, reps, e):
-        """d-ary envelope test at positions pos for replicates reps: writes
-        the room row drawn into e (node k, or N + root r) and returns whether
-        the position lies inside the entity's weight.  Rounding past the last
-        node or root lands on a row with no room, so it is redrawn."""
+    def kept(pos, c1, room_at, lane, e):
+        """d-ary envelope test at positions pos for the replicates of lanes
+        lane in room_at: writes the room row drawn into e (node k, or N +
+        root r) and returns whether the position lies inside the entity's
+        weight.  Rounding past the last node or root lands on a row with no
+        room, so it is redrawn."""
         m = len(pos)
-        roots, s, w = past_roots[:m], y[:m], z[:m]  # classify's buffers, refilled after
+        roots, s, w, slot, ok = past_roots[:m], y[:m], z[:m], at[:m], at_node[:m]
         np.less(pos, c1, out=roots)
         np.subtract(pos, c1, out=s)  # node slots of width d from c1 on
         np.divide(s, unit, out=s)
@@ -353,10 +365,59 @@ def simulate_statistic_batch(
         np.multiply(roots, ell - unit, out=w)
         np.add(w, unit, out=w)
         np.multiply(s, w, out=s)
-        return s < room_flat[e * n_reps + reps]
+        np.multiply(e, n_reps, out=slot, dtype=np.intp)
+        np.add(slot, lane, out=slot)
+        return np.less(s, np.take(room_at, slot, out=held[:m]), out=ok)
+
+    def envelope(c1, total):
+        """Settle every d-ary draw of the step: test the draws in x, then
+        redraw where the test failed, one round over all of those replicates
+        at a time, in replicate order."""
+        redo = []
+        for lo, hi in blocks:
+            ok = kept(x[lo:hi], c1, room_flat[lo:], lanes[:hi - lo], drawn[lo:hi])
+            redo.append(np.flatnonzero(~ok) + lo)
+        redo = np.concatenate(redo)
+        while redo.size:
+            left = []
+            for c in range(0, redo.size, B):
+                r = redo[c:c + B]
+                m = len(r)
+                rng.random(out=xr[:m])
+                xr[:m] *= total
+                ok = kept(xr[:m], c1, room_flat, r, er[:m])
+                x[r], drawn[r] = xr[:m], er[:m]
+                left.append(r[~ok])
+            redo = np.concatenate(left)
+
+    def classify(xb, c1, c2, created, top):
+        """Class masks of the positions xb, and in `row` the node each one
+        names: the node itself in the node class, an edge's child in the
+        edge class, clipped into [0, top] elsewhere.  Without edges (not
+        gport) the node class is everything past the roots."""
+        m = len(xb)
+        roots, yb, rb = past_roots[:m], y[:m], row[:m]
+        np.greater_equal(xb, c1, out=roots)
+        node, edge = roots, None
+        np.subtract(xb, c2, out=yb)
+        if unit != 1:  # recursive nodes weigh 1
+            np.divide(yb, unit, out=yb)
+        if gport:
+            edges, edge = past_edges[:m], at_edge[:m]
+            np.greater_equal(xb, c2, out=edges)
+            np.bitwise_xor(roots, edges, out=edge)
+            node = np.logical_and(edges, created, out=at_node[:m]) if bar else edges
+            zb = z[:m]
+            np.subtract(xb, c1 - off, out=zb)  # blend in the edge class's row, x - c1 + off
+            np.subtract(yb, zb, out=yb)
+            np.multiply(yb, node, out=yb)
+            np.add(yb, zb, out=yb)
+        np.maximum(yb, 0, out=yb)
+        np.minimum(yb, top, out=yb)
+        np.copyto(rb, yb, casting="unsafe")
+        return roots, node, edge, rb
 
     for i in range(1, N + 1):
-        new, created = n, True  # the creation index of the node this step may create
         if i == 1 and not crp:  # node 1 needs no draw
             if kind == "descendants" and watch == 1:
                 flag[0] = True
@@ -365,58 +426,94 @@ def simulate_statistic_batch(
                 room[0] = family.d
         else:
             c1 = ell * R
-            c2 = c1 + n - off if gport else c1
-            c3 = c2 + unit * n
-            total = c1 + float(bar_beta) + sigma * (i - 1) if bar else c3
+            if bar:  # the bounds at every node count; each replicate takes its own
+                k = np.arange(N + 1)
+                c2 = c1 + k - off
+                c3 = c2 + unit * k
+                c3_past_roots, tops = c3 - c1, np.maximum(k - 1, 0)
+                total = c1 + float(bar_beta) + sigma * (i - 1)
+            else:
+                c2 = c1 + n - off if gport else c1
+                c3 = total = c2 + unit * n
             rng.random(out=x)
             x *= total
-            if kind == "table_count" and not dary:
-                x -= c1  # below the roots or the edges from a root
-                counter += x < (counter if gport else 0)
-                if bar:
-                    created = x < c3 - c1
-            else:
-                if dary:
-                    redo = np.flatnonzero(~kept(x, c1, idx, drawn))
-                    while redo.size:
-                        xr, e = rng.random(redo.size) * total, np.empty(redo.size, dtype=np.intp)
-                        ok = kept(xr, c1, redo, e)
-                        x[redo], drawn[redo] = xr, e
-                        redo = redo[~ok]
-                    room_flat[drawn * n_reps + idx] -= 1
-                classify(c1, c2, c3)
-                if bar:
-                    created = x < c3
-                birth = (new, idx) if bar else new
-                if kind == "branch_profile":
-                    parent = flat[at]
-                    head = np.where(x < ell, new, -1)  # root 0 is the first root
-                    branch = np.where(past_roots,
-                                      np.where(at_edge & (parent == row), new, parent), head)
-                    flag[birth] = np.where(created, branch, -1)
-                elif kind == "table_count":  # d-ary: a kept root
-                    counter += ~past_roots
+            if dary:
+                envelope(c1, total)
+            for lo, hi in blocks:
+                m, xb, cb = hi - lo, x[lo:hi], counter[lo:hi]
+                created = True
+                if bar:  # whether this step's draw created a node
+                    nb, created = n[lo:hi], grown[:m]
+                if kind == "table_count" and not dary:
+                    xb -= c1  # below the roots or the edges from a root
+                    cb += np.less(xb, cb if gport else 0, out=hit[:m])
+                    if bar:
+                        bound = np.take(c3_past_roots, nb, out=b3[:m], mode="clip")
+                        nb += np.less(xb, bound, out=created)
+                    continue
+                ab, lane = at[:m], lanes[:m]
+                if dary:  # rows the envelope test drew; a kept draw takes a unit of room
+                    roots = node = np.greater_equal(xb, c1, out=past_roots[:m])
+                    edge, rb = None, drawn[lo:hi]
+                    np.multiply(rb, n_reps, out=ab, dtype=np.intp)
+                    np.add(ab, lane, out=ab)
+                    room_flat[lo:][ab] -= 1
                 else:
+                    if bar:  # top borrows `at` until classify has read it
+                        c2b = np.take(c2, nb, out=b2[:m], mode="clip")
+                        top = np.take(tops, nb, out=ab, mode="clip")
+                        np.less(xb, np.take(c3, nb, out=b3[:m], mode="clip"), out=created)
+                    else:
+                        c2b, top = c2, max(n - 1, 0)
+                    roots, node, edge, rb = classify(xb, c1, c2b, created, top)
+                    np.multiply(rb, n_reps, out=ab)
+                    np.add(ab, lane, out=ab)
+                new = nb if bar else n  # the creation index of the node this step may create
+                watched = node_at[lo:hi] if isinstance(node_at, np.ndarray) else node_at
+                # gathers clip: a d-ary root's row lies past flag, and its value is masked
+                if kind == "branch_profile":
+                    new = new.astype(np.intp) if bar else new  # -1 marks no branch
+                    parent = np.take(flat[lo:], ab)
+                    head = np.where(xb < ell, new, -1)  # root 0 is the first root
+                    branch = np.where(roots, np.where(edge & (parent == rb), new, parent), head)
+                    value = np.where(created, branch, -1)
+                elif kind == "table_count":  # d-ary: a kept root
+                    cb += np.less(xb, c1, out=hit[:m])
+                    value = None
+                else:  # a bit per node: written in place, with a bar scattered after
+                    value = hit[:m] if bar else flag[new, lo:hi]
                     if kind == "outdegree":
-                        hit = at_node & (row == node_at)
-                        hit |= at_edge & flat[at]
+                        np.logical_and(node, np.equal(rb, watched, out=value), out=value)
+                        if gport:
+                            edge &= np.take(flat[lo:], ab, mode="clip", out=got[:m])
+                            value |= edge
                     elif kind == "descendants" and i == watch:
-                        hit = np.broadcast_to(created, (n_reps,))
+                        np.copyto(value, created)
                     else:  # membership passes down, except from node j's parent
-                        hit = flat[at] & past_roots & (at_node | (row != node_at))
+                        np.logical_and(np.take(flat[lo:], ab, mode="clip", out=got[:m]), roots,
+                                       out=value)
+                        if gport and kind == "descendants":
+                            value &= node | (rb != watched)
                         if bar:
-                            hit &= created
+                            value &= created
                         if 0 <= root_at < R:
-                            hit |= (x >= ell * root_at) & (x < ell * (root_at + 1))
-                    flag[birth] = hit
-                    counter += hit
+                            value |= (xb >= ell * root_at) & (xb < ell * (root_at + 1))
+                    cb += value
+                if bar and value is not None:
+                    np.multiply(new, n_reps, out=ab, dtype=np.intp)
+                    np.add(ab, lane, out=ab)
+                    flat[lo:][ab] = value
+                elif kind == "branch_profile":
+                    flag[new, lo:hi] = value
                 if dary:  # a trimmed root's child starts one short
-                    room[new] = family.d - (0 if family.root_is_capacity else ~past_roots)
-        if bar:
-            if i == watch and kind != "root_descendants":
-                node_at = np.where(created, new, -1)
-            n = n + created
-        else:
+                    room[new, lo:hi] = family.d - (0 if family.root_is_capacity
+                                                   else np.less(xb, c1, out=hit[:m]))
+                if bar:
+                    if i == watch and kind != "root_descendants":
+                        node_at[lo:hi] = -1
+                        np.copyto(node_at[lo:hi], nb, where=created)
+                    nb += created
+        if not bar:
             n = i
         if i % p == 0:
             if dary:
@@ -424,7 +521,9 @@ def simulate_statistic_batch(
             R += 1
     if kind == "branch_profile":
         return _size_profile(flag, statistic[1])
-    return counter.astype(np.int64)
+    out = x.view(np.int64)  # the positions are spent: the counts take their place
+    np.copyto(out, counter, casting="unsafe")
+    return out
 
 
 def _size_profile(branch: np.ndarray, max_size: int) -> np.ndarray:

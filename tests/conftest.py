@@ -1,5 +1,7 @@
 """Shared test helpers and the acceptance summary printer."""
 
+import tracemalloc
+
 import pytest
 
 _acceptance_lines = []
@@ -13,6 +15,22 @@ def acceptance():
         _acceptance_lines.append((num, title, bool(ok), detail))
 
     return record
+
+
+@pytest.fixture
+def traced_peak():
+    """The peak of the bytes traced while run() runs; numpy reports its
+    buffers to tracemalloc."""
+
+    def peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

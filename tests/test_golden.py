@@ -15,7 +15,9 @@ and denominator in hex.
 
 The forest kernel pinned to its outputs at commit
 85aba097db693dd6717e0b191de697d5e83cad2e, before the d-ary room was held in
-float32: same seeds, same dtype and shape, same bytes (by sha256)."""
+float32: same seeds, same dtype and shape, same bytes (by sha256); and at
+replicate counts on both sides of its block seams at commit
+da5b9e8344923ef8bbb0350836e1f22687792c38, before it ran in blocks."""
 
 import hashlib
 from fractions import Fraction as F
@@ -317,3 +319,69 @@ def test_forest_statistic_golden(key):
                                    mode, bar_beta)
     assert out.dtype == np.int64 and out.shape[0] == n_reps
     assert _sha256(out) == FOREST[key]
+
+
+# (family, p, N, seed, statistic, mode, bar_beta) -> {n_reps: sha256 of the output}, at
+# B - 1, B, B + 1 and 2B + 17 replicates for trees._FOREST_BLOCK = B = 16,384; a
+# new block size needs new seams
+FOREST_SEAMS = {
+    ("dary_3_2", 2, 10, 19, ("descendants", 1), "standard", None): {
+        16383: "275ca577d6dd905454c5bdf60ba2f2633f9a0e462a64aa9c3299b23501df2c82",
+        16384: "d245eee3d53907fa7d6eb6fc9ebcf1ec98a7b548d181df455d3a516a271a9ff8",
+        16385: "3d08612fcef2f3bdc09ceee5d5ebd71b4331880c764dd440ba875db053383796",
+        32785: "ac0bb31032921670c7615b2ead7769d6191f38d0cc4c6550508b5129a894513d",
+    },
+    ("dary_2_3/2", 2, 12, 20, ("root_descendants", 1), "standard", None): {
+        16383: "dd6b020cf85c2dbe6bcc782b28169edc29581efcb39d889c0ee155898bb4b4e3",
+        16384: "21765b7f1f95746ca0f3f04476618f3273f9909e3bbdd7da7af93b237eba6cfc",
+        16385: "1354e5a98458871158861a444a6993d5a8f2feb663c5f2339414d71605de351c",
+        32785: "ed6c634ab87282788cba8b34ec25a64227c34723a38d1915cb70b0d0099b18a3",
+    },
+    ("gport_1/2_2", 2, 12, 21, ("outdegree", 3), "standard", None): {
+        16383: "7080b240943c094398f539f518ed4d153f8e4f88107b219095d4ad615448761d",
+        16384: "8053fdfcaed29ceb3ed780abd8aa3f01fd5f6b834a78a161e75cceaca163e56f",
+        16385: "4137fcf990942c79670f9493671779569e49d7fdd358cb85bb48b546d63a5c80",
+        32785: "e11ba32572afb58892825e2146f0fc2ccae642f536fe19266db94b1587e74bfc",
+    },
+    ("recursive_2", 3, 12, 22, ("descendants", 2), "standard", None): {
+        16383: "aa141b8f63bcd980fc140daebe006ac9365ebdb8a3abebddd6c592b85d6eda01",
+        16384: "436ed9cfd7e0a7b00267e50619a2d97596d37748ac6c7c9c477ae626f116eca2",
+        16385: "e78cd71e746c529022cf8cbca87044d1287c034d78393565035cffe86037916d",
+        32785: "e8665f5bf1440f785b6f7994b6000903dd60138ac54b61cf2156e0c76ef67253",
+    },
+    ("gport_1_1", 2, 12, 23, ("descendants", 3), "crp", F(2, 1)): {
+        16383: "dae8039e83f389cda7dbab6dff6f4d95c82d3c661d7ebe4dfeab33c4e7f89757",
+        16384: "3294240b6c524f76cc81d6a93a97a18d82ce790fca14890201020b5fb2762476",
+        16385: "6dc98f368a1ba5dd78c73d228b78e844ed654ce412ff000c6bc5613f2208810d",
+        32785: "b21e636c92b9970ff6da4e72d63dd269b9c00a0f4d5044bebc74d308f38a3fe5",
+    },
+    ("gport_1_1", 2, 12, 24, ("branch_profile", 4), "crp", F(2, 1)): {
+        16383: "deb624865e73a9be10f7b8effa01f41157c36e208c1db19767a8a894799bca35",
+        16384: "d45ce7d1999872418a06a9dc3c4bc50c8f88403b5a9521c7b26ee0bd4f5bd3db",
+        16385: "38cba1455fb4e3766b106c020f959f975ade41b2c939d62dcb36c18444b3d569",
+        32785: "2207b9906043ec580724086b4be68a8808a3d1c2945f1cdb55c37f7bdf9d6879",
+    },
+    ("gport_1_1", 2, 12, 25, ("table_count",), "crp", None): {
+        16383: "7a7c1d73a835fc209936b5a1538c971079011d4db96e0ca8036a554b16437da0",
+        16384: "58796b1a44c89ac3c1ea1aea96e9d345c2129d25a503f0c89fa5512f484d7986",
+        16385: "fc9c4c388e5b35212cb89aa6a30aad08aa9823434b22e26465636975a8fa6e31",
+        32785: "3f32e16a0db1355f780bff41595ea05a23c2bdccabb117245255d19c3a9e17d2",
+    },
+    ("gport_1_1", 2, 12, 26, ("table_count",), "crp", F(2, 1)): {
+        16383: "911ed6851cc52a8ad923f35e023a27140643007d67ae92fc2921ec962f06904b",
+        16384: "1b2f04f89d1f46881fdfa8d7e617e9bad0b875207e6a6bc1c109922434978afa",
+        16385: "e9213f17fcad741d3f75623e9de9d0103770395b7a42bd51d8a1be124a9012f2",
+        32785: "80c14c3738cdfa33974e3756c0acc3aafa15036283a046b1be98af811175fe36",
+    },
+}
+
+
+@pytest.mark.parametrize("key,n_reps", [(k, r) for k in FOREST_SEAMS for r in FOREST_SEAMS[k]],
+                         ids=lambda a: "_".join(map(str, a[:4] + a[4] + a[5:]))
+                         if isinstance(a, tuple) else str(a))
+def test_forest_statistic_golden_across_block_seams(key, n_reps):
+    family, p, N, seed, statistic, mode, bar_beta = key
+    out = simulate_statistic_batch(FOREST_FAMILIES[family], p, N, n_reps, seed, statistic,
+                                   mode, bar_beta)
+    assert out.dtype == np.int64 and out.shape[0] == n_reps
+    assert _sha256(out) == FOREST_SEAMS[key][n_reps]

@@ -6,7 +6,6 @@ recursive `kernel_reference.enumerate_histories`."""
 
 import math
 import re
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -19,10 +18,11 @@ from test_acceptance import CRITERION_9_SETTINGS, GRID
 from test_trees import _exact_branch_mean, enumerate_forest
 from polyaurn.crp import (CrpParams, simulate_table_count_batch, table_count_pmf,
                           table_count_urn, tree_equivalents)
-from polyaurn import moments, urns
+from polyaurn import moments, trees, urns
 from polyaurn.stirling import (_span_block_counts, all_words, block_count, block_count_urn,
                                simulate_block_counts)
 from polyaurn.trees import (
+    _FOREST_BLOCK,
     _room_dtype,
     dary_family,
     descendants_urn,
@@ -379,45 +379,77 @@ def test_seating_kernel_tv_to_the_exact_law(k):
 @example(d=1, p=2, t=3, N=9, n_reps=4097, seed=6)
 @example(d=2, p=1, t=1, N=7, n_reps=8193, seed=7)
 @example(d=2, p=3, t=2, N=2, n_reps=4097, seed=8)
+# the word length passes 127 -> 128 at label 86 and ends at 150: int16 gaps
+@example(d=1, p=4, t=2, N=100, n_reps=549, seed=9)
 def test_block_counts_match_the_row_loop_reference(d, p, t, N, n_reps, seed):
     assert np.array_equal(simulate_block_counts(d, p, t, N, n_reps, seed),
                           ref.simulate_block_counts(d, p, t, N, n_reps, seed))
 
 
-def _traced_peak(run) -> int:
-    """The peak of the bytes traced while run() runs; numpy reports its
-    buffers to tracemalloc."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_word_kernel_peak_memory_is_its_gaps_and_one_block():
-    # the (N, n_reps) int32 gaps and one block's spans, not the
-    # (symbols, 2, n_reps) spans of all replicates at once, which peak at 80 MB
+def test_word_kernel_peak_memory_is_its_gaps_and_one_block(traced_peak):
+    # the (N, n_reps) int8 gaps (the word has 75 symbols) and one block's
+    # spans, not the (symbols, 2, n_reps) spans of all replicates at once,
+    # which peak at 80 MB; int32 gaps peak at 16.8 MB
     N, n_reps = 30, 100_000
-    peak = _traced_peak(lambda: simulate_block_counts(2, 2, 1, N, n_reps, 1))
-    assert peak < N * n_reps * 4 + 6 * 2**20, peak
+    peak = traced_peak(lambda: simulate_block_counts(2, 2, 1, N, n_reps, 1))
+    assert peak < N * n_reps + 6 * 2**20, peak
 
 
-def test_dary_kernel_peak_memory_holds_the_room_in_float32():
-    # the (N + N // p + 1, n_reps) room in float32 and twelve float64 vectors
-    # of working state; a float64 room adds 6.4 MB, to a 22.3 MB peak
-    N, p, n_reps = 10, 2, 100_000
-    room = (N + N // p + 1) * n_reps * 4
-    peak = _traced_peak(lambda: simulate_statistic_batch(dary_family(3, 2), p, N, n_reps, 1,
-                                                         ("descendants", 1)))
-    assert peak < room + 12 * n_reps * 8, peak
+# the forest kernel's scratch: the block's float and index vectors and masks,
+# and the temporaries of its steps
+FOREST_BLOCK_BYTES = 128 * _FOREST_BLOCK
+
+FOREST_MEMORY = {  # name -> (kernel arguments, per-replicate state in bytes)
+    # x and counter (8 bytes each; the int64 output takes x's place), a flag
+    # byte per node, a room byte per node and root, the drawn row in a byte,
+    # and at most one redraw index; a float32 room would take 64 bytes
+    "dary_descendants": ((dary_family(3, 2), 2, 10, 100_000, 1, ("descendants", 1)),
+                         16 + 10 + 16 + 1 + 8),
+    "gport_outdegree": ((gport_family(1, 1), 2, 10, 100_000, 1, ("outdegree", 1)), 16 + 10),
+    # the table count keeps no flags; 2e5 replicates at N = 20, as the
+    # benchmark runs it
+    "crp_table_count": ((gport_family(1, 1), 2, 20, 200_000, 1, ("table_count",), "crp"), 16),
+}
+
+
+@pytest.mark.parametrize("name", list(FOREST_MEMORY))
+def test_forest_kernel_peak_memory_is_its_state_and_one_block(name, traced_peak):
+    # full-size scratch peaks at 15.5, 7.9 and 13.6 MB
+    args, per_replicate = FOREST_MEMORY[name]
+    peak = traced_peak(lambda: simulate_statistic_batch(*args))
+    assert peak < per_replicate * args[3] + FOREST_BLOCK_BYTES, peak
 
 
 def test_dary_room_is_float64_where_float32_would_round():
     # float32 holds every whole number up to 2**24
-    assert _room_dtype(dary_family(2**24 - 1, 2**24 - 1)) is np.float32
-    assert _room_dtype(dary_family(2**24, 1)) is np.float64
-    assert _room_dtype(dary_family(2, 2**24)) is np.float64
+    assert _room_dtype(dary_family(2**24 - 1, 2**24 - 1), 10) is np.float32
+    assert _room_dtype(dary_family(2**24, 1), 10) is np.float64
+    assert _room_dtype(dary_family(2, 2**24), 10) is np.float64
+
+
+# families at N = 10 on both sides of N + max(d, ell) < 255: a wide node, a
+# wide capacity root and a wide trimmed root
+ROOM_LIMIT = [(dary_family(244, 2), True), (dary_family(245, 2), False),
+              (dary_family(2, 244), True), (dary_family(2, 245), False),
+              (dary_family(2, Fraction(489, 2)), True), (dary_family(2, Fraction(491, 2)), False)]
+
+
+def test_dary_room_is_uint8_where_every_value_fits():
+    # a node holds up to d, a capacity root up to ell, and a trimmed root
+    # starts at 255, above every position in its slot (< ell) after N
+    # decrements
+    for family, fits in ROOM_LIMIT:
+        assert (_room_dtype(family, 10) is np.uint8) == fits, family
+    assert _room_dtype(dary_family(3, 2), 251) is np.uint8  # and so does N
+    assert _room_dtype(dary_family(3, 2), 252) is np.float32
+
+
+@pytest.mark.parametrize("k", [k for k, (_, fits) in enumerate(ROOM_LIMIT) if fits])
+def test_uint8_room_gives_the_float32_room_bytes_at_the_limit(k, monkeypatch):
+    args = (ROOM_LIMIT[k][0], 1, 10, 2_000, 40 + k, ("root_descendants", 1))
+    ours = simulate_statistic_batch(*args)
+    monkeypatch.setattr(trees, "_room_dtype", lambda family, N: np.float32)
+    assert np.array_equal(simulate_statistic_batch(*args), ours)
 
 
 @pytest.mark.parametrize("d,p,t,N", [(1, 1, 1, 4), (2, 2, 1, 4), (1, 2, 2, 5), (3, 2, 1, 3),
