@@ -1,7 +1,10 @@
-"""The word and two-colour kernels pinned to their outputs at commit
-e5b62c2e03649a2f82a990edae1b691b4ee2e6b0, before the word kernel tracked
-symbol spans and the two-colour kernel ran in place: same seeds, same dtype
-and shape, same bytes (by sha256).
+"""The word kernel pinned to its outputs at commit
+e5b62c2e03649a2f82a990edae1b691b4ee2e6b0, before it tracked symbol spans:
+same seeds, same dtype and shape, same bytes (by sha256).  The two-colour
+kernel's stream changed on purpose when it came to draw K candidate steps
+per round with immigration folded into the proposal rate; its outputs are
+pinned as that kernel first gave them, in the change that followed commit
+8af42d3a9de46fa0e59dcb8a9f707c1232f3191b.
 
 The exact routes pinned to their laws at commit
 c9297b1fde98efec2c898ce1579e299d59a351b4, before the schedule memo and the
@@ -40,13 +43,13 @@ BLOCKS = {  # (d, p, t, N, n_reps, seed) -> sha256 of the int64 block counts
 
 WHITE = {  # name -> (spec, checkpoints, n_reps, seed, sha256 of the stacked white counts)
     "std_tail_sum": (polya_young(2, 1, 1, 1, 1), [1000, 9000], 8192, 3,
-                     "058c289312a3126cd12d682914ccfd6918bfd5c20f640583d824765d8b34c38a"),
+                     "445817d940f2ac8e8393619633d5356a625b341a02b44a4c943b2c863bd47f56"),
     "q_1": (polya_young(2, 1, 1, 1, 0), [0, 50, 400], 4096, 5,
-            "dfaa60f3613b1f38df6e24f4f65d392b32877248f1e6786c3739a3f75d1d6b2b"),
+            "4508a255c1f394a919430e9a8c0ee0ff36397c6addf0fbea44877a2390a886e2"),
     "sigma_2": (triangular(2, 2, 1, 3, 2, 1), [10, 300], 4096, 7,
-                "703dad36d9438a2a0283ad17052ef5d9dcdf1f11a9e6e8fb4611f1ae5f053d7b"),
+                "a6cbf1d53312c1b5e97567ba349006215d5b688f4675e77a5d9a7fa31f273fe8"),
     "immigration": (with_white_immigration(triangular(2, 1, 1, 2, 1, 1), [0, 1]), [7, 200],
-                    4096, 11, "787ff1688e0302ea97e0f456c4045e1db4b91e81d1802f5d47ec888597891735"),
+                    4096, 11, "2a39b3bd102e27c1d5ae1ac83aa7854d9d82a81e494b9befb023cd65c03ee234"),
 }
 
 
