@@ -27,6 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .rng import derive_seed
+
 __all__ = [
     "UrnSpec",
     "Pmf",
@@ -340,32 +342,6 @@ def totals_list(spec: UrnSpec, N: int) -> list:
 # draws and batch simulation
 
 
-def _cumulative_draw(n_reps: int):
-    """Colour draw for batches of n_reps replicates held column by column:
-    draw(cols, K, x) gives, for each column r of cols, the first of the rows
-    0..K-1 (colours) whose running sum reaches x[r] = u*total, so a tie with
-    a partial sum resolves to the lower row.  The sum runs left to right by
-    in-place row additions in float64.  x = 0 skips leading zero rows, and a
-    prefix that rounding leaves short of x falls back to its last positive
-    row.  x is raised to the least positive float in place, and the
-    result is a buffer that the next draw overwrites."""
-    acc, hit, target = np.empty(n_reps), np.empty(n_reps, bool), np.empty(n_reps, np.int32)
-
-    def draw(cols: np.ndarray, K: int, x: np.ndarray) -> np.ndarray:
-        np.maximum(x, np.nextafter(0.0, 1.0), out=x)
-        acc[:], target[:] = 0.0, 0
-        for k in range(K):  # in place: acc and target belong to the closure
-            np.add(acc, cols[k], out=acc)
-            np.less(acc, x, out=hit)
-            np.add(target, hit, out=target)
-        if np.equal(target, K, out=hit).any():
-            short = np.flatnonzero(hit)
-            target[short] = K - 1 - np.argmax(cols[K - 1::-1, short] > 0, axis=0)
-        return target
-
-    return draw
-
-
 def _check_sizes(N: int, n_reps: int) -> None:
     """The size checks every batch kernel makes before it draws."""
     if N < 0:
@@ -531,27 +507,33 @@ def simulate_white_batch(
 
 
 def simulate_counts_batch(spec: UrnSpec, N: int, n_reps: int, seed: int) -> np.ndarray:
-    """Vectorized simulation of the whole count vector; returns counts array
-    (n_reps, colors), grown colour by colour as shape (colors, n_reps)."""
+    """Vectorized simulation of the whole count vector at step N; returns the
+    counts array (n_reps, colors).
+
+    Only the last color takes the refresh, so the sum S of the others gains
+    sigma exactly on its own draws: simulate_white_batch runs it, from the
+    same seed, as the white side of the spec with those colors summed into
+    color 0.  Within S the draws form a classical Polya urn, so the n draws
+    into S split over its colors as Dirichlet-multinomial(n; initial_k/sigma)
+    (Johnson & Kotz 1977), drawn as p ~ Dirichlet and C ~ Multinomial(n, p)
+    from the stream derive_seed(seed, 0).  A color that starts empty stays
+    empty, and the last color is T_N minus the others.
+    """
     _check_sizes(N, n_reps)
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
-    counts = np.repeat([[float(c)] for c in spec.initial], n_reps, axis=1)
-    sigma = float(spec.sigma)
-    sched = schedule(spec, N)
-    totals, ells, imms = (sched.real(v).tolist() for v in (sched.totals, sched.ells, sched.imm))
-    u, draw = np.empty(n_reps), _cumulative_draw(n_reps)
-    colours, hit = np.arange(spec.colors, dtype=np.int32)[:, None], np.empty(counts.shape, bool)
-    for i in range(1, N + 1):
-        rng.random(out=u)
-        u *= totals[i - 1]
-        color = draw(counts, spec.colors, u)
-        np.equal(color, colours, out=hit)
-        counts += hit if sigma == 1.0 else sigma * hit
-        if ells[i - 1]:
-            counts[-1] += ells[i - 1]
-        if imms[i - 1]:
-            counts[0] += imms[i - 1]
-    return counts.T
+    summed = replace(spec, initial=(sum(spec.initial[:-1]), spec.initial[-1]))
+    (S,) = simulate_white_batch(summed, [N], n_reps, seed)
+    counts = np.zeros((n_reps, spec.colors))
+    if spec.colors == 2:
+        counts[:, 0] = S
+    else:  # no immigration: S = S_0 + sigma*n
+        split = [k for k, c in enumerate(spec.initial[:-1]) if c > 0]
+        start, sigma = [spec.initial[k] for k in split], float(spec.sigma)
+        n = np.rint((S - float(summed.initial[0])) / sigma).astype(np.int64)
+        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 0)))
+        p = rng.dirichlet([float(c / spec.sigma) for c in start], n_reps)
+        counts[:, split] = np.array(start, dtype=float) + sigma * rng.multinomial(n, p)
+    counts[:, -1] = float(schedule(summed, N).total(N)) - counts[:, :-1].sum(axis=1)
+    return counts
 
 
 # ---------------------------------------------------------------------------

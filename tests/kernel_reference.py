@@ -1,25 +1,28 @@
-"""Earlier Monte Carlo kernels and the scalar colour draw, kept as oracles.
+"""Earlier Monte Carlo kernels and exact laws built another way, kept as oracles.
 
-The multicolour and word kernels here are the row-major copies of the
-package kernels: fresh arrays every step, one row per replicate, one
-`np.cumsum(..., axis=1)` over every colour per draw, and one Python
-`block_count` call per word.  The tests assert that the package kernels
-return the same arrays for the same seeds.  `draw_color` is the one-uniform
-draw that `polyaurn.urns._cumulative_draw` runs column by column; the tests
-assert that both pick the same colour.  `enumerate_histories` is the
-recursive history enumeration that `polyaurn.urns.enumerate_histories` runs
-as integer-weight arrays: one step by its own `apply_draw` (the step rule
-spelled out by `ell_at` and `immigration_at` here, with Thue-Morse by bit
-parity, not read from the package) and one Fraction (or float) product per
-history node; the tests assert that both return the same `Pmf`, Fraction
-for Fraction and bit for bit.
+The word kernel here is the row-major copy of the package kernel: fresh
+arrays every step, one row per replicate, and one Python `block_count` call
+per word; the tests assert that both return the same arrays for the same
+seeds.  `enumerate_histories` is the recursive history enumeration that
+`polyaurn.urns.enumerate_histories` runs as integer-weight arrays: one step
+by its own `apply_draw` (the step rule spelled out by `ell_at` and
+`immigration_at` here, with Thue-Morse by bit parity, not read from the
+package) and one Fraction (or float) product per history node; the tests
+assert that both return the same `Pmf`, Fraction for Fraction and bit for
+bit.  `collapse_joint_pmf` is the multicolour joint law by the collapse
+that `polyaurn.urns.simulate_counts_batch` samples: the exact DP law of the
+non-refreshed colours' sum times the Dirichlet-multinomial split of its
+draws, in Fractions; the tests assert that it equals the enumeration.
 
 The other kernels agree with the package in law, not in values, and the
 tests compare both with exact laws.  The two-colour kernel here draws one
 uniform per step and replicate (white iff u*T <= W); the package kernel skips
-from white draw to white draw.  The seating kernel here draws one uniform per
-customer and replicate and tracks the bar count b; the package kernel moves
-the vector of table-count occupancies by binomial splits.  The forest kernel
+from white draw to white draw.  The multicolour kernel here draws every step
+for every replicate by one `np.cumsum(..., axis=1)` over the colours; the
+package kernel runs the two-colour kernel on the non-refreshed sum and
+splits its draws.  The seating kernel here draws one uniform per customer
+and replicate and tracks the bar count b; the package kernel moves the
+vector of table-count occupancies by binomial splits.  The forest kernel
 here keeps one weight slot per entity the forest may create and draws by a
 running sum over the slots; the package kernel draws a weight class and an
 entity inside it.  `tv_floor` is the noise floor that the TV checks print
@@ -44,11 +47,11 @@ it ran chunks of steps on full-length rows.
 
 One line differs from the old kernels on purpose: when the float cumulative
 sum falls short of u*total, they took the last colour or slot (M - 1), which
-can have weight 0; `_clamp` takes the last one with positive weight, as
-`draw_color` does.
+can have weight 0; `_clamp` takes the last one with positive weight.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -57,32 +60,8 @@ from polyaurn.moments import product_ratio
 from polyaurn.specialfn import rising_factorial
 from polyaurn.stirling import _check_params, block_count
 from polyaurn.trees import forest_total_weight, gport_family
-from polyaurn.urns import _ENUM_GUARD, Pmf, Schedule, UrnSpec, schedule, triangular
-
-
-def draw_color(counts, total, u: float) -> int:
-    """Color selected by a single uniform u in [0,1): the smallest c with
-    cumulative(counts[0..c]) >= u*total, zero-count colors skipped.  Boundary
-    values (u*total equal to a cumulative sum) resolve to the lower index.
-    The comparison is done in float space."""
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"uniform draw outside [0,1): {u}")
-    x = u * float(total)
-    acc = 0.0
-    last_nonzero = -1
-    for c, w in enumerate(counts):
-        wf = float(w)
-        if wf < 0:
-            raise ValueError(f"negative count for color {c}")
-        if wf == 0.0:
-            continue
-        acc += wf
-        last_nonzero = c
-        if x <= acc:
-            return c
-    if last_nonzero < 0:
-        raise ValueError("cannot draw from an empty urn")
-    return last_nonzero  # u*total landed above acc by rounding
+from polyaurn.urns import (_ENUM_GUARD, Pmf, Schedule, UrnSpec, exact_pmf_dp, schedule,
+                           triangular)
 
 
 def thue_morse_index(n: int) -> int:
@@ -144,6 +123,55 @@ def enumerate_histories(spec: UrnSpec, N: int) -> Pmf:
     pmf = Pmf(tuple(support), tuple(acc[s] for s in support))
     pmf.check_total(tol=1e-9)
     return pmf
+
+
+def _compositions(n: int, parts: int):
+    """Every tuple of `parts` non-negative integers that sums to n."""
+    if parts == 1:
+        yield (n,)
+        return
+    for c in range(n + 1):
+        for rest in _compositions(n - c, parts - 1):
+            yield (c, *rest)
+
+
+def collapse_joint_pmf(spec: UrnSpec, N: int) -> Pmf:
+    """Joint law of the count vector after N steps of an exact spec without
+    immigration, in Fractions: the sum S of the non-refreshed colours is the
+    white side of a two-colour urn, whose exact DP law gives the number n of
+    draws into S, and those n draws split over the colours that start
+    positive as Dirichlet-multinomial(n; a), a_k = initial_k/sigma:
+    n!/prod c_k! * prod rising(a_k, c_k) / rising(sum a, n).  The last
+    colour holds T_N minus the others."""
+    sigma = Fraction(spec.sigma)
+    initial = [Fraction(c) for c in spec.initial]
+    summed = replace(spec, initial=(sum(initial[:-1]), initial[-1]))
+    total = schedule(spec, N).total(N)
+    live = [k for k, c in enumerate(initial[:-1]) if c > 0]
+    a = [initial[k] / sigma for k in live]
+
+    def rising(x):  # [rising(x, c) for c = 0..N]
+        out = [Fraction(1)]
+        for j in range(N):
+            out.append(out[-1] * (x + j))
+        return out
+
+    # rising(a_k, c)/c! for each colour and c, and n!/rising(sum a, n)
+    per_colour = [[r / math.factorial(c) for c, r in enumerate(rising(x))] for x in a]
+    whole = [math.factorial(n) / r for n, r in enumerate(rising(sum(a)))]
+    acc = {}
+    for s, q in exact_pmf_dp(summed, N, "exact").as_dict().items():
+        n = (s - summed.initial[0]) / sigma
+        assert n.denominator == 1
+        n = int(n)
+        for c in _compositions(n, len(live)):
+            counts = initial[:-1]
+            for k, ck in zip(live, c):
+                counts[k] += sigma * ck
+            split = math.prod((f[ck] for f, ck in zip(per_colour, c)), start=whole[n])
+            acc[(*counts, total - sum(counts))] = q * split
+    support = sorted(acc)
+    return Pmf(tuple(support), tuple(acc[x] for x in support))
 
 
 def per_step_schedule(spec: UrnSpec, N: int) -> Schedule:
@@ -315,10 +343,14 @@ def tv_floor(law: dict, n: float) -> float:
 def tv_null_quantile(law: dict, n: int, q: float = 0.999, draws: int = 20_000) -> float:
     """The q-quantile of the TV distance between the exact law and an
     n-sample drawn from it, over `draws` multinomial samples (fixed seed).
-    A law with few likely values spreads its TV far above the floor."""
+    A law with few likely values spreads its TV far above the floor.  The
+    samples are drawn about 2**20 counts at a time, which gives the same
+    samples as one call."""
     probs = np.array([float(v) for v in law.values()])
-    counts = np.random.default_rng(0).multinomial(n, probs / probs.sum(), size=draws)
-    return float(np.quantile(0.5 * np.abs(counts / n - probs).sum(axis=1), q))
+    rng, rows = np.random.default_rng(0), max(1, 2**20 // probs.size)
+    tv = [0.5 * np.abs(rng.multinomial(n, probs / probs.sum(), size=min(rows, draws - i)) / n
+                       - probs).sum(axis=1) for i in range(0, draws, rows)]
+    return float(np.quantile(np.concatenate(tv), q))
 
 
 def simulate_table_count_batch(params, N, n_reps, seed):

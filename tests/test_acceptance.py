@@ -218,7 +218,6 @@ def test_criterion_07_tail_sum_clt(acceptance):
     assert ok, detail
 
 
-@pytest.mark.slow
 def test_criterion_08_multicolor(acceptance):
     spec = multicolor_polya_young(2, 1, 1, (2, 1, 1))
     svecs = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (2, 2, 0), (3, 0, 0)]

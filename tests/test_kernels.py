@@ -1,12 +1,13 @@
 """The Monte Carlo kernels against their copies in kernel_reference.py (same
-seed, same arrays), the two-colour, seating and forest kernels against their
-exact laws, the shared cumulative draw against the scalar
-`kernel_reference.draw_color`, and the array history enumeration against the
+seed, same arrays) or in law, the two-colour, multicolour, seating and forest
+kernels against their exact laws, the multicolour collapse law against the
+history enumeration, and the array history enumeration against the
 recursive `kernel_reference.enumerate_histories`."""
 
 import math
 import re
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -33,11 +34,11 @@ from polyaurn.trees import (
     statistic_pmf,
 )
 from polyaurn.urns import (
-    _cumulative_draw,
     enumerate_histories,
     exact_pmf_dp,
     multicolor_polya_young,
     polya_young,
+    schedule,
     sequence_urn,
     simulate_counts_batch,
     simulate_white_batch,
@@ -51,40 +52,6 @@ SEEDS = st.integers(0, 2**32 - 1)
 RATIONAL = st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=6)
 # floats make the running sums round
 PARAM = st.one_of(RATIONAL, st.floats(0.25, 3.0))
-
-
-@pytest.mark.parametrize("n_reps", [1, 512])
-def test_cumulative_draw_shortfall_takes_the_last_positive_slot(n_reps):
-    # 0.3 + 0.6 rounds to 0.8999999999999999, short of x = 0.9; the rows
-    # after the first two have weight 0 (the old kernels took row K - 1)
-    cols = np.repeat([[0.3], [0.6], [0.0], [0.0]], n_reps, axis=1)
-    assert np.sum(cols[:3, 0]) < 0.9
-    for K in (3, 4):
-        assert list(_cumulative_draw(n_reps)(cols, K, np.full(n_reps, 0.9))) == [1] * n_reps
-    assert list(_cumulative_draw(n_reps)(cols, 3, np.full(n_reps, 0.5))) == [1] * n_reps
-    # a tie with a partial sum resolves to the lower row
-    cols[2] = 0.5
-    for x, row in ((0.3, 0), (0.3 + 0.6, 1)):
-        assert list(_cumulative_draw(n_reps)(cols, 3, np.full(n_reps, x))) == [row] * n_reps
-    # x = 0 skips a leading zero row, as draw_color does at u = 0
-    assert list(_cumulative_draw(n_reps)(cols[::-1], 4, np.zeros(n_reps))) == [1] * n_reps
-
-
-@settings(max_examples=60, deadline=None)
-@given(K=st.integers(1, 6), n=REPS, seed=SEEDS, zeros=st.floats(0.0, 0.8))
-def test_cumulative_draw_is_draw_color_per_column(K, n, seed, zeros):
-    rng = np.random.default_rng(seed)
-    cols = rng.random((K, n)) * (rng.random((K, n)) >= zeros)
-    cols[0, cols.sum(axis=0) == 0] = 0.5
-    # every third total a few ulps above the running sum, so that the
-    # largest uniform leaves the sum short, and every third uniform 0
-    totals = np.cumsum(cols, axis=0)[-1]
-    totals[::3] *= 1 + 2**-50
-    u = rng.random(n)
-    u[::3], u[1::3] = np.nextafter(1.0, 0.0), 0.0
-    assert np.any(u * totals > np.cumsum(cols, axis=0)[-1])
-    target = _cumulative_draw(n)(cols, K, u * totals)
-    assert list(target) == [ref.draw_color(cols[:, r], totals[r], u[r]) for r in range(n)]
 
 
 @st.composite
@@ -209,14 +176,6 @@ def urn_specs(draw):
     return spec
 
 
-@settings(max_examples=80, deadline=None)
-@given(spec=urn_specs(), N=st.integers(0, 40), n_reps=REPS, seed=SEEDS)
-@example(spec=multicolor_polya_young(2, 1, 1, (2, 1, 1)), N=40, n_reps=512, seed=108)
-def test_multicolor_kernel_matches_the_row_major_reference(spec, N, n_reps, seed):
-    assert np.array_equal(simulate_counts_batch(spec, N, n_reps, seed),
-                          ref.simulate_counts_batch(spec, N, n_reps, seed))
-
-
 def _tv_to_law(values: np.ndarray, law: dict) -> float:
     keys, counts = np.unique(values, return_counts=True)
     emp = {int(k): c / len(values) for k, c in zip(keys, counts)}
@@ -337,6 +296,81 @@ def test_white_batch_draws_colour_0_of_a_multicolour_spec():
     tv, gate = _tv_to_law(W - 2.0, exact), ref.tv_null_quantile(exact, n_reps)
     print(f"TV {tv:.4f}, gate {gate:.4f}, noise floor {ref.tv_floor(exact, n_reps):.4f}")
     assert tv < gate
+
+
+# the collapse identity's specs: an empty colour and four colours among them
+COLLAPSE_SPECS = [
+    multicolor_polya_young(2, 1, 1, (2, 1, 1)),
+    multicolor_polya_young(3, Fraction(1, 2), Fraction(2, 3), (1, Fraction(1, 3), 2, 1)),
+    multicolor_polya_young(1, 2, 3, (1, 0, 5)),
+    multicolor_polya_young(2, 1, Fraction(1, 2), (1, 2, 0, 1)),
+]
+
+
+# every K**N here is at most 4**7, under 10**6
+@pytest.mark.parametrize("k,N", [(k, N) for k in range(4) for N in (0, 1, 4, 7)] + [(0, 9)])
+def test_collapse_joint_law_is_the_history_enumeration(k, N):
+    # the exact DP law of the non-refreshed sum times the
+    # Dirichlet-multinomial split of its draws, Fraction for Fraction
+    spec = COLLAPSE_SPECS[k]
+    assert ref.collapse_joint_pmf(spec, N).as_dict() == enumerate_histories(spec, N).as_dict()
+
+
+def _split_tv(spec, counts: np.ndarray, law: dict) -> float:
+    """TV between the empirical law of the draws into each non-refreshed
+    colour, read from the rows of counts, and their exact law, read from the
+    joint law's count vectors (the last colour follows from the others)."""
+    start, sigma = np.array(spec.initial[:-1], dtype=float), float(spec.sigma)
+    rows, freq = np.unique(np.rint((counts[:, :-1] - start) / sigma), axis=0, return_counts=True)
+    emp = {tuple(map(int, row)): f / len(counts) for row, f in zip(rows, freq)}
+    exact = {tuple(int((x - c) / spec.sigma) for x, c in zip(key, spec.initial[:-1])): float(q)
+             for key, q in law.items()}
+    return 0.5 * sum(abs(emp.get(c, 0.0) - exact.get(c, 0.0)) for c in set(emp) | set(exact))
+
+
+# the identity's specs at N = 40 and 150, the four-colour one at N = 40 only
+# (12,341 atoms): it is the one that splits over three colours with sigma != 1
+@pytest.mark.parametrize("k,N", [(0, 40), (0, 150), (1, 40), (2, 40), (2, 150), (3, 40), (3, 150)])
+def test_multicolour_kernel_tv_to_the_collapse_law(k, N):
+    # 2e5 replicates; the TV of the split draws stays under the 0.999
+    # quantile of the TV of exact samples of that size, and so does the
+    # per-step reference's at N = 40.  Above 2,000 atoms the quantile is
+    # taken over 2,000 null samples (about 2 s) instead of 20,000 (about 20 s)
+    spec, n_reps = COLLAPSE_SPECS[k], 200_000
+    law = ref.collapse_joint_pmf(spec, N).as_dict()
+    null = {c: float(q) for c, q in law.items()}
+    gate = ref.tv_null_quantile(null, n_reps, 0.999, 20_000 if len(law) < 2_000 else 2_000)
+    tv = _split_tv(spec, simulate_counts_batch(spec, N, n_reps, seed=N + k), law)
+    print(f"spec {k} N={N}: TV {tv:.4f}, gate {gate:.4f}, "
+          f"noise floor {ref.tv_floor(null, n_reps):.4f}")
+    assert tv <= gate, (tv, gate)
+    if N == 40:
+        per_step = _split_tv(spec, ref.simulate_counts_batch(spec, N, n_reps, seed=N + k), law)
+        print(f"spec {k} N={N}: per-step reference TV {per_step:.4f}")
+        assert per_step <= gate, (per_step, gate)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=urn_specs(), N=st.integers(0, 40), n_reps=REPS, seed=SEEDS)
+@example(spec=MIXED_IMMIGRATION, N=40, n_reps=549, seed=108)
+@example(spec=COLLAPSE_SPECS[3], N=40, n_reps=512, seed=108)
+def test_multicolour_kernel_splits_the_white_kernel_sum(spec, N, n_reps, seed):
+    # the non-refreshed colours sum to the two-colour kernel's white count on
+    # the summed spec, from the same seed; an empty colour stays empty, and
+    # the last colour holds the rest of T_N.  A two-colour spec, immigration
+    # included, gives (W, T_N - W) exactly
+    counts = simulate_counts_batch(spec, N, n_reps, seed)
+    assert counts.shape == (n_reps, spec.colors) and counts.dtype == np.float64
+    summed = replace(spec, initial=(sum(spec.initial[:-1]), spec.initial[-1]))
+    (W,) = simulate_white_batch(summed, [N], n_reps, seed)
+    total = float(schedule(spec, N).total(N))
+    if spec.colors == 2:
+        assert np.array_equal(counts, np.column_stack([W, total - W]))
+    else:
+        assert np.allclose(counts[:, :-1].sum(axis=1), W, rtol=1e-12, atol=0)
+        assert np.array_equal(counts[:, -1], total - counts[:, :-1].sum(axis=1))
+        for k, c in enumerate(spec.initial[:-1]):
+            assert (counts[:, k] == 0).all() == (c == 0), k
 
 
 def test_two_colour_kernel_with_an_empty_black_side_raises_no_warning():
